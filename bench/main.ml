@@ -1,23 +1,15 @@
 (* Regenerates every table and figure of the paper's evaluation
-   (DESIGN.md section 3 maps each to its modules), then runs Bechamel
-   micro-benchmarks of the core kernels.
+   (DESIGN.md section 3 maps each to its modules), plus the ablations,
+   the coefficient search, the attack portfolio and the scalar-vs-word
+   simulation throughput.
 
-   Usage: main.exe [table1|table4|table5|table6|table7|
-                    fig1|fig2|fig3|fig4|micro|simulate|portfolio|json|
-                    battery|all|grid|attacks]
-                   [--out DIR] [--record] [--check] [--history FILE]
+   Usage: main.exe [table1|table4|table4-fast|table5|table6|table6-fast|
+                    table7|fig1|fig2|fig3|fig4|ablation|explore|portfolio|
+                    simulate|all]
    (default: all)
 
-   Every file-writing target routes through the shared
-   Shell_bench_history.Runner writer and lands in --out DIR (default
-   "."). The recordable targets (grid, simulate, battery, attacks) go
-   through the record-producing runner whenever --record or --check is
-   given: --record appends a versioned record (commit, wall times,
-   stable counters, span structure) to the JSONL history, --check
-   exits 1 on unexplained stable-counter drift vs the last committed
-   record. grid and attacks exist only in the runner registry, so they
-   always route there. *)
-(* Budget note:
+   Stdout is the artifact; the wall-time footer goes to stderr. Recorded
+   perf history lives in `shell bench`, not here.
 
    Budgets here stand in for the paper's 48-hour SAT timeout: a case
    is reported "resilient" when the attack exhausts its budget.
@@ -41,7 +33,6 @@ module C = Shell_core
 module Circ = Shell_circuits
 module Pool = Shell_util.Pool
 
-let printf = Printf.printf
 let bpf = Printf.bprintf
 
 let with_output f =
@@ -677,83 +668,8 @@ let portfolio out =
   | None -> bpf out "  no racer broke the lock within budget\n")
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-(* ------------------------------------------------------------------ *)
-
-let micro out =
-  heading out "Micro-benchmarks (Bechamel)";
-  let module B = Bechamel in
-  let open B in
-  let nl = Circ.Fir.netlist () in
-  let simplified = Shell_synth.Opt.simplify nl in
-  let cnf = N.Cnf.encode (N.Netlist.comb_view simplified) in
-  let analysis = C.Connectivity.analyze nl in
-  let graph = analysis.C.Connectivity.graph in
-  let tests =
-    [
-      Test.make ~name:"lut_map(fir)"
-        (Staged.stage (fun () -> ignore (Shell_synth.Lut_map.map ~k:4 simplified)));
-      Test.make ~name:"sat_solve(fir cnf)"
-        (Staged.stage (fun () ->
-             let s = Shell_sat.Solver.create () in
-             Shell_sat.Solver.ensure_vars s cnf.N.Cnf.nvars;
-             List.iter (Shell_sat.Solver.add_clause s) cnf.N.Cnf.clauses;
-             ignore (Shell_sat.Solver.solve ~max_conflicts:2_000 s)));
-      Test.make ~name:"betweenness(blocks)"
-        (Staged.stage (fun () ->
-             ignore
-               (Shell_graph.Centrality.betweenness graph ~sources:[ 0 ]
-                  ~sinks:[ Shell_graph.Digraph.n graph - 1 ])));
-      Test.make ~name:"simulate(fir, 64 cycles)"
-        (Staged.stage
-           (let sim = N.Sim.create nl in
-            let n_in = List.length (N.Netlist.inputs nl) in
-            let ins = Array.make n_in false in
-            fun () ->
-              for _ = 1 to 64 do
-                ignore (N.Sim.step sim ins)
-              done));
-      (* same 64 clocked steps, each carrying Simw.width vectors *)
-      Test.make ~name:"simulate_w(fir, 64 cycles)"
-        (Staged.stage
-           (let simw = N.Simw.create nl in
-            let n_in = List.length (N.Netlist.inputs nl) in
-            let ins = Array.make n_in 0 in
-            fun () ->
-              for _ = 1 to 64 do
-                ignore (N.Simw.step simw ins)
-              done));
-    ]
-  in
-  List.concat_map
-    (fun test ->
-      let instances = [ Toolkit.Instance.monotonic_clock ] in
-      let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-      let raw = Benchmark.all cfg instances test in
-      let ols =
-        Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-      in
-      let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-      Hashtbl.fold
-        (fun name result acc ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] ->
-              bpf out "  %-28s %12.0f ns/run\n" name est;
-              (name, est) :: acc
-          | Some _ | None ->
-              bpf out "  %-28s (no estimate)\n" name;
-              acc)
-        results [])
-    tests
-
-(* ------------------------------------------------------------------ *)
 (* Simulation throughput: scalar Sim vs word-level Simw                *)
 (* ------------------------------------------------------------------ *)
-
-let time_wall f =
-  let t0 = Shell_util.Clock.now () in
-  let r = f () in
-  (r, Shell_util.Clock.now () -. t0)
 
 (* Per-catalog-circuit throughput of the two engines on identical
    stimulus: [chunks] full-width packed words = chunks * Simw.width
@@ -776,13 +692,13 @@ let simulate_rows () =
       in
       let sim = N.Sim.create nl in
       let _, t_scalar =
-        time_wall (fun () ->
+        Shell_util.Clock.time (fun () ->
             Array.iter (fun vec -> ignore (N.Sim.step sim vec)) vecs)
       in
       let simw = N.Simw.create nl in
       let word_reps = 8 in
       let _, t_word =
-        time_wall (fun () ->
+        Shell_util.Clock.time (fun () ->
             for _ = 1 to word_reps do
               Array.iter (fun w -> ignore (N.Simw.step simw w)) packed
             done)
@@ -808,352 +724,15 @@ let simulate out =
     (simulate_rows ())
 
 (* ------------------------------------------------------------------ *)
-(* json: machine-readable perf trajectory (BENCH_6.json)               *)
-(* ------------------------------------------------------------------ *)
-
-module J = Shell_util.Jsonw
-module Obs = Shell_util.Obs
-
-(* CPU-bound filler for the pool's synthetic speedup probe *)
-let spin_task i =
-  let acc = ref (float_of_int i) in
-  for k = 1 to 400_000 do
-    acc := !acc +. sin (float_of_int k *. 1e-3)
-  done;
-  !acc
-
-(* Word-path workload for the stable sim-counter contract: a fixed
-   batch of Equiv checks plus packed Simw steps per catalog circuit,
-   fanned out over the pool. The stable-only snapshot (sim_vectors /
-   sim_words / sim_cells_evaluated and friends) is a pure function of
-   the work submitted, so it must be byte-identical at any job count. *)
-let sim_counter_snapshot jobs =
-  Obs.reset ();
-  let _ =
-    Pool.map ~jobs
-      (fun (e : Circ.Catalog.entry) ->
-        let nl = e.Circ.Catalog.netlist () in
-        (match N.Equiv.check ~vectors:128 nl nl with
-        | N.Equiv.Equivalent -> ()
-        | N.Equiv.Counterexample _ -> assert false);
-        let simw = N.Simw.create nl in
-        let n_in = List.length (N.Netlist.inputs nl) in
-        let rng = Shell_util.Rng.create 0x6d1 in
-        let packed =
-          Shell_util.Rng.vectors_packed rng ~vectors:(4 * N.Simw.width)
-            ~bits:n_in
-        in
-        Array.iter (fun w -> ignore (N.Simw.step simw w)) packed)
-      (Array.of_list Circ.Catalog.all)
-  in
-  Obs.json ~stable_only:true (Obs.snapshot ())
-
-let json ~dir () =
-  let jn = Pool.default_jobs () in
-  printf "writing BENCH_6.json (jobs=%d)...\n%!" jn;
-  (* table4-fast: the acceptance workload — timed at jobs=1 and jobs=N,
-     outputs compared byte for byte *)
-  let s1, t4_j1 =
-    Pool.set_default_jobs 1;
-    time_wall (fun () -> with_output (table4 ~attack:false))
-  in
-  let sn, t4_jn =
-    Pool.set_default_jobs jn;
-    time_wall (fun () -> with_output (table4 ~attack:false))
-  in
-  let identical = String.equal s1 sn in
-  (* synthetic pool probe: pure CPU tasks, no flow noise *)
-  let spin_input = Array.init 32 (fun i -> i) in
-  let _, spin_j1 =
-    time_wall (fun () -> ignore (Pool.map ~jobs:1 spin_task spin_input))
-  in
-  let _, spin_jn =
-    time_wall (fun () -> ignore (Pool.map ~jobs:jn spin_task spin_input))
-  in
-  (* per-table wall times at jobs=N (attack-free sections only, so the
-     numbers track compute, not SAT-budget luck) *)
-  let sections =
-    [
-      ("table1", table1);
-      ("table5", table5);
-      ("table6_fast", table6 ~attack:false);
-      ("table7", table7);
-      ("fig2", fig2);
-      ("fig4", fig4);
-    ]
-  in
-  let table_times =
-    List.map
-      (fun (name, f) ->
-        let _, t = time_wall (fun () -> ignore (with_output f)) in
-        (name, t))
-      sections
-  in
-  let micro_results =
-    let scratch = Buffer.create 4096 in
-    micro scratch
-  in
-  (* scalar-vs-word engine throughput, per catalog circuit *)
-  let sim_rows = simulate_rows () in
-  (* per-pass trace + pass-level cache reuse on the FIR SheLL flow:
-     cold (empty cache), warm (all upstream passes reused), and a
-     cache-bypassing run whose summary must match byte for byte *)
-  let fir =
-    (List.find (fun e -> e.Circ.Catalog.name = "FIR") Circ.Catalog.all)
-      .Circ.Catalog.netlist ()
-  in
-  let fir_cfg = C.Flow.shell_config () in
-  C.Pipeline.clear_cache ();
-  let o_cold, cold_s = time_wall (fun () -> C.Flow.run_staged fir_cfg fir) in
-  let cold_hits, cold_misses = C.Pipeline.cache_stats () in
-  let o_warm, warm_s = time_wall (fun () -> C.Flow.run_staged fir_cfg fir) in
-  let all_hits, all_misses = C.Pipeline.cache_stats () in
-  let o_nocache = C.Flow.run_staged ~use_cache:false fir_cfg fir in
-  let summary o = Format.asprintf "%a" C.Flow.pp_summary (C.Flow.of_outcome o) in
-  let cache_identical = String.equal (summary o_warm) (summary o_nocache) in
-  (* obs: telemetry snapshot of a fixed instrumented workload — the
-     FIR staged flow (cold cache) plus a short SAT attack on a
-     MUX-routing-locked Xbar *)
-  let obs_was = Obs.enabled () in
-  Obs.set_enabled true;
-  Obs.reset ();
-  C.Pipeline.clear_cache ();
-  let _ = C.Flow.run_staged fir_cfg fir in
-  let xnl = Circ.Axi_xbar.netlist ~channels:4 ~data_width:8 () in
-  let xlk = L.Schemes.mux_routing ~width:16 xnl in
-  let _ =
-    A.Sat_attack.attack.A.Attack.run
-      (unified_budget (`Dips 16, `Conflicts 50_000, `Seconds 5.0))
-      (A.Attack.subject ~original:xnl xlk)
-  in
-  let obs_metrics = Obs.json (Obs.snapshot ()) in
-  let obs_spans = Obs.spans_json (Obs.spans ()) in
-  (* stable sim counters: same word-path workload at jobs=1 and jobs=4
-     must yield byte-identical stable-only snapshots *)
-  let simc_j1 = sim_counter_snapshot 1 in
-  let simc_j4 = sim_counter_snapshot 4 in
-  Obs.set_enabled obs_was;
-  let doc =
-    J.Obj
-      [
-        ("pr", J.Int 6);
-        ("jobs", J.Int jn);
-        ("recommended_domains", J.Int (Domain.recommended_domain_count ()));
-        ( "table4_fast",
-          J.Obj
-            [
-              ("jobs1_s", J.float ~dec:3 t4_j1);
-              ("jobsN_s", J.float ~dec:3 t4_jn);
-              ("speedup", J.float ~dec:2 (t4_j1 /. Float.max 1e-9 t4_jn));
-              ("identical_output", J.Bool identical);
-            ] );
-        ( "pool_synthetic",
-          J.Obj
-            [
-              ("tasks", J.Int (Array.length spin_input));
-              ("jobs1_s", J.float ~dec:3 spin_j1);
-              ("jobsN_s", J.float ~dec:3 spin_jn);
-              ("speedup", J.float ~dec:2 (spin_j1 /. Float.max 1e-9 spin_jn));
-            ] );
-        ( "tables_s",
-          J.Obj (List.map (fun (name, t) -> (name, J.float ~dec:3 t)) table_times)
-        );
-        ( "micro_ns_per_run",
-          J.Obj
-            (List.map (fun (name, est) -> (name, J.float ~dec:0 est))
-               micro_results) );
-        ( "simulate",
-          J.Obj
-            (List.map
-               (fun (name, cells, scalar_ns, word_ns, speedup) ->
-                 ( name,
-                   J.Obj
-                     [
-                       ("cells", J.Int cells);
-                       ("scalar_ns_per_vector", J.float ~dec:1 scalar_ns);
-                       ("word_ns_per_vector", J.float ~dec:1 word_ns);
-                       ("speedup", J.float ~dec:1 speedup);
-                     ] ))
-               sim_rows) );
-        ( "sim_counters",
-          J.Obj
-            [
-              ("workload", J.Str "catalog equiv checks + packed Simw steps");
-              ( "identical_jobs1_vs_jobs4",
-                J.Bool (String.equal (J.to_string simc_j1) (J.to_string simc_j4))
-              );
-              ("stable_snapshot", simc_j1);
-            ] );
-        ( "pass_cache",
-          J.Obj
-            [
-              ("cold_s", J.float ~dec:4 cold_s);
-              ("warm_s", J.float ~dec:4 warm_s);
-              ("cold_hits", J.Int cold_hits);
-              ("cold_misses", J.Int cold_misses);
-              ("warm_hits", J.Int (all_hits - cold_hits));
-              ("warm_misses", J.Int (all_misses - cold_misses));
-              ("identical_summary", J.Bool cache_identical);
-            ] );
-        ("trace", Shell_util.Trace.json o_cold.C.Pipeline.trace);
-        ( "obs",
-          J.Obj
-            [
-              ("workload", J.Str "FIR staged flow + Xbar mux-routing attack");
-              ("snapshot", obs_metrics);
-              ("spans", obs_spans);
-            ] );
-      ]
-  in
-  let path = Shell_bench_history.Runner.write_json ~dir "BENCH_6.json" doc in
-  printf "  table4-fast: %.2fs @ jobs=1, %.2fs @ jobs=%d (speedup %.2fx, identical=%b)\n"
-    t4_j1 t4_jn jn
-    (t4_j1 /. Float.max 1e-9 t4_jn)
-    identical;
-  printf "  pool synthetic: speedup %.2fx over %d tasks\n"
-    (spin_j1 /. Float.max 1e-9 spin_jn)
-    (Array.length spin_input);
-  List.iter
-    (fun (name, _, s, w, sp) ->
-      printf "  simulate %-8s %.0f -> %.0f ns/vector (%.1fx)\n" name s w sp)
-    sim_rows;
-  printf "  sim counters jobs1-vs-jobs4 identical=%b\n"
-    (String.equal (J.to_string simc_j1) (J.to_string simc_j4));
-  printf "done: %s\n" path
-
-(* ------------------------------------------------------------------ *)
-(* battery: the per-scheme x per-attack resilience matrix (BENCH_7)    *)
-(* ------------------------------------------------------------------ *)
-
-(* Budgets here are cap-bound (DIP/conflict/vector ceilings bind before
-   the generous wall clock), so every verdict — and the matrix JSON,
-   which omits elapsed times — is byte-identical at any job count. *)
-let battery ~dir () =
-  let jn = Pool.default_jobs () in
-  printf "writing BENCH_7.json (jobs=%d)...\n%!" jn;
-  let subjects =
-    List.concat_map
-      (fun (cname, mk_nl) ->
-        let schemes =
-          [
-            ("xor:8", fun nl -> L.Schemes.xor_keys ~seed:1 ~bits:8 nl);
-            ("mux:8", fun nl -> L.Schemes.mux_routing ~seed:1 ~width:8 nl);
-          ]
-        in
-        List.map
-          (fun (sname, mk_lk) ->
-            let nl : N.Netlist.t = mk_nl () in
-            A.Attack.subject
-              ~label:(cname ^ "/" ^ sname)
-              ~original:nl (mk_lk nl))
-          schemes)
-      [
-        ("xbar4", fun () -> Circ.Axi_xbar.netlist ~channels:4 ~data_width:8 ());
-        ("soc", fun () -> Circ.Soc.netlist ());
-      ]
-  in
-  let budget =
-    A.Attack.budget ~max_dips:32 ~max_conflicts:60_000 ~time_limit:120.0
-      ~vectors:256 ()
-  in
-  let m1, t1 = time_wall (fun () -> A.Battery.run ~jobs:1 ~budget subjects) in
-  let mn, tn = time_wall (fun () -> A.Battery.run ~jobs:jn ~budget subjects) in
-  let s1 = J.to_string ~indent:2 (A.Battery.matrix_json m1) in
-  let sn = J.to_string ~indent:2 (A.Battery.matrix_json mn) in
-  let identical = String.equal s1 sn in
-  let doc =
-    J.Obj
-      [
-        ("pr", J.Int 7);
-        ("jobs", J.Int jn);
-        ( "budget",
-          J.Obj
-            [
-              ("max_dips", J.Int 32);
-              ("max_conflicts", J.Int 60_000);
-              ("time_limit_s", J.float ~dec:1 120.0);
-              ("vectors", J.Int 256);
-            ] );
-        ("jobs1_s", J.float ~dec:3 t1);
-        ("jobsN_s", J.float ~dec:3 tn);
-        ("speedup", J.float ~dec:2 (t1 /. Float.max 1e-9 tn));
-        ("identical_matrix", J.Bool identical);
-        ("matrix", A.Battery.matrix_json mn);
-      ]
-  in
-  let path = Shell_bench_history.Runner.write_json ~dir "BENCH_7.json" doc in
-  printf "%s\n" (Format.asprintf "%a" A.Battery.pp_matrix mn);
-  printf "  battery: %.2fs @ jobs=1, %.2fs @ jobs=%d (speedup %.2fx, identical=%b)\n"
-    t1 tn jn
-    (t1 /. Float.max 1e-9 tn)
-    identical;
-  printf "done: %s\n" path
-
-(* ------------------------------------------------------------------ *)
 
 let emit f =
   print_string (with_output f);
   flush stdout
 
-(* ---- argv: one target plus history/output flags ---- *)
-
-type opts = {
-  which : string;
-  dir : string;
-  record : bool;
-  check : bool;
-  history : string option;
-}
-
-let usage () =
-  prerr_endline
-    "usage: main.exe [TARGET] [--out DIR] [--record] [--check] [--history FILE]";
-  exit 1
-
-let parse_argv () =
-  let rec go o = function
-    | [] -> o
-    | "--out" :: dir :: tl -> go { o with dir } tl
-    | "--record" :: tl -> go { o with record = true } tl
-    | "--check" :: tl -> go { o with check = true } tl
-    | "--history" :: f :: tl -> go { o with history = Some f } tl
-    | ("--out" | "--history") :: [] -> usage ()
-    | t :: tl when String.length t > 0 && t.[0] <> '-' -> go { o with which = t } tl
-    | _ -> usage ()
-  in
-  go
-    { which = "all"; dir = "."; record = false; check = false; history = None }
-    (List.tl (Array.to_list Sys.argv))
-
-(* The recordable targets run through the one record-producing runner;
-   exit 1 on unexplained stable-counter drift when --check is on. *)
-let run_recorded o =
-  let module R = Shell_bench_history.Runner in
-  match
-    R.execute
-      {
-        R.default_opts with
-        R.targets = [ o.which ];
-        out_dir = o.dir;
-        history = o.history;
-        record = o.record;
-        check = o.check;
-      }
-  with
-  | Ok () -> ()
-  | Error ds ->
-      List.iter
-        (fun d -> prerr_endline (Shell_util.Diag.to_string d))
-        ds;
-      exit 1
-
 let () =
-  let o = parse_argv () in
-  let which = o.which in
+  let which = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
   let t0 = Shell_util.Clock.now () in
   (match which with
-  | "grid" | "attacks" -> run_recorded o
-  | ("simulate" | "battery") when o.record || o.check -> run_recorded o
   | "table1" -> emit table1
   | "table4" -> emit (table4 ~attack:true)
   | "table4-fast" -> emit (table4 ~attack:false)
@@ -1168,10 +747,7 @@ let () =
   | "ablation" -> emit ablation
   | "explore" -> emit explore
   | "portfolio" -> emit portfolio
-  | "micro" -> emit (fun out -> ignore (micro out))
   | "simulate" -> emit simulate
-  | "json" -> json ~dir:o.dir ()
-  | "battery" -> battery ~dir:o.dir ()
   | "all" ->
       emit table1;
       emit fig2;
@@ -1185,10 +761,9 @@ let () =
       emit ablation;
       emit explore;
       emit portfolio;
-      emit simulate;
-      emit (fun out -> ignore (micro out))
+      emit simulate
   | other ->
-      printf "unknown target %s\n" other;
+      Printf.printf "unknown target %s\n" other;
       exit 1);
   (* stderr, so stdout stays byte-comparable across job counts *)
   Printf.eprintf "\ntotal bench time: %.1fs\n" (Shell_util.Clock.now () -. t0)

@@ -89,6 +89,15 @@ let with_metrics metrics f =
       at_exit (fun () -> try Obs.write_file path with Sys_error _ -> ());
       f ()
 
+let read_file path =
+  try
+    let ic = open_in path in
+    let n = in_channel_length ic in
+    let s = really_input_string ic n in
+    close_in ic;
+    s
+  with Sys_error m -> dief "%s" m
+
 (* Benchmark lookup, TfR defaults and job execution live in
    Shell_serve.Jobs, shared with the daemon so socket and CLI
    invocations return byte-identical output. *)
@@ -96,8 +105,6 @@ let netlist_of_bench name =
   match SJ.netlist_of_bench name with
   | Ok nl -> Ok nl
   | Error d -> Error (`Msg (Diag.to_string d))
-
-let default_tfr = SJ.default_tfr
 
 (* ---------------- list ---------------- *)
 
@@ -160,20 +167,35 @@ let analyze_cmd =
 let lock_spec bench style route lgc seed =
   { SP.bench; style = SJ.style_id style; route; lgc; seed }
 
+(* --trace: telemetry on for the flow, then its [pipeline] span subtree
+   on stderr (each pass with its wall time, cache_hit and counters),
+   failed flows included; stdout is untouched. *)
+let traced trace flow =
+  if trace then Obs.set_enabled true;
+  let r = flow () in
+  if trace then
+    Format.eprintf "%a@?" Obs.pp_spans
+      (List.filter (fun (s : Obs.span) -> s.Obs.name = "pipeline") (Obs.spans ()));
+  r
+
+let write_locked out (r : C.Flow.result) =
+  match out with
+  | None -> ()
+  | Some path ->
+      let oc = open_out path in
+      output_string oc (N.Verilog.to_string r.C.Flow.locked_full);
+      close_out oc;
+      Printf.printf "locked design written to %s\n" path
+
 let lock_run bench style route lgc seed trace metrics out bitstream_out =
-  if trace then Shell_util.Trace.set_enabled true;
   with_metrics metrics @@ fun () ->
-  match SJ.lock_flow (lock_spec bench style route lgc seed) with
+  match
+    traced trace (fun () -> SJ.lock_flow (lock_spec bench style route lgc seed))
+  with
   | Error d -> die d
   | Ok r ->
       print_string (SJ.lock_render r);
-      (match out with
-      | None -> ()
-      | Some path ->
-          let oc = open_out path in
-          output_string oc (N.Verilog.to_string r.C.Flow.locked_full);
-          close_out oc;
-          Printf.printf "locked design written to %s\n" path);
+      write_locked out r;
       (match bitstream_out with
       | None -> ()
       | Some path ->
@@ -186,8 +208,8 @@ let lock_run bench style route lgc seed trace metrics out bitstream_out =
 
 let trace_arg =
   let doc =
-    "Print per-pass wall time and counters to stderr (same as setting \
-     SHELL_TRACE=1)."
+    "Print the flow's span tree to stderr: every pass with its wall time, \
+     cache hit and counters."
   in
   Arg.(value & flag & info [ "trace" ] ~doc)
 
@@ -213,56 +235,26 @@ let lock_cmd =
 (* ---------------- lock-file ---------------- *)
 
 let lock_file_run input style route lgc seed trace metrics out bitstream_out =
-  if trace then Shell_util.Trace.set_enabled true;
   with_metrics metrics @@ fun () ->
-  let src =
-    try
-      let ic = open_in input in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    with Sys_error m -> dief "%s" m
-  in
   let nl =
-    match N.Verilog.parse src with
+    match N.Verilog.parse (read_file input) with
     | nl -> nl
     | exception N.Verilog.Parse_error m -> dief "parse error: %s" m
   in
   if route = [] && lgc = [] then dief "pass --route/--lgc origin patterns";
-  Printf.printf "parsed %s: %d cells
-" (N.Netlist.name nl)
+  Printf.printf "parsed %s: %d cells\n" (N.Netlist.name nl)
     (N.Netlist.num_cells nl);
-  let cfg =
-    {
-      (C.Flow.shell_config
-         ~target:
-           (C.Flow.Fixed
-              { route; lgc; label = String.concat "+" (route @ lgc) })
-         ())
-      with
-      C.Flow.style;
-      seed;
-    }
-  in
-  let r = run_flow cfg nl in
-  Format.printf "%a@." C.Flow.pp_summary r;
-  Printf.printf "verify: %s
-" (if C.Flow.verify r then "PASS" else "FAIL");
-  (match out with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (N.Verilog.to_string r.C.Flow.locked_full);
-      close_out oc;
-      Printf.printf "locked design written to %s
-" path);
-  match bitstream_out with
-  | None -> ()
-  | Some path ->
-      F.Bitstream.save r.C.Flow.emitted.F.Emit.bitstream path;
-      Printf.printf "bitstream written to %s
-" path
+  let spec = lock_spec (N.Netlist.name nl) style route lgc seed in
+  match traced trace (fun () -> SJ.lock_netlist spec nl) with
+  | Error d -> die d
+  | Ok r -> (
+      print_string (SJ.lock_render r);
+      write_locked out r;
+      match bitstream_out with
+      | None -> ()
+      | Some path ->
+          F.Bitstream.save r.C.Flow.emitted.F.Emit.bitstream path;
+          Printf.printf "bitstream written to %s\n" path)
 
 let lock_file_cmd =
   let input =
@@ -433,25 +425,9 @@ let battery_cmd =
 
 let stats_run bench style route lgc seed attack =
   Obs.set_enabled true;
-  match netlist_of_bench bench with
-  | Error (`Msg m) -> dief "%s" m
-  | Ok nl ->
-      let route, lgc, label =
-        if route = [] && lgc = [] then
-          match default_tfr bench with
-          | Some t -> t
-          | None -> dief "no default TfR for this design: pass --route/--lgc"
-        else (route, lgc, String.concat "+" (route @ lgc))
-      in
-      let cfg =
-        {
-          (C.Flow.shell_config ~target:(C.Flow.Fixed { route; lgc; label }) ())
-          with
-          C.Flow.style;
-          seed;
-        }
-      in
-      let r = run_flow cfg nl in
+  match SJ.lock_flow (lock_spec bench style route lgc seed) with
+  | Error d -> die d
+  | Ok r ->
       if attack then begin
         let lk = C.Flow.locked_sub r in
         ignore
@@ -586,20 +562,6 @@ let fuzz_cmd =
 module Lint = Shell_lint.Lint
 module Rules = Shell_lint.Rules
 
-(* Rebuild the same subject the pipeline's lint pass checks, so the CLI
-   can re-lint a locked flow under a different severity floor, baseline
-   or job count. *)
-let lint_subject_of_result = SJ.lint_subject_of_result
-
-let read_file path =
-  try
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  with Sys_error m -> dief "%s" m
-
 let lint_run metrics benches files locked style seed jobs json_out severity
     baseline update_baseline list_rules =
   with_metrics metrics @@ fun () ->
@@ -637,7 +599,7 @@ let lint_run metrics benches files locked style seed jobs json_out severity
                 let cfg =
                   { (C.Flow.shell_config ()) with C.Flow.style; seed }
                 in
-                lint_subject_of_result (run_flow cfg nl)
+                SJ.lint_subject_of_result (run_flow cfg nl)
               else Lint.subject nl)
         benches
     in
@@ -777,7 +739,7 @@ let lint_cmd =
 
 module BH = Shell_bench_history
 
-let bench_run targets jobs out_dir history record check report allowlist
+let bench_run targets jobs history record check report allowlist
     time_tolerance commit against list_targets =
   if list_targets then
     List.iter
@@ -789,7 +751,6 @@ let bench_run targets jobs out_dir history record check report allowlist
       {
         BH.Runner.targets;
         jobs;
-        out_dir;
         history;
         record;
         check;
@@ -824,20 +785,12 @@ let bench_cmd =
             "Worker domains (default: SHELL_JOBS or the core count). The \
              stable part of every record is byte-identical for any value.")
   in
-  let out_dir =
-    Arg.(
-      value & opt string "."
-      & info [ "out" ] ~docv:"DIR"
-          ~doc:
-            "Directory for bench artifacts; the default history file lives \
-             here.")
-  in
   let history =
     Arg.(
       value
       & opt (some string) None
       & info [ "history" ] ~docv:"FILE"
-          ~doc:"JSONL history file (default $(b,DIR)/BENCH_HISTORY.jsonl).")
+          ~doc:"JSONL history file (default BENCH_HISTORY.jsonl).")
   in
   let record =
     Arg.(
@@ -914,7 +867,7 @@ let bench_cmd =
           history: --record appends, --check gates on stable-counter drift, \
           --report renders the HTML trend page.")
     Term.(
-      const bench_run $ targets $ jobs $ out_dir $ history $ record $ check
+      const bench_run $ targets $ jobs $ history $ record $ check
       $ report $ allowlist $ time_tolerance $ commit $ against $ list_targets)
 
 (* ---------------- serve ---------------- *)

@@ -1,4 +1,3 @@
-module J = Shell_util.Jsonw
 module Obs = Shell_util.Obs
 module Diag = Shell_util.Diag
 
@@ -101,22 +100,6 @@ let commit_matches ~spec commit =
   if ls <= lc then String.sub commit 0 ls = spec
   else String.sub spec 0 lc = commit
 
-(* -------- the shared artifact writer -------- *)
-
-let out_file ~dir name =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  Filename.concat dir name
-
-let write_json ~dir name doc =
-  let path = out_file ~dir name in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (J.to_string ~indent:2 doc);
-      output_char oc '\n');
-  path
-
 (* -------- one record -------- *)
 
 let run_target ?commit ~jobs (t : Targets.t) =
@@ -148,7 +131,6 @@ let run_target ?commit ~jobs (t : Targets.t) =
 type opts = {
   targets : string list;
   jobs : int option;
-  out_dir : string;
   history : string option;
   record : bool;
   check : bool;
@@ -163,7 +145,6 @@ let default_opts =
   {
     targets = [];
     jobs = None;
-    out_dir = ".";
     history = None;
     record = false;
     check = false;
@@ -205,7 +186,7 @@ let execute ?(out = print_endline) opts =
   let history_path =
     match opts.history with
     | Some p -> p
-    | None -> out_file ~dir:opts.out_dir "BENCH_HISTORY.jsonl"
+    | None -> "BENCH_HISTORY.jsonl"
   in
   let* allow =
     match opts.allowlist with

@@ -1,7 +1,7 @@
-(** The one record-producing runner every bench surface routes
-    through: run a {!Targets.t} with Obs enabled from a clean slate,
-    snapshot the diffable counters and span aggregate, stamp the
-    commit id, and orchestrate [--record] / [--check] / [--report]
+(** The record-producing runner behind [shell bench]: run a
+    {!Targets.t} with Obs enabled from a clean slate, snapshot the
+    diffable counters and span aggregate, stamp the commit id, and
+    orchestrate [--record] / [--check] / [--report]
     against the JSONL history. *)
 
 val commit_id : unit -> string
@@ -26,15 +26,6 @@ val commit_matches : spec:string -> string -> bool
     as [SHELL_BENCH_COMMIT] often is in CI). Empty strings never
     match. *)
 
-val out_file : dir:string -> string -> string
-(** [Filename.concat dir name], creating [dir] first — the shared
-    resolver for every bench artifact path. *)
-
-val write_json : dir:string -> string -> Shell_util.Jsonw.t -> string
-(** Write a pretty-printed JSON document (trailing newline) under
-    [dir]; returns the path written. The single writer behind what
-    used to be scattered [open_out "BENCH_*.json"] calls. *)
-
 val run_target : ?commit:string -> jobs:int -> Targets.t -> Record.t
 (** Execute one target under freshly-reset, enabled Obs (pass cache
     cleared; prior enablement restored afterwards) and package the
@@ -46,8 +37,7 @@ val run_target : ?commit:string -> jobs:int -> Targets.t -> Record.t
 type opts = {
   targets : string list;  (** empty = every registered target *)
   jobs : int option;  (** default {!Shell_util.Pool.default_jobs} *)
-  out_dir : string;  (** bench artifact directory, default ["."] *)
-  history : string option;  (** default [out_dir/BENCH_HISTORY.jsonl] *)
+  history : string option;  (** default [BENCH_HISTORY.jsonl] in the cwd *)
   record : bool;  (** append the new records to the history *)
   check : bool;  (** diff against the last committed record per target *)
   report : string option;  (** write the HTML trend page here *)

@@ -13,11 +13,6 @@ type t = {
   run : jobs:int -> (string * float) list;
 }
 
-let time_wall f =
-  let t0 = Shell_util.Clock.now () in
-  let r = f () in
-  (r, Shell_util.Clock.now () -. t0)
-
 (* Unstable-registered counters that the capped workloads below make
    deterministic: the solver runs under conflict ceilings with seeded
    phases, DIS loops under DIP ceilings, the pass cache is single-
@@ -82,7 +77,9 @@ let run_grid ~jobs =
             shrink = true;
           }
         in
-        let _, secs = time_wall (fun () -> ignore (C.Flow.run cfg nl)) in
+        let _, secs =
+          Shell_util.Clock.time (fun () -> ignore (C.Flow.run cfg nl))
+        in
         (e.Circ.Catalog.name ^ "/" ^ F.Style.name style, secs))
       cells
   in
@@ -95,7 +92,7 @@ let run_simulate ~jobs =
     Pool.mapi ~jobs
       (fun _ (e : Circ.Catalog.entry) ->
         let _, secs =
-          time_wall (fun () ->
+          Shell_util.Clock.time (fun () ->
               let nl = e.Circ.Catalog.netlist () in
               (match N.Equiv.check ~vectors:128 nl nl with
               | N.Equiv.Equivalent -> ()
@@ -131,7 +128,7 @@ let battery_subjects () =
 let run_battery ~jobs =
   let subjects = battery_subjects () in
   let _, secs =
-    time_wall (fun () ->
+    Shell_util.Clock.time (fun () ->
         ignore (A.Battery.run ~jobs ~budget:capped_budget subjects))
   in
   [ ("matrix", secs) ]
@@ -149,7 +146,7 @@ let run_attacks ~jobs:_ =
       A.Battery.find name
       |> Option.map (fun atk ->
              let _, secs =
-               time_wall (fun () ->
+               Shell_util.Clock.time (fun () ->
                    ignore (A.Battery.run_attack capped_budget atk subject))
              in
              (name, secs)))

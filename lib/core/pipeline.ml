@@ -8,8 +8,6 @@ module Pnr = Shell_pnr.Pnr
 module Lint = Shell_lint.Lint
 module Lint_rules = Shell_lint.Rules
 module Diag = Shell_util.Diag
-module Trace = Shell_util.Trace
-module Clock = Shell_util.Clock
 
 type target =
   | Fixed of { route : string list; lgc : string list; label : string }
@@ -54,11 +52,7 @@ type artifacts = {
   lint : Lint.report option;
 }
 
-type outcome = {
-  artifacts : artifacts;
-  trace : Trace.span list;
-  failed : Diag.t option;
-}
+type outcome = { artifacts : artifacts; failed : Diag.t option }
 
 let pass_names =
   [
@@ -408,6 +402,7 @@ type pass = {
       (** cache key of the pass's inputs; [None] disables caching *)
   run : ctx -> artifacts -> product;
   counters : artifacts -> (string * int) list;
+      (** the pass span's counters; evaluated only while Obs is on *)
 }
 
 let p_connectivity =
@@ -672,6 +667,20 @@ let p_overhead =
         ]);
   }
 
+let lint_subject ~original ~analysis ~choice ~pnr ~emitted ~resources
+    ~shrunk locked_full =
+  let route_origins = Selection.route_origins analysis choice in
+  let lgc_origins =
+    List.map
+      (fun i -> analysis.Connectivity.blocks.(i).Connectivity.name)
+      choice.Selection.lgc_blocks
+  in
+  Lint.subject ~name:(Netlist.name original)
+    ~key:(Shell_fabric.Bitstream.bits emitted.Emit.bitstream)
+    ~selection:{ Lint.design = original; route_origins; lgc_origins }
+    ~fabric:pnr.Pnr.fabric ~bitstream:emitted.Emit.bitstream ~used:resources
+    ~pnr ~shrunk locked_full
+
 let p_lint =
   {
     name = "lint";
@@ -687,26 +696,12 @@ let p_lint =
              a.config.seed a.config.shrink (fabric_key ctx.fabric)));
     run =
       (fun _ a ->
-        let analysis = the "lint" a.analysis
-        and choice = the "lint" a.choice
-        and pnr = the "lint" a.pnr
-        and emitted = the "lint" a.emitted
-        and resources = the "lint" a.resources
-        and locked_full = the "lint" a.locked_full in
-        let route_origins = Selection.route_origins analysis choice in
-        let lgc_origins =
-          List.map
-            (fun i -> analysis.Connectivity.blocks.(i).Connectivity.name)
-            choice.Selection.lgc_blocks
-        in
         let subject =
-          Lint.subject
-            ~name:(Netlist.name a.original)
-            ~key:(Shell_fabric.Bitstream.bits emitted.Emit.bitstream)
-            ~selection:
-              { Lint.design = a.original; route_origins; lgc_origins }
-            ~fabric:pnr.Pnr.fabric ~bitstream:emitted.Emit.bitstream
-            ~used:resources ~pnr ~shrunk:a.config.shrink locked_full
+          lint_subject ~original:a.original ~analysis:(the "lint" a.analysis)
+            ~choice:(the "lint" a.choice) ~pnr:(the "lint" a.pnr)
+            ~emitted:(the "lint" a.emitted) ~resources:(the "lint" a.resources)
+            ~shrunk:a.config.shrink
+            (the "lint" a.locked_full)
         in
         (* diagnostics only: findings land in the artifacts and the
            per-rule Obs counters, they do not abort the flow *)
@@ -768,11 +763,10 @@ let execute ?(use_cache = true) ?(strict_fit = false) ?fabric config original =
       lint = None;
     }
   in
-  let art = ref init and spans = ref [] and failed = ref None in
+  let art = ref init and failed = ref None in
   let run_pass p =
     Obs.with_span p.name @@ fun () ->
     Obs.incr m_passes;
-    let t0 = Clock.now () in
     let key =
       if ctx.use_cache then
         Option.map (fun k -> p.name ^ "|" ^ k) (p.key ctx !art)
@@ -799,18 +793,9 @@ let execute ?(use_cache = true) ?(strict_fit = false) ?fabric config original =
                   raise e))
     in
     art := apply !art product;
-    let counters = p.counters !art in
-    spans :=
-      {
-        Trace.pass = p.name;
-        seconds = Clock.now () -. t0;
-        cache_hit = !hit;
-        counters;
-      }
-      :: !spans;
     if Obs.enabled () then begin
       Obs.span_add "cache_hit" (if !hit then 1 else 0);
-      List.iter (fun (k, v) -> Obs.span_add k v) counters
+      List.iter (fun (k, v) -> Obs.span_add k v) (p.counters !art)
     end;
     if p.name = "pnr" && ctx.strict_fit then
       let mapped = the "pnr" !art.mapped in
@@ -823,6 +808,4 @@ let execute ?(use_cache = true) ?(strict_fit = false) ?fabric config original =
   in
   (try Obs.with_span "pipeline" (fun () -> List.iter run_pass passes)
    with Diag.Error d -> failed := Some d);
-  let trace = List.rev !spans in
-  if Trace.enabled () then Format.eprintf "%a@." Trace.pp trace;
-  { artifacts = !art; trace; failed = !failed }
+  { artifacts = !art; failed = !failed }

@@ -4,9 +4,10 @@
     synthesis, PnR, emission, shrinking, overhead — plus a final
     diagnostics-only [lint] pass are named passes, each consuming and
     producing fields of a staged {!artifacts}
-    record. {!execute} runs them in order, recording a
-    {!Shell_util.Trace.span} per pass (wall time, cache hit, counters)
-    and stopping at the first pass that raises
+    record. {!execute} runs them in order under a [pipeline]
+    {!Shell_util.Obs} span, one child span per pass carrying its wall
+    time, a [cache_hit] flag and the pass's counters (computed only
+    while Obs is enabled), and stops at the first pass that raises
     {!Shell_util.Diag.Error}: the outcome then carries the diagnostic
     (stamped with the failing pass) alongside every artifact produced
     before it.
@@ -66,7 +67,6 @@ type artifacts = {
 
 type outcome = {
   artifacts : artifacts;
-  trace : Shell_util.Trace.span list;  (** one span per completed pass *)
   failed : Shell_util.Diag.t option;  (** [Some] when a pass aborted *)
 }
 
@@ -86,8 +86,21 @@ val execute :
     {!Shell_fabric.Fabric.Shortage}); the default preserves the
     legacy behavior of reporting the shortage in
     [result.fit]. [~fabric] pins the fabric (skipping the sizing/grow
-    loop) — used with [~strict_fit] to force a fit failure. When
-    [SHELL_TRACE] is on, spans are printed to stderr. *)
+    loop) — used with [~strict_fit] to force a fit failure. *)
+
+val lint_subject :
+  original:Shell_netlist.Netlist.t ->
+  analysis:Connectivity.t ->
+  choice:Selection.choice ->
+  pnr:Shell_pnr.Pnr.result ->
+  emitted:Shell_fabric.Emit.t ->
+  resources:Shell_fabric.Resources.t ->
+  shrunk:bool ->
+  Shell_netlist.Netlist.t ->
+  Shell_lint.Lint.subject
+(** The subject the [lint] pass checks: the locked design with its
+    selection origins, key, fabric, bitstream, used resources and PnR
+    result. *)
 
 val cache_stats : unit -> int * int
 (** (hits, misses) since the last {!clear_cache}. *)

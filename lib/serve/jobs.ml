@@ -9,7 +9,6 @@
    Everything returns [(_, Diag.t) result]; only the CLI turns errors
    into [exit 1]. *)
 
-module N = Shell_netlist
 module F = Shell_fabric
 module L = Shell_locking
 module A = Shell_attacks
@@ -96,9 +95,11 @@ let resolve_tfr (s : P.lock_spec) =
   else
     Ok (s.P.route, s.P.lgc, String.concat "+" (s.P.route @ s.P.lgc))
 
-let lock_flow (s : P.lock_spec) =
+(* The style is checked before the design is built, so a spec with a
+   bad style and an unknown benchmark reports the style. *)
+let lock_design (s : P.lock_spec) design =
   let* style = style_of_string s.P.style in
-  let* nl = netlist_of_bench s.P.bench in
+  let* nl = design () in
   let* route, lgc, label = resolve_tfr s in
   let cfg =
     {
@@ -111,6 +112,9 @@ let lock_flow (s : P.lock_spec) =
   match C.Flow.run cfg nl with
   | r -> Ok r
   | exception Diag.Error d -> Error d
+
+let lock_flow s = lock_design s (fun () -> netlist_of_bench s.P.bench)
+let lock_netlist s nl = lock_design s (fun () -> Ok nl)
 
 let lock_render (r : C.Flow.result) =
   Format.asprintf "%a@." C.Flow.pp_summary r
@@ -250,26 +254,12 @@ let fuzz_output ?jobs (f : P.fuzz_spec) =
 
 (* ---------------- lint ---------------- *)
 
-(* Rebuild the same subject the pipeline's lint pass checks, so a
-   locked flow can be re-linted under a different severity floor,
-   baseline or job count. *)
+(* The subject the pipeline's lint pass checks, so a locked flow can be
+   re-linted under a different severity floor, baseline or job count. *)
 let lint_subject_of_result (r : C.Flow.result) =
-  let route_origins =
-    C.Selection.route_origins r.C.Flow.analysis r.C.Flow.choice
-  in
-  let lgc_origins =
-    List.map
-      (fun i ->
-        r.C.Flow.analysis.C.Connectivity.blocks.(i).C.Connectivity.name)
-      r.C.Flow.choice.C.Selection.lgc_blocks
-  in
-  Lint.subject
-    ~name:(N.Netlist.name r.C.Flow.original)
-    ~key:(F.Bitstream.bits r.C.Flow.emitted.F.Emit.bitstream)
-    ~selection:{ Lint.design = r.C.Flow.original; route_origins; lgc_origins }
-    ~fabric:r.C.Flow.pnr.Shell_pnr.Pnr.fabric
-    ~bitstream:r.C.Flow.emitted.F.Emit.bitstream ~used:r.C.Flow.resources
-    ~pnr:r.C.Flow.pnr
+  C.Pipeline.lint_subject ~original:r.C.Flow.original
+    ~analysis:r.C.Flow.analysis ~choice:r.C.Flow.choice ~pnr:r.C.Flow.pnr
+    ~emitted:r.C.Flow.emitted ~resources:r.C.Flow.resources
     ~shrunk:r.C.Flow.config.C.Flow.shrink r.C.Flow.locked_full
 
 let lint_output ?jobs (l : P.lint_spec) =

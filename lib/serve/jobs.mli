@@ -36,6 +36,14 @@ val lock_flow :
   Protocol.lock_spec -> (C.Flow.result, Shell_util.Diag.t) result
 (** Resolve benchmark + TfR and run the full SheLL flow. *)
 
+val lock_netlist :
+  Protocol.lock_spec ->
+  Shell_netlist.Netlist.t ->
+  (C.Flow.result, Shell_util.Diag.t) result
+(** {!lock_flow} on a given design instead of the bundled [bench]
+    (`shell lock-file`); [bench] then only matters for the default TfR
+    when [route] and [lgc] are both empty. *)
+
 val lock_render : C.Flow.result -> string
 (** The `shell lock` stdout bytes: summary + verify line. *)
 
@@ -63,8 +71,8 @@ val fuzz_output :
     client). *)
 
 val lint_subject_of_result : C.Flow.result -> Shell_lint.Lint.subject
-(** Rebuild the subject the pipeline's lint pass checks, artifacts
-    included. *)
+(** The subject the pipeline's lint pass checks, artifacts included
+    ({!Shell_core.Pipeline.lint_subject}). *)
 
 val lint_output :
   ?jobs:int -> Protocol.lint_spec -> (string, Shell_util.Diag.t) result

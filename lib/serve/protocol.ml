@@ -53,6 +53,9 @@ let job_kind = function
   | Fuzz _ -> "fuzz"
   | Lint _ -> "lint"
 
+(* every [job_kind], sorted *)
+let job_kinds = [ "attack"; "battery"; "fuzz"; "lint"; "lock" ]
+
 type request =
   | Submit of { id : int; priority : int; job : job }
   | Status of { id : int }

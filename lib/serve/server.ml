@@ -73,12 +73,29 @@ let send c resp =
 
 type pending_job = { pconn : conn; pid : int; pjob : P.job }
 
-type stats = {
-  mutable jobs_done : int;
-  mutable jobs_failed : int;
-  mutable jobs_rejected : int;
-  spans : (string, int * float) Hashtbl.t;
-}
+(* Job accounting lives in the one Obs registry, registered unstable so
+   bench-history records never see it. A kind's job-time histogram is
+   its status span: count = runs, sum = total microseconds. *)
+let m_jobs_done =
+  Obs.counter ~help:"serve jobs answered with a result" "serve_jobs_done"
+
+let m_jobs_failed =
+  Obs.counter ~help:"serve jobs answered with a failure" "serve_jobs_failed"
+
+let m_jobs_rejected =
+  Obs.counter ~help:"serve submissions rejected at admission"
+    "serve_jobs_rejected"
+
+let job_us_name kind = "serve_job_us_" ^ kind
+
+let m_job_us =
+  List.map
+    (fun kind ->
+      ( kind,
+        Obs.histogram
+          ~help:(Printf.sprintf "microseconds spent running %s jobs" kind)
+          (job_us_name kind) ))
+    P.job_kinds
 
 (* ---------------- server ---------------- *)
 
@@ -87,7 +104,6 @@ type t = {
   listen_fd : Unix.file_descr;
   queue : pending_job Admission.t;
   conns : (Unix.file_descr, conn) Hashtbl.t;
-  stats : stats;
   t0 : float;
   mutable stop : bool;
 }
@@ -118,19 +134,31 @@ let listen_socket = function
 
 let status_info t =
   let hits, misses = Pipeline.cache_stats () in
+  let samples = Obs.snapshot () in
+  let value name =
+    List.find_map
+      (fun (s : Obs.sample) -> if s.Obs.name = name then Some s.Obs.value else None)
+      samples
+  in
+  let count name =
+    match value name with Some (Obs.Counter n) -> n | _ -> 0
+  in
   let job_spans =
-    Hashtbl.fold
-      (fun kind (runs, total_s) acc -> { P.kind; runs; total_s } :: acc)
-      t.stats.spans []
-    |> List.sort (fun a b -> compare a.P.kind b.P.kind)
+    List.filter_map
+      (fun kind ->
+        match value (job_us_name kind) with
+        | Some (Obs.Histogram { count; sum; _ }) when count > 0 ->
+            Some { P.kind; runs = count; total_s = float_of_int sum /. 1e6 }
+        | _ -> None)
+      P.job_kinds
   in
   {
     P.queue_depth = Admission.depth t.queue;
     queue_cap = Admission.cap t.queue;
     running = not t.stop;
-    jobs_done = t.stats.jobs_done;
-    jobs_failed = t.stats.jobs_failed;
-    jobs_rejected = t.stats.jobs_rejected;
+    jobs_done = count "serve_jobs_done";
+    jobs_failed = count "serve_jobs_failed";
+    jobs_rejected = count "serve_jobs_rejected";
     cache_hits = hits;
     cache_misses = misses;
     uptime_s = Clock.now () -. t.t0;
@@ -154,7 +182,7 @@ let handle_request t c = function
           logf t "serve: admitted %s job #%d (priority %d, depth %d)"
             (P.job_kind job) id priority (Admission.depth t.queue)
       | Error d ->
-          t.stats.jobs_rejected <- t.stats.jobs_rejected + 1;
+          Obs.incr m_jobs_rejected;
           send c (P.Rejected { id; reason = Diag.to_string d }))
 
 let close_conn t c =
@@ -251,17 +279,16 @@ let run_one_job t =
         | exception Diag.Error d -> Error d
         | exception exn -> Error (Diag.make ~pass:"serve" (Printexc.to_string exn))
       in
-      let dt = Clock.now () -. t0 in
-      let runs, total =
-        Option.value ~default:(0, 0.0) (Hashtbl.find_opt t.stats.spans kind)
-      in
-      Hashtbl.replace t.stats.spans kind (runs + 1, total +. dt);
+      Obs.observe_us (List.assoc kind m_job_us) (Clock.now () -. t0);
+      (* the job's span tree is finished: drop it rather than keep it for
+         the daemon's lifetime (a per-request trace would return it) *)
+      ignore (Obs.take_spans ());
       (match result with
       | Ok output ->
-          t.stats.jobs_done <- t.stats.jobs_done + 1;
+          Obs.incr m_jobs_done;
           send pconn (P.Result { id = pid; output })
       | Error d ->
-          t.stats.jobs_failed <- t.stats.jobs_failed + 1;
+          Obs.incr m_jobs_failed;
           send pconn (P.Failed { id = pid; message = Diag.to_string d }))
 
 let conn_list t = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns []
@@ -290,13 +317,6 @@ let create cfg =
     listen_fd;
     queue = Admission.create ~cap:cfg.queue_cap;
     conns = Hashtbl.create 16;
-    stats =
-      {
-        jobs_done = 0;
-        jobs_failed = 0;
-        jobs_rejected = 0;
-        spans = Hashtbl.create 8;
-      };
     t0 = Clock.now ();
     stop = false;
   }

@@ -1,11 +1,10 @@
-(** A small escaping-correct JSON writer (and reader, for tests).
+(** A small escaping-correct JSON writer and reader.
 
-    Three hand-rolled JSON emitters grew in the code base — the trace
-    serializer, the bench harness and the metrics snapshot — each with
-    its own escaping bugs waiting to happen. They now all render
-    through this one value type. Numbers can be carried preformatted
-    ([Num]) so call sites keep exact control over float precision
-    (which matters for byte-identical snapshots). *)
+    Every JSON document the system emits or reads — metrics snapshots,
+    bench-history records, lint and battery reports, the serve wire
+    protocol — goes through this one value type. Numbers can be
+    carried preformatted ([Num]) so call sites keep exact control over
+    float precision (which matters for byte-identical snapshots). *)
 
 type t =
   | Null

@@ -373,6 +373,13 @@ let spans () =
   Mutex.unlock roots_mutex;
   List.rev r
 
+let take_spans () =
+  Mutex.lock roots_mutex;
+  let r = !roots in
+  roots := [];
+  Mutex.unlock roots_mutex;
+  List.rev r
+
 let pp_spans ppf spans =
   let rec go depth sp =
     Format.fprintf ppf "%s%-*s %8.1f ms"
@@ -384,17 +391,6 @@ let pp_spans ppf spans =
     List.iter (go (depth + 1)) sp.children
   in
   List.iter (go 0) spans
-
-let rec span_json sp =
-  Jsonw.Obj
-    [
-      ("name", Jsonw.Str sp.name);
-      ("seconds", Jsonw.float sp.seconds);
-      ("counters", Jsonw.Obj (List.map (fun (k, v) -> (k, Jsonw.Int v)) sp.counters));
-      ("children", Jsonw.Arr (List.map span_json sp.children));
-    ]
-
-let spans_json spans = Jsonw.Arr (List.map span_json spans)
 
 (* Structure only — never elapsed times: "path" keys count invocations
    of each slash-joined span path, "path#counter" keys sum the
@@ -421,9 +417,7 @@ let reset () =
   let ms = !registry in
   Mutex.unlock reg_mutex;
   List.iter (fun m -> Array.iter (fun c -> Atomic.set c 0) m.cells) ms;
-  Mutex.lock roots_mutex;
-  roots := [];
-  Mutex.unlock roots_mutex
+  ignore (take_spans ())
 
 (* ---------------- env gates ---------------- *)
 

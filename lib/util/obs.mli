@@ -4,8 +4,9 @@
     iterations, solver conflicts, timeout behaviour) and the overhead
     story on per-stage resource counts. [Obs] is the process-wide
     registry those layers report into: counters, gauges and
-    fixed-log-bucket histograms, plus parent/child spans that extend
-    the flat per-pass {!Trace}.
+    fixed-log-bucket histograms, plus parent/child spans (the
+    pipeline's per-pass wall time, cache hit and counters among
+    them).
 
     {b Determinism contract.} Metric cells are sharded per domain
     (uncontended atomics) and merged at snapshot time in {e
@@ -147,10 +148,13 @@ val with_context : context -> (unit -> 'a) -> 'a
 val spans : unit -> span list
 (** Completed root spans, oldest first. *)
 
+val take_spans : unit -> span list
+(** {!spans}, removing them from the recorder: a long-lived process
+    (the serve daemon) drains each job's roots when the job ends
+    instead of keeping them for its lifetime. *)
+
 val pp_spans : Format.formatter -> span list -> unit
 (** Indented tree, one line per span: wall time and counters. *)
-
-val spans_json : span list -> Jsonw.t
 
 val span_aggregate : span list -> (string * int) list
 (** Deterministic span-{e structure} export: sorted [(key, value)]

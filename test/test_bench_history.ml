@@ -281,14 +281,14 @@ let test_report_html () =
 (* ---- end-to-end: execute with record + check ---- *)
 
 let test_execute_record_check () =
-  let dir = temp_path "" in
+  let history = temp_path ".jsonl" in
   let quiet _ = () in
   let opts target =
     {
       Runner.default_opts with
       Runner.targets = [ "simulate" ];
       jobs = Some 2;
-      out_dir = dir;
+      history = Some history;
       record = target;
       check = not target;
       commit = Some "seed";
@@ -302,7 +302,6 @@ let test_execute_record_check () =
   (match Runner.execute ~out:quiet (opts true) with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "record run failed");
-  let history = Filename.concat dir "BENCH_HISTORY.jsonl" in
   Alcotest.(check bool) "history written" true (Sys.file_exists history);
   (match Runner.execute ~out:quiet (opts false) with
   | Ok () -> ()
@@ -335,7 +334,7 @@ let test_execute_record_check () =
         | _ -> false)
   | Error _ -> Alcotest.fail "expected one diagnostic");
   (* report over the history *)
-  let report = Filename.concat dir "trend.html" in
+  let report = temp_path ".html" in
   (match
      Runner.execute ~out:quiet
        { (opts false) with Runner.check = false; report = Some report }
@@ -344,18 +343,17 @@ let test_execute_record_check () =
   | Error _ -> Alcotest.fail "report run failed");
   Alcotest.(check bool) "report written" true (Sys.file_exists report);
   Sys.remove report;
-  Sys.remove history;
-  Sys.rmdir dir
+  Sys.remove history
 
 let test_check_against () =
-  let dir = temp_path "" in
+  let history = temp_path ".jsonl" in
   let quiet _ = () in
   let opts =
     {
       Runner.default_opts with
       Runner.targets = [ "simulate" ];
       jobs = Some 2;
-      out_dir = dir;
+      history = Some history;
       check = true;
     }
   in
@@ -366,7 +364,6 @@ let test_check_against () =
    with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "baseline record failed");
-  let history = Filename.concat dir "BENCH_HISTORY.jsonl" in
   (* ...then append a perturbed record as the latest entry *)
   (match History.load history with
   | Ok [ r ] ->
@@ -424,8 +421,7 @@ let test_check_against () =
   Alcotest.(check bool) "empty spec" false (Runner.commit_matches ~spec:"" "a");
   Alcotest.(check bool) "empty commit" false
     (Runner.commit_matches ~spec:"a" "");
-  Sys.remove history;
-  Sys.rmdir dir
+  Sys.remove history
 
 let test_unknown_target () =
   match

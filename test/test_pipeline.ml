@@ -1,4 +1,4 @@
-(* Tests for the staged pass pipeline: trace spans and counters,
+(* Tests for the staged pass pipeline: per-pass Obs spans and counters,
    abort-at-PnR with prior artifacts intact, and pass-level cache
    reuse producing byte-identical results. *)
 
@@ -7,7 +7,7 @@ module F = Shell_fabric
 module C = Shell_core
 module Circ = Shell_circuits
 module Diag = Shell_util.Diag
-module Trace = Shell_util.Trace
+module Obs = Shell_util.Obs
 
 let fir = lazy (Circ.Fir.netlist ())
 
@@ -29,27 +29,46 @@ let test_pass_names () =
     ]
     C.Pipeline.pass_names
 
+(* Run a staged flow with Obs on; returns the outcome and the per-pass
+   spans under the [pipeline] root it recorded. *)
+let traced_run cfg nl =
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
+  ignore (Obs.take_spans ());
+  let o = C.Flow.run_staged cfg nl in
+  match Obs.take_spans () with
+  | [ root ] when root.Obs.name = "pipeline" -> (o, root.Obs.children)
+  | roots ->
+      Alcotest.failf "expected one pipeline root span, got %d"
+        (List.length roots)
+
+let pass_counter passes pass name =
+  let s = List.find (fun (s : Obs.span) -> s.Obs.name = pass) passes in
+  List.assoc name s.Obs.counters
+
 let test_trace_counters () =
   C.Pipeline.clear_cache ();
-  let o = C.Flow.run_staged (fir_cfg ()) (Lazy.force fir) in
+  let o, passes = traced_run (fir_cfg ()) (Lazy.force fir) in
   Alcotest.(check bool) "no failure" true (o.C.Pipeline.failed = None);
   Alcotest.(check (list string))
     "one span per pass, in order" C.Pipeline.pass_names
-    (List.map (fun s -> s.Trace.pass) o.C.Pipeline.trace);
+    (List.map (fun (s : Obs.span) -> s.Obs.name) passes);
   List.iter
-    (fun (s : Trace.span) ->
+    (fun (s : Obs.span) ->
       Alcotest.(check bool)
-        (s.Trace.pass ^ " has counters")
+        (s.Obs.name ^ " has counters")
         true
-        (s.Trace.counters <> []);
+        (List.exists (fun (k, _) -> k <> "cache_hit") s.Obs.counters);
+      Alcotest.(check int)
+        (s.Obs.name ^ " cold run misses")
+        0
+        (List.assoc "cache_hit" s.Obs.counters);
       Alcotest.(check bool)
-        (s.Trace.pass ^ " time non-negative")
-        true (s.Trace.seconds >= 0.0))
-    o.C.Pipeline.trace;
-  let counter pass name =
-    let s = List.find (fun s -> s.Trace.pass = pass) o.C.Pipeline.trace in
-    List.assoc name s.Trace.counters
-  in
+        (s.Obs.name ^ " time non-negative")
+        true (s.Obs.seconds >= 0.0))
+    passes;
+  let counter = pass_counter passes in
   Alcotest.(check bool) "cells counted" true (counter "connectivity" "cells" > 0);
   Alcotest.(check bool) "luts counted" true (counter "synthesis" "luts" > 0);
   Alcotest.(check bool)
@@ -112,11 +131,8 @@ let test_downstream_change_reuses_upstream () =
   let cfg = fir_cfg () in
   C.Pipeline.clear_cache ();
   let _ = C.Flow.run_staged cfg nl in
-  let o2 = C.Flow.run_staged { cfg with C.Flow.seed = 7 } nl in
-  let hit name =
-    (List.find (fun s -> s.Trace.pass = name) o2.C.Pipeline.trace)
-      .Trace.cache_hit
-  in
+  let _, passes = traced_run { cfg with C.Flow.seed = 7 } nl in
+  let hit name = pass_counter passes name "cache_hit" = 1 in
   List.iter
     (fun p -> Alcotest.(check bool) (p ^ " reused") true (hit p))
     [ "connectivity"; "selection"; "extraction"; "synthesis" ];

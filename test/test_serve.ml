@@ -13,6 +13,7 @@ module Server = Shell_serve.Server
 module Client = Shell_serve.Client
 module Store = Shell_serve.Store
 module Pipeline = Shell_core.Pipeline
+module Obs = Shell_util.Obs
 
 let contains s affix =
   let n = String.length affix and m = String.length s in
@@ -246,6 +247,26 @@ let test_admission_queue_full () =
   match Admission.create ~cap:0 with
   | _ -> Alcotest.fail "cap 0 accepted"
   | exception Invalid_argument _ -> ()
+
+(* ---- shared job helpers ---- *)
+
+(* One lint-subject builder: re-linting a flow result reproduces the
+   lint pass's own report, byte for byte. *)
+let test_lint_subject_of_result () =
+  let r =
+    match
+      Jobs.lock_flow
+        { P.bench = "FIR"; style = "muxchain"; route = []; lgc = []; seed = 0x51e11 }
+    with
+    | Ok r -> r
+    | Error d -> Alcotest.failf "lock failed: %s" (Diag.to_string d)
+  in
+  let json rep = J.to_string ~indent:2 (Shell_lint.Lint.report_json rep) in
+  Alcotest.(check string)
+    "re-lint equals the pass report" (json r.Shell_core.Flow.lint)
+    (json
+       (Shell_lint.Lint.run ~rules:Shell_lint.Rules.all
+          (Jobs.lint_subject_of_result r)))
 
 (* ---- server integration (in-process, real Unix socket) ---- *)
 
@@ -578,6 +599,52 @@ let test_store_gc () =
     (Store.entries store);
   rm_rf dir
 
+(* Job accounting rides the one Obs registry: the status counts, the
+   per-kind spans and the Prometheus page move together, and the daemon
+   drops each job's span tree when the job ends instead of keeping a
+   root per job for its lifetime. Counts are process-wide, so compare
+   deltas. *)
+let test_server_job_telemetry () =
+  Pipeline.clear_cache ();
+  ignore (Obs.take_spans ());
+  let jobs = 5 in
+  let addr, d = start_server Server.default_config in
+  Client.with_connection addr (fun t ->
+      let status () =
+        match Client.status t with
+        | Ok i ->
+            let lock_runs =
+              List.fold_left
+                (fun acc s -> if s.P.kind = "lock" then s.P.runs else acc)
+                0 i.P.job_spans
+            in
+            (i.P.jobs_done, lock_runs)
+        | Error e -> Alcotest.failf "status failed: %s" e
+      in
+      let metrics () =
+        match Client.metrics t with
+        | Ok m ->
+            ( metric_value m "shell_serve_jobs_done",
+              metric_value m "shell_serve_job_us_lock_count" )
+        | Error e -> Alcotest.failf "metrics failed: %s" e
+      in
+      let done0, runs0 = status () and mdone0, mruns0 = metrics () in
+      for _ = 1 to jobs do
+        ignore (submit_ok t (P.Lock fir_spec))
+      done;
+      Alcotest.(check (list string))
+        "no span roots retained" []
+        (List.map (fun (s : Obs.span) -> s.Obs.name) (Obs.spans ()));
+      let done1, runs1 = status () and mdone1, mruns1 = metrics () in
+      Alcotest.(check int) "status jobs done" jobs (done1 - done0);
+      Alcotest.(check int) "status lock runs" jobs (runs1 - runs0);
+      Alcotest.(check int) "metrics jobs done" jobs (mdone1 - mdone0);
+      Alcotest.(check int) "metrics lock histogram count" jobs
+        (mruns1 - mruns0));
+  stop_server addr d;
+  Alcotest.(check int) "no span roots after shutdown" 0
+    (List.length (Obs.spans ()))
+
 let test_address_parsing () =
   (match Server.address_of_string "/tmp/x.sock" with
   | Ok (Server.Unix_sock "/tmp/x.sock") -> ()
@@ -607,6 +674,7 @@ let suite =
     ("admission order", `Quick, test_admission_order);
     ("admission queue full", `Quick, test_admission_queue_full);
     ("address parsing", `Quick, test_address_parsing);
+    ("jobs lint subject matches the pass", `Quick, test_lint_subject_of_result);
     ("store gc size cap", `Quick, test_store_gc);
     ("server lock byte-identical", `Quick, test_server_lock_byte_identical);
     ("server concurrent clients", `Quick, test_server_concurrent_clients);
@@ -614,4 +682,5 @@ let suite =
     ("server breach closes", `Quick, test_server_breach_closes);
     ("server restart warm from disk", `Quick,
      test_server_restart_warm_from_disk);
+    ("server job telemetry", `Quick, test_server_job_telemetry);
   ]

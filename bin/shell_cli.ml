@@ -34,8 +34,6 @@ let die (d : Diag.t) : 'a =
 
 let dief fmt = Format.kasprintf (fun m -> die (Diag.make m)) fmt
 
-let run_flow cfg nl = try C.Flow.run cfg nl with Diag.Error d -> die d
-
 (* ---------------- shared arguments ---------------- *)
 
 let bench_arg =
@@ -592,15 +590,9 @@ let lint_run metrics benches files locked style seed jobs json_out severity
     let bench_subjects =
       List.map
         (fun b ->
-          match netlist_of_bench b with
-          | Error (`Msg m) -> dief "%s" m
-          | Ok nl ->
-              if locked then
-                let cfg =
-                  { (C.Flow.shell_config ()) with C.Flow.style; seed }
-                in
-                SJ.lint_subject_of_result (run_flow cfg nl)
-              else Lint.subject nl)
+          match SJ.lint_subject_of_bench ~locked ~style ~seed b with
+          | Ok subject -> subject
+          | Error d -> die d)
         benches
     in
     let file_subjects =

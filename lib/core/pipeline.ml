@@ -100,8 +100,6 @@ let cache : (string, slot) Hashtbl.t = Hashtbl.create 251
 let cache_lock = Mutex.create ()
 let cache_landed = Condition.create ()
 let cache_cap = 512
-let hits = ref 0
-let misses = ref 0
 
 module Obs = Shell_util.Obs
 
@@ -150,16 +148,8 @@ let env_cache_enabled () =
 let clear_cache () =
   Mutex.lock cache_lock;
   Hashtbl.reset cache;
-  hits := 0;
-  misses := 0;
   Condition.broadcast cache_landed;
   Mutex.unlock cache_lock
-
-let cache_stats () =
-  Mutex.lock cache_lock;
-  let r = (!hits, !misses) in
-  Mutex.unlock cache_lock;
-  r
 
 (* the computation claimed by [cache_find] failed: re-open the key so
    waiters retry it themselves *)
@@ -238,7 +228,6 @@ let cache_find key =
   let rec look () =
     match Hashtbl.find_opt cache key with
     | Some (Ready p) ->
-        incr hits;
         Obs.incr m_cache_hits;
         `Hit p
     | Some Pending ->
@@ -259,17 +248,13 @@ let cache_find key =
           Mutex.lock cache_lock;
           evict_ready_if_full ();
           Hashtbl.replace cache key (Ready p);
-          incr hits;
           Obs.incr m_cache_hits;
           Obs.incr m_cache_disk_hits;
           Condition.broadcast cache_landed;
           Mutex.unlock cache_lock;
           Some p
       | None ->
-          Mutex.lock cache_lock;
-          incr misses;
           Obs.incr m_cache_misses;
-          Mutex.unlock cache_lock;
           None)
 
 let cache_add key product =

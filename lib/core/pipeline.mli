@@ -102,9 +102,6 @@ val lint_subject :
     selection origins, key, fabric, bitstream, used resources and PnR
     result. *)
 
-val cache_stats : unit -> int * int
-(** (hits, misses) since the last {!clear_cache}. *)
-
 val clear_cache : unit -> unit
 
 (** {1 Cache internals}

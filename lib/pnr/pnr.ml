@@ -132,10 +132,10 @@ let run ?(seed = 7) ?(anneal_moves = 20_000) fabric nl =
   let slot_of_ble = Array.init placeable (fun i -> i) in
   let ble_of_slot = Array.make n_slots (-1) in
   Array.iteri (fun b s -> ble_of_slot.(s) <- b) slot_of_ble;
-  let tile_of_slot s =
-    let t = s / slots_per_tile in
-    { x = t mod cols; y = t / cols }
-  in
+  (* slot coordinates, flat so the annealer reads two ints per pin *)
+  let slot_x = Array.init n_slots (fun s -> s / slots_per_tile mod cols) in
+  let slot_y = Array.init n_slots (fun s -> s / slots_per_tile / cols) in
+  let tile_of_slot s = { x = slot_x.(s); y = slot_y.(s) } in
   (* chain positions: a vertical strip to the right of the grid *)
   let chain_pos i =
     let n = max 1 (Array.length chain) in
@@ -197,68 +197,121 @@ let run ?(seed = 7) ?(anneal_moves = 20_000) fabric nl =
     | `Ble bi -> if bi < placeable then Some (tile_of_slot slot_of_ble.(bi)) else None
     | `Chain pi -> Some (chain_pos pi)
   in
-  let hpwl pins =
-    let xmin = ref max_int and xmax = ref min_int in
-    let ymin = ref max_int and ymax = ref min_int in
-    let any = ref false in
-    List.iter
-      (fun e ->
-        match entity_pos e with
-        | Some t ->
-            any := true;
-            if t.x < !xmin then xmin := t.x;
-            if t.x > !xmax then xmax := t.x;
-            if t.y < !ymin then ymin := t.y;
-            if t.y > !ymax then ymax := t.y
-        | None -> ())
-      pins;
-    if !any then (!xmax - !xmin) + (!ymax - !ymin) else 0
-  in
-  let total_cost () = Array.fold_left (fun acc pins -> acc + hpwl pins) 0 nets in
-  (* nets touching each BLE, for incremental-ish cost evaluation *)
-  let nets_of_ble = Array.make (max n_bles 1) [] in
-  Array.iteri
-    (fun ni pins ->
-      List.iter
-        (function
-          | `Ble bi -> nets_of_ble.(bi) <- ni :: nets_of_ble.(bi)
-          | `Chain _ | `Fixed _ -> ())
-        pins)
-    nets;
-  (* simulated annealing over slot swaps *)
+  (* ---------------- annealing ----------------
+     Simulated annealing over slot swaps, on flat arrays so that a move
+     allocates only its RNG draws. Each net keeps the bounding box of
+     its pins that never move (I/O, chain, BLEs left unplaced over
+     capacity) and its placed BLEs; [net_cost] caches every net's HPWL.
+     A move's cost sums the moved BLEs' nets, read from the cache before
+     the swap and recomputed after it; accepting commits the new costs.
+     [nets_of_ble] holds a net once per pin the BLE has on it, and a net
+     on both moved BLEs counts on each side: that definition fixes the
+     integer delta, and with it every accept decision and RNG draw
+     (DESIGN.md §3n). *)
   if placeable > 1 && anneal_moves > 0 then begin
-    let cost_around bi = List.fold_left (fun acc ni -> acc + hpwl nets.(ni)) 0 nets_of_ble.(bi) in
-    let temp = ref (float_of_int (max 1 (total_cost ())) /. float_of_int (max 1 (Array.length nets))) in
+    let n_nets = Array.length nets in
+    let fx0 = Array.make n_nets max_int and fx1 = Array.make n_nets min_int in
+    let fy0 = Array.make n_nets max_int and fy1 = Array.make n_nets min_int in
+    let net_bles = Array.make n_nets [||] in
+    let nets_of_ble = Array.make placeable [] in
+    Array.iteri
+      (fun ni pins ->
+        let placed = ref [] in
+        List.iter
+          (fun e ->
+            match e with
+            | `Ble bi when bi < placeable ->
+                placed := bi :: !placed;
+                nets_of_ble.(bi) <- ni :: nets_of_ble.(bi)
+            | _ -> (
+                match entity_pos e with
+                | Some t ->
+                    fx0.(ni) <- min fx0.(ni) t.x;
+                    fx1.(ni) <- max fx1.(ni) t.x;
+                    fy0.(ni) <- min fy0.(ni) t.y;
+                    fy1.(ni) <- max fy1.(ni) t.y
+                | None -> ()))
+          pins;
+        net_bles.(ni) <- Array.of_list (List.sort_uniq compare !placed))
+      nets;
+    let nets_of_ble = Array.map Array.of_list nets_of_ble in
+    let hpwl ni =
+      let x0 = ref fx0.(ni) and x1 = ref fx1.(ni) in
+      let y0 = ref fy0.(ni) and y1 = ref fy1.(ni) in
+      let bl = net_bles.(ni) in
+      for k = 0 to Array.length bl - 1 do
+        let s = slot_of_ble.(bl.(k)) in
+        let x = slot_x.(s) and y = slot_y.(s) in
+        if x < !x0 then x0 := x;
+        if x > !x1 then x1 := x;
+        if y < !y0 then y0 := y;
+        if y > !y1 then y1 := y
+      done;
+      if !x0 > !x1 then 0 else !x1 - !x0 + (!y1 - !y0)
+    in
+    let net_cost = Array.init n_nets hpwl in
+    (* [fresh.(ni)] is net [ni]'s cost after the swap of move
+       [stamp.(ni)], so a net is recomputed once per move *)
+    let fresh = Array.make n_nets 0 and stamp = Array.make n_nets 0 in
+    let cached bi =
+      let ns = nets_of_ble.(bi) and acc = ref 0 in
+      for k = 0 to Array.length ns - 1 do
+        acc := !acc + net_cost.(ns.(k))
+      done;
+      !acc
+    in
+    let recompute move bi =
+      let ns = nets_of_ble.(bi) and acc = ref 0 in
+      for k = 0 to Array.length ns - 1 do
+        let ni = ns.(k) in
+        if stamp.(ni) <> move then begin
+          stamp.(ni) <- move;
+          fresh.(ni) <- hpwl ni
+        end;
+        acc := !acc + fresh.(ni)
+      done;
+      !acc
+    in
+    let commit bi =
+      let ns = nets_of_ble.(bi) in
+      for k = 0 to Array.length ns - 1 do
+        net_cost.(ns.(k)) <- fresh.(ns.(k))
+      done
+    in
+    let temp =
+      ref
+        (float_of_int (max 1 (Array.fold_left ( + ) 0 net_cost))
+        /. float_of_int (max 1 n_nets))
+    in
     let cooling = 0.9995 in
-    for _ = 1 to anneal_moves do
+    for move = 1 to anneal_moves do
       let b1 = Rng.int rng placeable in
       let s2 = Rng.int rng n_slots in
       let b2 = ble_of_slot.(s2) in
-      let before =
-        cost_around b1 + (if b2 >= 0 && b2 < placeable && b2 <> b1 then cost_around b2 else 0)
-      in
       let s1 = slot_of_ble.(b1) in
-      (* swap *)
-      let apply () =
+      if s1 <> s2 then begin
+        (* [b2] is another BLE, or -1 for a free slot *)
+        let before = cached b1 + if b2 >= 0 then cached b2 else 0 in
         slot_of_ble.(b1) <- s2;
         ble_of_slot.(s2) <- b1;
         ble_of_slot.(s1) <- b2;
-        if b2 >= 0 && b2 < placeable then slot_of_ble.(b2) <- s1
-      in
-      let undo () =
-        slot_of_ble.(b1) <- s1;
-        ble_of_slot.(s1) <- b1;
-        ble_of_slot.(s2) <- b2;
-        if b2 >= 0 && b2 < placeable then slot_of_ble.(b2) <- s2
-      in
-      if s1 <> s2 then begin
-        apply ();
+        if b2 >= 0 then slot_of_ble.(b2) <- s1;
         let after =
-          cost_around b1 + (if b2 >= 0 && b2 < placeable && b2 <> b1 then cost_around b2 else 0)
+          recompute move b1 + if b2 >= 0 then recompute move b2 else 0
         in
         let delta = float_of_int (after - before) in
-        if delta > 0.0 && Rng.float rng 1.0 >= exp (-.delta /. max !temp 1e-3)
-        then undo ()
+        (* [max !temp 1e-3] without the polymorphic [max], which boxes *)
+        let t = if !temp >= 1e-3 then !temp else 1e-3 in
+        if delta > 0.0 && Rng.float rng 1.0 >= exp (-.delta /. t) then begin
+          slot_of_ble.(b1) <- s1;
+          ble_of_slot.(s1) <- b1;
+          ble_of_slot.(s2) <- b2;
+          if b2 >= 0 then slot_of_ble.(b2) <- s2
+        end
+        else begin
+          commit b1;
+          if b2 >= 0 then commit b2
+        end
       end;
       temp := !temp *. cooling
     done

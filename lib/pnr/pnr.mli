@@ -3,11 +3,13 @@
 
     - packing groups each LUT with the flop it feeds (one BLE), then
       fills CLB tiles;
-    - placement runs greedy seeding plus simulated annealing on
-      half-perimeter wirelength;
-    - routing decomposes every net into an L of horizontal/vertical
-      channel segments and negotiates congestion against the style's
-      channel width;
+    - placement starts from BLE [i] in slot [i] and runs simulated
+      annealing over slot swaps on half-perimeter wirelength; MUX-chain
+      cells and I/O sit at fixed positions;
+    - routing makes one pass: each net gets a horizontal trunk on the
+      median row of its pins and one vertical branch per pin column,
+      and every channel segment used above the style's channel width
+      counts as overflow (there is no rip-up or negotiation);
     - the fit check reports a typed shortage ({!Shell_fabric.Fabric.shortage})
       so the flow's step-7 loop can grow the right resource. *)
 

@@ -262,6 +262,15 @@ let lint_subject_of_result (r : C.Flow.result) =
     ~emitted:r.C.Flow.emitted ~resources:r.C.Flow.resources
     ~shrunk:r.C.Flow.config.C.Flow.shrink r.C.Flow.locked_full
 
+let lint_subject_of_bench ~locked ~style ~seed bench =
+  let* nl = netlist_of_bench bench in
+  if locked then
+    let cfg = { (C.Flow.shell_config ()) with C.Flow.style; seed } in
+    match C.Flow.run cfg nl with
+    | r -> Ok (lint_subject_of_result r)
+    | exception Diag.Error d -> Error d
+  else Ok (Lint.subject nl)
+
 let lint_output ?jobs (l : P.lint_spec) =
   let* style = style_of_string l.P.lint_style in
   if l.P.lint_benches = [] then errf "nothing to lint: pass -b BENCH"
@@ -270,20 +279,9 @@ let lint_output ?jobs (l : P.lint_spec) =
       List.fold_left
         (fun acc b ->
           let* acc = acc in
-          let* nl = netlist_of_bench b in
           let* subject =
-            if l.P.locked then
-              let cfg =
-                {
-                  (C.Flow.shell_config ()) with
-                  C.Flow.style;
-                  seed = l.P.lint_seed;
-                }
-              in
-              match C.Flow.run cfg nl with
-              | r -> Ok (lint_subject_of_result r)
-              | exception Diag.Error d -> Error d
-            else Ok (Lint.subject nl)
+            lint_subject_of_bench ~locked:l.P.locked ~style ~seed:l.P.lint_seed
+              b
           in
           Ok (subject :: acc))
         (Ok []) l.P.lint_benches

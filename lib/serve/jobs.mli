@@ -74,6 +74,16 @@ val lint_subject_of_result : C.Flow.result -> Shell_lint.Lint.subject
 (** The subject the pipeline's lint pass checks, artifacts included
     ({!Shell_core.Pipeline.lint_subject}). *)
 
+val lint_subject_of_bench :
+  locked:bool ->
+  style:F.Style.t ->
+  seed:int ->
+  string ->
+  (Shell_lint.Lint.subject, Shell_util.Diag.t) result
+(** What `lint -b BENCH` checks: the bundled netlist, or with [locked]
+    the SheLL flow's result on it under [style] and [seed]
+    ({!lint_subject_of_result}). *)
+
 val lint_output :
   ?jobs:int -> Protocol.lint_spec -> (string, Shell_util.Diag.t) result
 (** JSON lint report over bundled benchmarks (optionally locked

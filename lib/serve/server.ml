@@ -3,7 +3,6 @@ module J = Shell_util.Jsonw
 module Obs = Shell_util.Obs
 module Clock = Shell_util.Clock
 module Diag = Shell_util.Diag
-module Pipeline = Shell_core.Pipeline
 
 type address = Unix_sock of string | Tcp of string * int
 
@@ -133,7 +132,6 @@ let listen_socket = function
       fd
 
 let status_info t =
-  let hits, misses = Pipeline.cache_stats () in
   let samples = Obs.snapshot () in
   let value name =
     List.find_map
@@ -159,8 +157,8 @@ let status_info t =
     jobs_done = count "serve_jobs_done";
     jobs_failed = count "serve_jobs_failed";
     jobs_rejected = count "serve_jobs_rejected";
-    cache_hits = hits;
-    cache_misses = misses;
+    cache_hits = count "pipeline_cache_hits";
+    cache_misses = count "pipeline_cache_misses";
     uptime_s = Clock.now () -. t.t0;
     job_spans;
   }

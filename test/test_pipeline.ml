@@ -43,6 +43,28 @@ let traced_run cfg nl =
       Alcotest.failf "expected one pipeline root span, got %d"
         (List.length roots)
 
+(* Run [f] with Obs on; returns its result and the pass-cache hits and
+   misses it added to the registry's counters. *)
+let cache_delta f =
+  let count name =
+    List.find_map
+      (fun (s : Obs.sample) ->
+        match s.Obs.value with
+        | Obs.Counter n when s.Obs.name = name -> Some n
+        | _ -> None)
+      (Obs.snapshot ())
+    |> Option.value ~default:0
+  in
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () ->
+      ignore (Obs.take_spans ());
+      Obs.set_enabled was)
+  @@ fun () ->
+  let h0 = count "pipeline_cache_hits" and m0 = count "pipeline_cache_misses" in
+  let r = f () in
+  (r, count "pipeline_cache_hits" - h0, count "pipeline_cache_misses" - m0)
+
 let pass_counter passes pass name =
   let s = List.find (fun (s : Obs.span) -> s.Obs.name = pass) passes in
   List.assoc name s.Obs.counters
@@ -111,12 +133,14 @@ let test_cache_reuse_identical () =
   let nl = Lazy.force fir in
   let cfg = fir_cfg () in
   C.Pipeline.clear_cache ();
-  let cold = C.Flow.of_outcome (C.Flow.run_staged cfg nl) in
-  let h0, m0 = C.Pipeline.cache_stats () in
+  let cold, h0, m0 =
+    cache_delta (fun () -> C.Flow.of_outcome (C.Flow.run_staged cfg nl))
+  in
   Alcotest.(check int) "cold run misses every pass" 0 h0;
   Alcotest.(check bool) "cold run fills the cache" true (m0 > 0);
-  let warm = C.Flow.of_outcome (C.Flow.run_staged cfg nl) in
-  let h1, _ = C.Pipeline.cache_stats () in
+  let warm, h1, _ =
+    cache_delta (fun () -> C.Flow.of_outcome (C.Flow.run_staged cfg nl))
+  in
   Alcotest.(check bool) "warm run hits the cache" true (h1 > 0);
   let uncached = C.Flow.of_outcome (C.Flow.run_staged ~use_cache:false cfg nl) in
   Alcotest.(check string)
@@ -156,8 +180,10 @@ let test_explore_cache_byte_identical () =
          o.C.Explore.evaluated)
   in
   C.Pipeline.clear_cache ();
-  let cold = render (C.Explore.search ~generations:2 ~population:6 nl) in
-  let h, _ = C.Pipeline.cache_stats () in
+  let cold, h, _ =
+    cache_delta (fun () ->
+        render (C.Explore.search ~generations:2 ~population:6 nl))
+  in
   Alcotest.(check bool) "sweep hits the pass cache" true (h > 0);
   let warm = render (C.Explore.search ~generations:2 ~population:6 nl) in
   Alcotest.(check string) "cold and warm sweeps identical" cold warm
@@ -240,7 +266,8 @@ let test_store_round_trip () =
   C.Pipeline.cache_add key (dummy_product 7);
   Alcotest.(check bool) "spilled" true (Hashtbl.mem blobs key);
   C.Pipeline.clear_cache ();
-  (match C.Pipeline.cache_find key with
+  let restored, h, m = cache_delta (fun () -> C.Pipeline.cache_find key) in
+  (match restored with
   | Some (C.Pipeline.P_choice c) ->
       Alcotest.(check (list int)) "restored product" [ 7 ]
         c.C.Selection.route_blocks
@@ -248,7 +275,6 @@ let test_store_round_trip () =
   | None ->
       C.Pipeline.cache_abort key;
       Alcotest.fail "store miss after clear_cache");
-  let h, m = C.Pipeline.cache_stats () in
   Alcotest.(check int) "disk load counts as a hit" 1 h;
   Alcotest.(check int) "no miss" 0 m;
   (* corrupt blob degrades to a miss (claim), never an error *)
@@ -280,8 +306,10 @@ let test_store_warm_flow () =
   let cold = summary (C.Flow.of_outcome (C.Flow.run_staged cfg nl)) in
   Alcotest.(check bool) "products spilled" true (Hashtbl.length blobs > 0);
   C.Pipeline.clear_cache ();
-  let warm = summary (C.Flow.of_outcome (C.Flow.run_staged cfg nl)) in
-  let h, m = C.Pipeline.cache_stats () in
+  let warm, h, m =
+    cache_delta (fun () ->
+        summary (C.Flow.of_outcome (C.Flow.run_staged cfg nl)))
+  in
   Alcotest.(check string) "store-warm run byte-identical" cold warm;
   Alcotest.(check bool) "served from store" true (h > 0);
   Alcotest.(check int) "no recompute" 0 m

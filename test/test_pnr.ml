@@ -25,6 +25,39 @@ let random_mapped seed n_gates =
   done;
   fst (Lut_map.map ~k:4 nl)
 
+(* gates, flops and 2:1 muxes; the muxes survive LUT mapping as chain
+   cells, the way the flow keeps its ROUTE muxes *)
+let random_chained seed n_gates =
+  let rng = Rng.create seed in
+  let nl = N.create "chained" in
+  let pool =
+    ref (Array.init 10 (fun i -> N.add_input nl (Printf.sprintf "i%d" i)))
+  in
+  for _ = 1 to n_gates do
+    let a = Rng.choice rng !pool and b = Rng.choice rng !pool in
+    let out =
+      match Rng.int rng 6 with
+      | 0 -> N.mux2 nl ~sel:(Rng.choice rng !pool) ~a ~b
+      | 1 -> N.dff nl a
+      | k ->
+          N.gate nl
+            [| Cell.And; Cell.Or; Cell.Xor; Cell.Nand |].(k - 2)
+            [| a; b |]
+    in
+    pool := Array.append !pool [| out |]
+  done;
+  for i = 0 to 5 do
+    N.add_output nl (Printf.sprintf "o%d" i) (!pool).(Array.length !pool - 1 - i)
+  done;
+  fst (Lut_map.map ~k:4 ~boundary:(fun c -> c.Cell.kind = Cell.Mux2) nl)
+
+let sized style nl =
+  Fabric.size_for style
+    ~luts:(N.count_kind nl (function Cell.Lut _ -> true | _ -> false))
+    ~user_ffs:(N.count_kind nl (fun k -> k = Cell.Dff))
+    ~chain_muxes:
+      (N.count_kind nl (function Cell.Mux2 | Cell.Mux4 -> true | _ -> false))
+
 let test_fit_loop_converges () =
   let mapped = random_mapped 3 250 in
   let res = Pnr.fit_loop ~style:Style.Openfpga mapped in
@@ -86,6 +119,68 @@ let test_annealing_improves () =
        cold.Pnr.routes.Pnr.wirelength)
     true
     (hot.Pnr.routes.Pnr.wirelength <= cold.Pnr.routes.Pnr.wirelength + 20)
+
+(* MD5 of the cell -> tile bindings in cell order *)
+let placement_md5 (r : Pnr.result) =
+  Hashtbl.fold
+    (fun c (t : Pnr.tile) acc -> (c, t.Pnr.x, t.Pnr.y) :: acc)
+    r.Pnr.placement.Pnr.of_cell []
+  |> List.sort compare
+  |> List.map (fun (c, x, y) -> Printf.sprintf "%d:%d,%d" c x y)
+  |> String.concat ";" |> Digest.string |> Digest.to_hex
+
+(* Exact PnR output, recorded once and committed as literals, so a
+   change to packing, placement or routing that moves any placement,
+   route or fit verdict fails here rather than only between two runs
+   of one build. *)
+let test_pinned_output () =
+  let rand = random_mapped 11 200 and chained = random_chained 12 160 in
+  let cases =
+    [
+      ( "sized",
+        Pnr.run ~seed:5 (sized Style.Fabulous_std rand) rand,
+        (60, 9, 0, 5, "ok", "088b78c7dbd5a1dcf90de068c0d8b768") );
+      ( "1x1",
+        Pnr.run ~seed:5
+          { Fabric.style = Style.Fabulous_std; cols = 1; rows = 1; chain_slots = 0 }
+          rand,
+        (8, 8, 0, 1, "LUTs", "6acf9dd6b58dbbe8abb1b0de41501503") );
+      (* widened from its 3x2 size_for grid so the unpacked flops fit *)
+      ( "chain",
+        Pnr.run ~seed:9
+          { (sized Style.Fabulous_muxchain chained) with Fabric.cols = 4; rows = 3 }
+          chained,
+        (243, 26, 0, 9, "ok", "ee3db0621bc68164afdf0d9eb04064d7") );
+    ]
+  in
+  List.iter
+    (fun (name, (r : Pnr.result), (wl, cong, ovf, tiles, fit, md5)) ->
+      let check what = Alcotest.(check int) (name ^ " " ^ what) in
+      check "wirelength" wl r.Pnr.routes.Pnr.wirelength;
+      check "max_congestion" cong r.Pnr.routes.Pnr.max_congestion;
+      check "overflow_segments" ovf r.Pnr.routes.Pnr.overflow_segments;
+      check "used_tiles" tiles r.Pnr.placement.Pnr.used_tiles;
+      Alcotest.(check string) (name ^ " fit") fit
+        (match r.Pnr.fit with Ok () -> "ok" | Error s -> Fabric.shortage_name s);
+      Alcotest.(check string) (name ^ " placement") md5 (placement_md5 r))
+    cases
+
+(* The annealer's moves allocate only their RNG draws. *)
+let test_anneal_allocation () =
+  let mapped = random_mapped 8 250 in
+  let fabric =
+    Fabric.size_for Style.Fabulous_std ~luts:120 ~user_ffs:0 ~chain_muxes:0
+  in
+  let words moves =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Pnr.run ~anneal_moves:moves fabric mapped));
+    Gc.minor_words () -. w0
+  in
+  let moves = 20_000 in
+  let per_move = (words moves -. words 0) /. float_of_int moves in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per move < 64" per_move)
+    true (per_move < 64.)
 
 let test_chain_cells_fit () =
   let nl = N.create "ch" in
@@ -165,6 +260,8 @@ let suite =
     ("square wastes tiles (fig 2)", `Quick, test_square_wastes_tiles);
     ("deterministic", `Quick, test_deterministic);
     ("annealing improves", `Quick, test_annealing_improves);
+    ("pinned output", `Quick, test_pinned_output);
+    ("anneal allocation", `Quick, test_anneal_allocation);
     ("chain cells fit", `Quick, test_chain_cells_fit);
     ("fit counts accounting", `Quick, test_fit_counts);
     ("shortage carries counts", `Quick, test_shortage_carries_counts);

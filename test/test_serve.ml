@@ -268,6 +268,21 @@ let test_lint_subject_of_result () =
        (Shell_lint.Lint.run ~rules:Shell_lint.Rules.all
           (Jobs.lint_subject_of_result r)))
 
+(* The one per-bench subject function both lint front ends call turns
+   an unknown benchmark into a typed error, locked or not. *)
+let test_lint_subject_of_bench () =
+  List.iter
+    (fun locked ->
+      match
+        Jobs.lint_subject_of_bench ~locked
+          ~style:Shell_fabric.Style.Fabulous_muxchain ~seed:0 "NoSuchBench"
+      with
+      | Error d ->
+          Alcotest.(check bool) "names the bench" true
+            (contains (Diag.to_string d) "NoSuchBench")
+      | Ok _ -> Alcotest.fail "unknown benchmark must be an error")
+    [ false; true ]
+
 (* ---- server integration (in-process, real Unix socket) ---- *)
 
 let start_server cfg_of_addr =
@@ -675,6 +690,7 @@ let suite =
     ("admission queue full", `Quick, test_admission_queue_full);
     ("address parsing", `Quick, test_address_parsing);
     ("jobs lint subject matches the pass", `Quick, test_lint_subject_of_result);
+    ("jobs lint subject of unknown bench", `Quick, test_lint_subject_of_bench);
     ("store gc size cap", `Quick, test_store_gc);
     ("server lock byte-identical", `Quick, test_server_lock_byte_identical);
     ("server concurrent clients", `Quick, test_server_concurrent_clients);

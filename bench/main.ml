@@ -441,8 +441,8 @@ let fig3 out =
   bpf out "%s\n" (Format.asprintf "%a" C.Flow.pp_summary r);
   bpf out "  end-to-end verify (sequential): %b\n" (C.Flow.verify r);
   (* removal attack: with LGC entangled the plain-Xbar guess must fail *)
-  let oracle = A.Sat_attack.oracle_of_netlist r.C.Flow.cut.C.Extraction.sub in
   let sub = r.C.Flow.cut.C.Extraction.sub in
+  let oracle = A.Attack.word_oracle sub in
   let sanity = A.Removal.attempt ~oracle sub in
   bpf out "  removal attack, true netlist guess: %s (sanity, must match)\n"
     (if sanity.A.Removal.matched then "match" else "MISMATCH");
@@ -648,18 +648,13 @@ let portfolio out =
     (N.Netlist.num_cells nl) (L.Locked.key_bits lk);
   bpf out "budget per racer: 64 DIPs / 60k conflicts / 5 s\n";
   let p =
-    A.Portfolio.run ~max_dips:64 ~max_conflicts:60_000 ~time_limit:5.0
-      ~original:nl lk.L.Locked.locked
-  in
-  let verdict_of = function
-    | A.Sat_attack.Broken (k, st) ->
-        A.Attack.Broken (k, A.Sat_attack.to_attack_stats ~broken:true st)
-    | A.Sat_attack.Timeout st ->
-        A.Attack.Resilient (A.Sat_attack.to_attack_stats st)
+    A.Portfolio.run
+      (A.Attack.budget ~max_dips:64 ~max_conflicts:60_000 ~time_limit:5.0 ())
+      (A.Attack.subject ~original:nl lk)
   in
   Array.iter
-    (fun ((cfg : A.Portfolio.config), o) ->
-      bpf out "  %-24s %s\n" cfg.A.Portfolio.label (resilience_tag (verdict_of o)))
+    (fun ((cfg : A.Portfolio.config), v) ->
+      bpf out "  %-24s %s\n" cfg.A.Portfolio.label (resilience_tag v))
     p.A.Portfolio.outcomes;
   (match p.A.Portfolio.winner with
   | Some i ->

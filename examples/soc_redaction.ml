@@ -39,7 +39,7 @@ let () =
      plain crossbar. Against ROUTE-only redaction that works; the
      entangled wrapper LGC changes the block's function and port
      footprint, so the guess is caught. *)
-  let oracle = A.Sat_attack.oracle_of_netlist r.C.Flow.cut.C.Extraction.sub in
+  let oracle = A.Attack.word_oracle r.C.Flow.cut.C.Extraction.sub in
   let sanity = A.Removal.attempt ~oracle r.C.Flow.cut.C.Extraction.sub in
   Printf.printf "removal attack with the true block (sanity): %s\n"
     (if sanity.A.Removal.matched then "match" else "MISMATCH?");

@@ -1,7 +1,6 @@
 module Netlist = Shell_netlist.Netlist
 module Simw = Shell_netlist.Simw
 module Locked = Shell_locking.Locked
-module Rng = Shell_util.Rng
 module Obs = Shell_util.Obs
 
 let now = Shell_util.Clock.now
@@ -12,15 +11,6 @@ let settle_target = 3
 let m_runs =
   Obs.counter ~stable:true ~help:"AppSAT attacks started" "appsat_runs"
 
-let popcount w =
-  let c = ref 0 in
-  let w = ref w in
-  while !w <> 0 do
-    w := !w land (!w - 1);
-    incr c
-  done;
-  !c
-
 (* Estimated disagreement of [cand] with the oracle over the fixed
    sample: number of mismatching vectors, or [None] when the candidate
    cannot be simulated (cyclic under this key). *)
@@ -28,34 +18,18 @@ let error_estimator s ~vectors =
   let lk = s.Attack.locked in
   let nl = lk.Locked.locked in
   let comb = Netlist.comb_view nl in
-  let n_in = List.length (Netlist.inputs comb) in
-  let rng = Rng.create 0xa775a7 in
-  let nvec = max 1 (min vectors 1024) in
-  let vecs = Array.make nvec [||] in
-  for i = 0 to nvec - 1 do
-    vecs.(i) <- Array.init n_in (fun _ -> Rng.bool rng)
-  done;
-  let chunks =
-    let rec go pos acc =
-      if pos >= nvec then List.rev acc
-      else
-        let lanes = min Simw.width (nvec - pos) in
-        go (pos + lanes)
-          ((lanes, Simw.pack (Array.sub vecs pos lanes)) :: acc)
-    in
-    go 0 []
-  in
-  let oracle_w = Attack.word_oracle s in
   let golden =
-    List.map (fun (lanes, ins) -> (lanes, ins, oracle_w ~lanes ins)) chunks
+    Attack.golden s.Attack.original
+      (Attack.stimulus ~seed:0xa775a7
+         ~vectors:(max 1 (min vectors 1024))
+         (List.length (Netlist.inputs comb)))
   in
   let count simw keys =
     List.fold_left
       (fun acc (lanes, ins, theirs) ->
-        let mine = Simw.eval_comb simw ?keys ~lanes ins in
-        let diff = ref 0 in
-        Array.iteri (fun i w -> diff := !diff lor (w lxor theirs.(i))) mine;
-        acc + popcount !diff)
+        acc
+        + Simw.popcount
+            (Simw.mismatch (Simw.eval_comb simw ?keys ~lanes ins) theirs))
       0 golden
   in
   if not (Netlist.has_comb_cycle nl) then begin
@@ -87,92 +61,82 @@ let attack =
             Miter.create ~cycle_blocks:s.Attack.cycle_blocks ~seed:0
               lk.Locked.locked
           in
-          let oracle = Attack.oracle s in
           let est_err = error_estimator s ~vectors:b.Attack.vectors in
-          let stats ~dips ~settled ~exact ~last_err ~recovered =
+          (* consecutive zero-error candidates, and the last candidate's
+             sampled error (-1 before the first settle round) *)
+          let settled = ref 0 and last_err = ref (-1) in
+          let stats ~dips ~exact =
             {
               Attack.iterations = dips;
               oracle_queries = dips;
               conflicts = Miter.conflicts miter;
               elapsed = now () -. start;
               key_bits = k;
-              recovered_bits = recovered;
+              recovered_bits = 0;
               detail =
                 [
-                  ("settled", settled);
+                  ("settled", !settled);
                   ("exact", (if exact then 1 else 0));
-                  ("err_vectors", last_err);
+                  ("err_vectors", !last_err);
                 ];
             }
-          in
-          let budget_left () =
-            (not (b.Attack.should_stop ()))
-            && Miter.conflicts miter < b.Attack.max_conflicts
-            && now () -. start < b.Attack.time_limit
           in
           let extract_budget () =
             max 2_000
               (min 10_000 (b.Attack.max_conflicts - Miter.conflicts miter))
           in
-          let rec loop dips settled last_err =
-            if dips >= b.Attack.max_dips || not (budget_left ()) then
-              Attack.Resilient
-                (stats ~dips ~settled ~exact:false ~last_err ~recovered:0)
-            else
-              let per_call =
-                max 1_000
-                  (min 20_000
-                     ((b.Attack.max_conflicts - Miter.conflicts miter) / 2))
-              in
-              match Miter.find_dip ~max_conflicts:per_call miter with
-              | `Budget -> loop dips settled last_err
-              | `Dip input ->
-                  Miter.add_dip miter input (oracle input);
-                  let dips = dips + 1 in
-                  if dips mod settle_every <> 0 then loop dips settled last_err
-                  else settle dips settled last_err
-              | `Unsat -> (
-                  (* no DIP left: the exact attack's endgame, for free *)
-                  let remaining =
-                    max 2_000 (b.Attack.max_conflicts - Miter.conflicts miter)
-                  in
-                  match Miter.extract_key ~max_conflicts:remaining miter with
-                  | Some key ->
-                      Attack.checked_broken s key
-                        (stats ~dips ~settled ~exact:true ~last_err
-                           ~recovered:0)
-                  | None ->
-                      Attack.Resilient
-                        (stats ~dips ~settled ~exact:false ~last_err
-                           ~recovered:0))
           (* every [settle_every] DIPs: extract a candidate consistent
              with the constraints so far and sample its error rate;
              [settle_target] consecutive zero-error candidates end the
              attack early — AppSAT's termination heuristic, here backed
              by full verification before any break is reported *)
-          and settle dips settled last_err =
-            match Miter.extract_key ~max_conflicts:(extract_budget ()) miter with
-            | None -> loop dips 0 last_err
-            | Some cand -> (
-                match est_err cand with
-                | None -> loop dips 0 last_err
-                | Some 0 ->
-                    let settled = settled + 1 in
-                    if settled < settle_target then loop dips settled 0
-                    else (
-                      match
-                        Attack.checked_broken s cand
-                          (stats ~dips ~settled ~exact:false ~last_err:0
-                             ~recovered:0)
-                      with
-                      | Attack.Broken _ as v -> v
-                      | _ ->
-                          (* sampled-zero but not equivalent: keep
-                             refining instead of reporting the miss *)
-                          loop dips 0 0)
-                | Some e -> loop dips 0 e)
+          let settle dips =
+            if dips mod settle_every <> 0 then None
+            else
+              match
+                Miter.extract_key ~max_conflicts:(extract_budget ()) miter
+              with
+              | None ->
+                  settled := 0;
+                  None
+              | Some cand -> (
+                  match est_err cand with
+                  | None ->
+                      settled := 0;
+                      None
+                  | Some 0 -> (
+                      incr settled;
+                      last_err := 0;
+                      if !settled < settle_target then None
+                      else
+                        match
+                          Attack.checked_broken s cand
+                            (stats ~dips ~exact:false)
+                        with
+                        | Attack.Broken _ as v -> Some v
+                        | _ ->
+                            (* sampled-zero but not equivalent: keep
+                               refining instead of reporting the miss *)
+                            settled := 0;
+                            None)
+                  | Some e ->
+                      settled := 0;
+                      last_err := e;
+                      None)
           in
-          let v = loop 0 0 (-1) in
+          let v =
+            match
+              Sat_attack.dip_loop b ~start
+                ~oracle:(Attack.oracle s.Attack.original)
+                ~settle miter
+            with
+            | Sat_attack.Settled v, _ -> v
+            | Sat_attack.Key key, dips ->
+                (* no DIP left: the exact attack's endgame, for free *)
+                Attack.checked_broken s key (stats ~dips ~exact:true)
+            | Sat_attack.Out_of_budget, dips ->
+                Attack.Resilient (stats ~dips ~exact:false)
+          in
           (match Attack.stats_of v with
           | Some st ->
               Obs.span_add "dips" st.Attack.iterations;

@@ -1,6 +1,8 @@
 (** AppSAT-style approximate SAT attack (Shamsi et al.).
 
-    The exact attack's DIP loop, with an early exit: every
+    The exact attack's DIP loop ({!Sat_attack.dip_loop}, so its solver
+    calls are counted and traced like the exact attack's), with an
+    early exit through the loop's settle hook: every
     {!settle_every} DIPs it extracts a key consistent with the
     constraints so far and estimates its error rate by word-parallel
     random sampling against the activated chip; {!settle_target}

@@ -2,18 +2,18 @@ module Netlist = Shell_netlist.Netlist
 module Sim = Shell_netlist.Sim
 module Simw = Shell_netlist.Simw
 module Locked = Shell_locking.Locked
+module Rng = Shell_util.Rng
 
 type budget = {
   max_dips : int;
   max_conflicts : int;
   time_limit : float;
   vectors : int;
-  should_stop : unit -> bool;
 }
 
 let budget ?(max_dips = 256) ?(max_conflicts = 200_000) ?(time_limit = 30.0)
-    ?(vectors = 256) ?(should_stop = fun () -> false) () =
-  { max_dips; max_conflicts; time_limit; vectors; should_stop }
+    ?(vectors = 256) () =
+  { max_dips; max_conflicts; time_limit; vectors }
 
 type stats = {
   iterations : int;
@@ -71,13 +71,37 @@ type t = {
 (* Oracle closures carry mutable simulator state: each call builds a
    fresh one, so attacks running on separate pool domains never share
    a simulator (same rule as the portfolio racers). *)
-let oracle s =
-  let sim = Sim.create (Netlist.comb_view s.original) in
+let oracle original =
+  let sim = Sim.create (Netlist.comb_view original) in
   fun input -> Sim.eval_comb sim input
 
-let word_oracle s =
-  let simw = Simw.create (Netlist.comb_view s.original) in
+let word_oracle original =
+  let simw = Simw.create (Netlist.comb_view original) in
   fun ~lanes words -> Simw.eval_comb simw ~lanes words
+
+let stimulus ?(exhaustive_upto = -1) ~seed ~vectors n_in =
+  let chunk_lanes total c = min Simw.width (total - (c * Simw.width)) in
+  if n_in <= exhaustive_upto then begin
+    let total = 1 lsl n_in in
+    List.init ((total + Simw.width - 1) / Simw.width) (fun c ->
+        let lanes = chunk_lanes total c in
+        let words = Array.make n_in 0 in
+        for l = 0 to lanes - 1 do
+          let v = (c * Simw.width) + l in
+          for i = 0 to n_in - 1 do
+            if (v lsr i) land 1 = 1 then words.(i) <- words.(i) lor (1 lsl l)
+          done
+        done;
+        (lanes, words))
+  end
+  else
+    Rng.vectors_packed (Rng.create seed) ~vectors ~bits:n_in
+    |> Array.mapi (fun c words -> (chunk_lanes vectors c, words))
+    |> Array.to_list
+
+let golden original chunks =
+  let oracle_w = word_oracle original in
+  List.map (fun (lanes, ins) -> (lanes, ins, oracle_w ~lanes ins)) chunks
 
 let checked_broken s key stats =
   if Locked.verify ~original:s.original { s.locked with Locked.key } then

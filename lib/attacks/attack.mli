@@ -1,4 +1,5 @@
-(** The common typed interface every attack implements.
+(** The typed interface every attack implements, and the only attack
+    API.
 
     The locking literature judges a scheme against a {e battery} of
     attacks, not one; this module is the contract that lets
@@ -13,27 +14,24 @@
       route their candidate through {!checked_broken}, so an unverified
       guess can never surface as a break);
     - [Resilient _] — the attack ran within budget and did not break
-      the scheme ({e under this budget}: the SAT attack's [Timeout] is
-      reported here);
+      the scheme ({e under this budget}: a SAT attack that runs out of
+      DIPs, conflicts or time is reported here);
     - [Inapplicable _] — the attack does not apply to the subject's
       shape (no key bits, too many key bits for brute force, cyclic
       netlist for simulation-based attacks) and says why.
 
-    Determinism contract: with [should_stop] left at the default and
-    budgets chosen so the dip/conflict caps bind before [time_limit],
-    every verdict is a pure function of (subject, budget) — which is
-    what makes the battery matrix byte-identical at any [SHELL_JOBS]. *)
+    Determinism contract: with budgets chosen so the dip/conflict caps
+    bind before [time_limit], every verdict is a pure function of
+    (subject, budget) — which is what makes the battery matrix
+    byte-identical at any [SHELL_JOBS]. *)
 
-(** Unified resource budget, replacing the scattered
-    [?max_dips]/[?max_conflicts]/[?time_limit]/[?should_stop] optional
-    arguments of the legacy entry points. Attacks ignore the knobs that
-    do not apply to them. *)
+(** Resource budget. Attacks ignore the knobs that do not apply to
+    them. *)
 type budget = {
   max_dips : int;  (** DIP-loop iterations (SAT-family attacks) *)
   max_conflicts : int;  (** total solver conflicts (SAT-family) *)
   time_limit : float;  (** wall-clock seconds per attack *)
   vectors : int;  (** simulation sample size (sim-family attacks) *)
-  should_stop : unit -> bool;  (** external cancellation, polled often *)
 }
 
 val budget :
@@ -41,11 +39,9 @@ val budget :
   ?max_conflicts:int ->
   ?time_limit:float ->
   ?vectors:int ->
-  ?should_stop:(unit -> bool) ->
   unit ->
   budget
-(** Defaults: 256 DIPs, 200_000 conflicts, 30.0 s, 256 vectors, never
-    stop — the legacy {!Sat_attack.run} defaults. *)
+(** Defaults: 256 DIPs, 200_000 conflicts, 30.0 s, 256 vectors. *)
 
 (** Effort actually spent, in attack-agnostic terms. [detail] carries
     per-attack extras (solver decisions, settle rounds, key-fate
@@ -106,11 +102,32 @@ type t = {
 
 (** {1 Helpers shared by attack implementations} *)
 
-val oracle : subject -> bool array -> bool array
-(** Scalar activated-chip oracle over the original's full-scan view. *)
+val oracle : Shell_netlist.Netlist.t -> bool array -> bool array
+(** [oracle original] is the scalar activated chip: the original's
+    full-scan view, one query per call. *)
 
-val word_oracle : subject -> lanes:int -> int array -> int array
-(** Word-parallel oracle ({!Shell_netlist.Simw} packing). *)
+val word_oracle :
+  Shell_netlist.Netlist.t -> lanes:int -> int array -> int array
+(** Word-parallel form of {!oracle}: up to [Simw.width] queries per
+    call, one lane each, in {!Shell_netlist.Simw} packing. *)
+
+val stimulus :
+  ?exhaustive_upto:int -> seed:int -> vectors:int -> int -> (int * int array) list
+(** [stimulus ~seed ~vectors n_in] is the test-vector sample of the
+    simulation attacks, as [(lanes, input words)] chunks in
+    {!Shell_netlist.Simw} packing (every chunk full but the last). When
+    [n_in <= exhaustive_upto] it is all [2^n_in] input vectors in
+    counting order (vector [v] sets input [i] iff bit [i] of [v] is
+    set); otherwise [vectors] random vectors from [Shell_util.Rng.create
+    seed], drawn through {!Shell_util.Rng.vectors_packed}. Without
+    [exhaustive_upto] the sample is always random. *)
+
+val golden :
+  Shell_netlist.Netlist.t ->
+  (int * int array) list ->
+  (int * int array * int array) list
+(** [golden original chunks] pairs every stimulus chunk with the
+    activated chip's response: [(lanes, inputs, oracle outputs)]. *)
 
 val checked_broken : subject -> bool array -> stats -> verdict
 (** [Broken (key, stats)] iff the candidate key passes

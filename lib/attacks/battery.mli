@@ -9,7 +9,7 @@
     Determinism contract: cells fan out over the domain pool one
     (subject, attack) pair per task and are reassembled by index, so —
     as long as each attack's verdict is deterministic (dip/conflict/
-    vector caps bind before [time_limit], no external [should_stop]) —
+    vector caps bind before [time_limit]) —
     {!matrix_json} is byte-identical at any [SHELL_JOBS]. The JSON
     deliberately omits wall-clock fields; CI byte-diffs it at jobs 1
     vs 4. *)

@@ -1,36 +1,10 @@
 module Netlist = Shell_netlist.Netlist
 module Simw = Shell_netlist.Simw
 module Locked = Shell_locking.Locked
-module Rng = Shell_util.Rng
 
 let max_key_bits = 20
 
 let now = Shell_util.Clock.now
-
-(* Split vectors into word-sized groups: (lanes, packed input words). *)
-let chunks_of_vecs vecs =
-  let n = Array.length vecs in
-  let rec go pos acc =
-    if pos >= n then List.rev acc
-    else
-      let lanes = min Simw.width (n - pos) in
-      let chunk = Array.sub vecs pos lanes in
-      go (pos + lanes) ((lanes, Simw.pack chunk) :: acc)
-  in
-  go 0 []
-
-let sample_vectors ~n_in ~vectors ~seed =
-  if n_in <= 12 then
-    Array.init (1 lsl n_in) (fun v ->
-        Array.init n_in (fun i -> v land (1 lsl i) <> 0))
-  else begin
-    let rng = Rng.create seed in
-    let vecs = Array.make (max 1 vectors) [||] in
-    for i = 0 to Array.length vecs - 1 do
-      vecs.(i) <- Array.init n_in (fun _ -> Rng.bool rng)
-    done;
-    vecs
-  end
 
 let attack =
   {
@@ -54,16 +28,16 @@ let attack =
           let start = now () in
           let comb = Netlist.comb_view nl in
           let simw = Simw.create comb in
-          let n_in = List.length (Netlist.inputs comb) in
-          let vecs =
-            sample_vectors ~n_in ~vectors:b.Attack.vectors ~seed:0xb407e
-          in
-          (* activated-chip responses, computed once up front *)
-          let oracle_w = Attack.word_oracle s in
+          (* exhaustive inputs up to 12 bits; the activated-chip
+             responses are computed once up front *)
           let chunks =
-            List.map
-              (fun (lanes, ins) -> (lanes, ins, oracle_w ~lanes ins))
-              (chunks_of_vecs vecs)
+            Attack.golden s.Attack.original
+              (Attack.stimulus ~exhaustive_upto:12 ~seed:0xb407e
+                 ~vectors:(max 1 b.Attack.vectors)
+                 (List.length (Netlist.inputs comb)))
+          in
+          let n_vectors =
+            List.fold_left (fun acc (lanes, _, _) -> acc + lanes) 0 chunks
           in
           let tried = ref 0 in
           let found = ref None in
@@ -73,11 +47,8 @@ let attack =
           let v = ref 0 in
           while !found = None && (not !budget_out) && !v < total do
             (* keep budget polls off the per-candidate hot path *)
-            if
-              !v land 255 = 0
-              && (b.Attack.should_stop ()
-                 || now () -. start > b.Attack.time_limit)
-            then budget_out := true
+            if !v land 255 = 0 && now () -. start > b.Attack.time_limit then
+              budget_out := true
             else begin
               for i = 0 to k - 1 do
                 key.(i) <- !v land (1 lsl i) <> 0
@@ -88,12 +59,9 @@ let attack =
               let matches =
                 List.for_all
                   (fun (lanes, ins, theirs) ->
-                    let mine = Simw.eval_comb simw ~keys:key ~lanes ins in
-                    let diff = ref 0 in
-                    Array.iteri
-                      (fun i w -> diff := !diff lor (w lxor theirs.(i)))
-                      mine;
-                    !diff = 0)
+                    Simw.mismatch (Simw.eval_comb simw ~keys:key ~lanes ins)
+                      theirs
+                    = 0)
                   chunks
               in
               if matches then found := Some (Array.copy key);
@@ -103,13 +71,13 @@ let attack =
           let stats =
             {
               Attack.iterations = !tried;
-              oracle_queries = Array.length vecs;
+              oracle_queries = n_vectors;
               conflicts = 0;
               elapsed = now () -. start;
               key_bits = k;
               recovered_bits = 0;
               detail =
-                [ ("candidates", !tried); ("vectors", Array.length vecs) ];
+                [ ("candidates", !tried); ("vectors", n_vectors) ];
             }
           in
           match !found with

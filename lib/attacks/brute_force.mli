@@ -16,6 +16,6 @@ val max_key_bits : int
 (** 20 — beyond this the sweep is [Inapplicable] (report says so). *)
 
 val attack : Attack.t
-(** Registered as ["brute"]. Honors [vectors], [time_limit] and
-    [should_stop]; [Inapplicable] on zero or > {!max_key_bits} key bits
-    and on cyclic locked netlists (no word simulation). *)
+(** Registered as ["brute"]. Honors [vectors] and [time_limit];
+    [Inapplicable] on zero or > {!max_key_bits} key bits and on cyclic
+    locked netlists (no word simulation). *)

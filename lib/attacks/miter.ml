@@ -10,8 +10,6 @@ type t = {
   key1 : int array;
   key2 : int array;
   diff : int;  (* activation literal for the difference constraint *)
-  mutable base_clauses : int;
-  mutable base_vars : int;
 }
 
 let add_copy solver base =
@@ -67,21 +65,7 @@ let create ?(cycle_blocks = []) ?(seed = 0) locked =
       block key1;
       block key2)
     cycle_blocks;
-  {
-    solver;
-    comb;
-    base;
-    in1;
-    key1;
-    key2;
-    diff;
-    base_clauses =
-      (2 * List.length base.Cnf.clauses)
-      + (2 * Array.length in1)
-      + (4 * Array.length out1)
-      + 1;
-    base_vars = Solver.num_vars solver;
-  }
+  { solver; comb; base; in1; key1; key2; diff }
 
 let num_inputs t = Array.length t.in1
 let num_keys t = Array.length t.key1
@@ -124,6 +108,3 @@ let extract_key ?max_conflicts t =
 
 let conflicts t = Solver.num_conflicts t.solver
 let stats t = Solver.stats t.solver
-
-let clause_to_var_ratio t =
-  float_of_int t.base_clauses /. float_of_int (max 1 t.base_vars)

@@ -42,6 +42,3 @@ val conflicts : t -> int
 
 val stats : t -> Shell_sat.Solver.stats
 (** Full search-effort breakdown of the underlying solver. *)
-
-val clause_to_var_ratio : t -> float
-(** c2v of the base miter — the paper's SAT-hardness indicator. *)

@@ -16,76 +16,55 @@ let m_conflicts_at_win =
   Obs.counter ~help:"winning attack's solver conflicts, summed over races"
     "portfolio_conflicts_at_win"
 
-let default_configs k =
-  List.init (max 1 k) (fun i ->
+let configs =
+  Array.init 4 (fun i ->
       if i = 0 then { solver_seed = 0; label = "phase=minisat" }
       else
         let seed = 0x5eed + (i * 0x9e37) in
         { solver_seed = seed; label = Printf.sprintf "phase=rand(%#x)" seed })
 
-type t = {
-  winner : int option;
-  outcomes : (config * Sat_attack.outcome) array;
-}
+type t = { winner : int option; outcomes : (config * Attack.verdict) array }
 
-let run ?jobs ?(stop_on_first_broken = false) ?max_dips ?max_conflicts
-    ?time_limit ?cycle_blocks ?(should_stop = fun () -> false)
-    ?(configs = default_configs 4) ~original locked =
+let run budget subject =
   Obs.incr m_races;
   Obs.with_span "portfolio" @@ fun () ->
-  let arr = Array.of_list configs in
-  let stop = Atomic.make false in
-  let external_stop = should_stop in
-  let should_stop =
-    if stop_on_first_broken then fun () -> Atomic.get stop || external_stop ()
-    else external_stop
-  in
+  (* inside a pool task the racers degrade gracefully to sequential *)
   let outcomes =
-    Pool.map ?jobs
+    Pool.map
       (fun cfg ->
-        let oracle = Sat_attack.oracle_of_netlist original in
-        let o =
-          Sat_attack.run ?max_dips ?max_conflicts ?time_limit ?cycle_blocks
-            ~solver_seed:cfg.solver_seed ~should_stop ~oracle locked
-        in
-        (match o with
-        | Sat_attack.Broken _ -> Atomic.set stop true
-        | Sat_attack.Timeout _ -> ());
-        (cfg, o))
-      arr
+        (cfg, Sat_attack.run ~solver_seed:cfg.solver_seed budget subject))
+      configs
   in
   let winner = ref None in
   Array.iteri
-    (fun i (_, o) ->
-      match o with
-      | Sat_attack.Broken _ when !winner = None -> winner := Some i
+    (fun i (_, v) ->
+      match v with
+      | Attack.Broken _ when !winner = None -> winner := Some i
       | _ -> ())
     outcomes;
   (match !winner with
   | Some i ->
       Obs.set g_winner i;
       Obs.span_add "winner" i;
-      (match snd outcomes.(i) with
-      | Sat_attack.Broken (_, st) ->
-          Obs.add m_conflicts_at_win st.Sat_attack.conflicts;
-          Obs.span_add "conflicts_at_win" st.Sat_attack.conflicts
-      | Sat_attack.Timeout _ -> ())
+      Option.iter
+        (fun (st : Attack.stats) ->
+          Obs.add m_conflicts_at_win st.Attack.conflicts;
+          Obs.span_add "conflicts_at_win" st.Attack.conflicts)
+        (Attack.stats_of (snd outcomes.(i)))
   | None -> Obs.set g_winner (-1));
   { winner = !winner; outcomes }
+
+let iterations v =
+  match Attack.stats_of v with Some st -> st.Attack.iterations | None -> -1
 
 let best t =
   match t.winner with
   | Some i -> snd t.outcomes.(i)
   | None ->
-      let most = ref (snd t.outcomes.(0)) in
-      Array.iter
-        (fun (_, o) ->
-          match (o, !most) with
-          | Sat_attack.Timeout st, Sat_attack.Timeout best_st
-            when st.Sat_attack.dips > best_st.Sat_attack.dips -> most := o
-          | _ -> ())
-        t.outcomes;
-      !most
+      Array.fold_left
+        (fun most (_, v) -> if iterations v > iterations most then v else most)
+        (snd t.outcomes.(0))
+        t.outcomes
 
 (* ---------------- unified interface ---------------- *)
 
@@ -95,33 +74,17 @@ let attack =
     description = "seeded SAT-solver portfolio race (4 phase seeds)";
     capabilities = [ Attack.Oracle_access ];
     run =
-      (fun (b : Attack.budget) (s : Attack.subject) ->
-        (* every racer runs to its own budget (no first-break abort):
-           the verdict stays a pure function of (subject, budget), which
-           the battery's determinism contract requires; inside a pool
-           task the racers degrade gracefully to sequential *)
-        let t =
-          run ~stop_on_first_broken:false ~max_dips:b.Attack.max_dips
-            ~max_conflicts:b.Attack.max_conflicts
-            ~time_limit:b.Attack.time_limit ~cycle_blocks:s.Attack.cycle_blocks
-            ~should_stop:b.Attack.should_stop ~original:s.Attack.original
-            s.Attack.locked.Shell_locking.Locked.locked
-        in
-        let winner_detail =
-          ("winner", match t.winner with Some i -> i | None -> -1)
+      (fun b s ->
+        (* every racer runs to its own budget, so the verdict stays a
+           pure function of (subject, budget), which the battery's
+           determinism contract requires *)
+        let t = run b s in
+        let winner = ("winner", Option.value t.winner ~default:(-1)) in
+        let with_winner (st : Attack.stats) =
+          { st with Attack.detail = winner :: st.Attack.detail }
         in
         match best t with
-        | Sat_attack.Broken (key, st) ->
-            let stats = Sat_attack.to_attack_stats ~broken:true st in
-            let stats =
-              { stats with Attack.detail = winner_detail :: stats.Attack.detail }
-            in
-            (* each racer's break is already verified by [attack_locked]
-               semantics only when routed through it; here the racers
-               return raw keys, so funnel through the checked path *)
-            Attack.checked_broken s key stats
-        | Sat_attack.Timeout st ->
-            let stats = Sat_attack.to_attack_stats st in
-            Attack.Resilient
-              { stats with Attack.detail = winner_detail :: stats.Attack.detail });
+        | Attack.Broken (key, st) -> Attack.Broken (key, with_winner st)
+        | Attack.Resilient st -> Attack.Resilient (with_winner st)
+        | Attack.Inapplicable _ as v -> v);
   }

@@ -7,52 +7,29 @@
     the attacker model a defender should budget against (the paper's
     48-hour timeout assumes one solver).
 
-    Determinism contract: with [stop_on_first_broken = false] (the
-    default) every configuration runs to its own budget and the
+    Determinism contract: every racer runs to its own budget and the
     reported [winner] is the lowest-index configuration that broke the
-    key — independent of scheduling. With [stop_on_first_broken = true]
-    the remaining racers abort as soon as any domain breaks; the set of
-    aborted [Timeout]s then depends on timing (use it for wall-clock
-    wins, not for reproducible tables). *)
+    key — independent of scheduling. *)
 
 type config = { solver_seed : int; label : string }
 
-val default_configs : int -> config list
-(** [default_configs k] — seed 0 (MiniSat's all-false phases) plus
-    [k - 1] fixed pseudorandom phase seeds. *)
-
 type t = {
   winner : int option;  (** lowest-index config whose attack broke *)
-  outcomes : (config * Sat_attack.outcome) array;  (** per config, in order *)
+  outcomes : (config * Attack.verdict) array;  (** per config, in order *)
 }
 
-val run :
-  ?jobs:int ->
-  ?stop_on_first_broken:bool ->
-  ?max_dips:int ->
-  ?max_conflicts:int ->
-  ?time_limit:float ->
-  ?cycle_blocks:(int array * bool array) list ->
-  ?should_stop:(unit -> bool) ->
-  ?configs:config list ->
-  original:Shell_netlist.Netlist.t ->
-  Shell_netlist.Netlist.t ->
-  t
-(** [run ~original locked] races {!Sat_attack.run} over the
-    configurations (default [default_configs 4]) on up to [jobs]
-    domains. Each racer builds a private oracle from [original] (oracle
-    closures carry mutable simulator state and must not be shared
-    across domains). Budget options are per racer. [should_stop] is an
-    external cancellation signal checked by every racer regardless of
-    [stop_on_first_broken]. *)
+val run : Attack.budget -> Attack.subject -> t
+(** [run budget subject] races {!Sat_attack.run} over four fixed
+    configurations — seed 0 (MiniSat's all-false phases) plus three
+    fixed pseudorandom phase seeds — on the domain pool. The budget is
+    per racer, and each racer verifies its own break. *)
 
-val best : t -> Sat_attack.outcome
-(** The winner's outcome, or — when nothing broke — the outcome of the
+val best : t -> Attack.verdict
+(** The winner's verdict, or — when nothing broke — the verdict of the
     configuration that got through the most DIPs (ties to the lowest
     index), i.e. the strongest attack evidence gathered. *)
 
 val attack : Attack.t
-(** Battery form (["portfolio"]): the 4-seed race with
-    [stop_on_first_broken = false] (deterministic verdicts), reporting
-    {!best} through the unified verdict; the winning config index rides
-    in [detail] as ["winner"] (-1 when nothing broke). *)
+(** Battery form (["portfolio"]): {!best} of one race; the winning
+    config index rides in [detail] as ["winner"] (-1 when nothing
+    broke). *)

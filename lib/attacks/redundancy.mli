@@ -22,5 +22,5 @@
 val attack : Attack.t
 (** Registered as ["redundancy"]. [recovered_bits] counts the decided
     bits; [detail] carries [base_live] and the decided/undecided
-    split. Respects [should_stop] and [time_limit] between bits;
+    split. Checks [time_limit] between bits;
     [max_dips]/[max_conflicts]/[vectors] are ignored. *)

@@ -1,6 +1,5 @@
 module Netlist = Shell_netlist.Netlist
 module Simw = Shell_netlist.Simw
-module Rng = Shell_util.Rng
 
 type verdict = {
   matched : bool;
@@ -8,55 +7,31 @@ type verdict = {
   first_mismatch : bool array option;
 }
 
-let attempt ?(vectors = 512) ?(seed = 0xdead) ~oracle ?oracle_w candidate =
+(* Word-parallel scan of the sample in presentation order: on a
+   miscompare, [vectors_tried] counts up to and including the earliest
+   differing vector (lowest failing lane of the earliest failing
+   chunk). Exhaustive under 2^16 inputs. *)
+let attempt ?(vectors = 512) ~oracle candidate =
   let comb = Netlist.comb_view candidate in
   let simw = Simw.create comb in
-  let n_in = List.length (Netlist.inputs comb) in
-  let mismatch = ref None in
-  let tried = ref 0 in
-  (* Word-parallel scan over [vecs] in presentation order. The verdict
-     is identical to the scalar one-vector loop's: on a miscompare,
-     [vectors_tried] counts up to and including the earliest differing
-     vector (lowest failing lane of the earliest failing chunk). *)
-  let scan vecs =
-    let n = Array.length vecs in
-    let pos = ref 0 in
-    while !mismatch = None && !pos < n do
-      let lanes = min Simw.width (n - !pos) in
-      let chunk = Array.sub vecs !pos lanes in
-      let words = Simw.pack chunk in
-      let mine = Simw.eval_comb simw ~lanes words in
-      let theirs =
-        match oracle_w with
-        | Some f -> f ~lanes words
-        | None -> Simw.pack (Array.map oracle chunk)
-      in
-      let diff = ref 0 in
-      Array.iteri (fun i w -> diff := !diff lor (w lxor theirs.(i))) mine;
-      if !diff <> 0 then begin
-        let l = Simw.first_lane !diff in
-        tried := !pos + l + 1;
-        mismatch := Some chunk.(l)
-      end
-      else begin
-        pos := !pos + lanes;
-        tried := !pos
-      end
-    done
+  let rec scan pos = function
+    | [] -> { matched = true; vectors_tried = pos; first_mismatch = None }
+    | (lanes, words) :: rest ->
+        let diff =
+          Simw.mismatch (Simw.eval_comb simw ~lanes words) (oracle ~lanes words)
+        in
+        if diff = 0 then scan (pos + lanes) rest
+        else
+          let l = Simw.first_lane diff in
+          {
+            matched = false;
+            vectors_tried = pos + l + 1;
+            first_mismatch = Some (Simw.lane words l);
+          }
   in
-  (if n_in <= 16 then
-     scan
-       (Array.init (1 lsl n_in) (fun v ->
-            Array.init n_in (fun i -> v land (1 lsl i) <> 0)))
-   else begin
-     let rng = Rng.create seed in
-     let vecs = Array.make vectors [||] in
-     for k = 0 to vectors - 1 do
-       vecs.(k) <- Array.init n_in (fun _ -> Rng.bool rng)
-     done;
-     scan vecs
-   end);
-  { matched = !mismatch = None; vectors_tried = !tried; first_mismatch = !mismatch }
+  scan 0
+    (Attack.stimulus ~exhaustive_upto:16 ~seed:0xdead ~vectors
+       (List.length (Netlist.inputs comb)))
 
 (* ---------------- unified interface ---------------- *)
 
@@ -79,25 +54,20 @@ let attack =
         if k = 0 then Attack.Inapplicable "no key bits"
         else begin
           let start = Shell_util.Clock.now () in
-          let oracle = Attack.oracle s in
-          let oracle_w = Attack.word_oracle s in
+          let oracle = Attack.word_oracle s.Attack.original in
           let tried = ref 0 and queries = ref 0 in
           let try_const v =
-            if b.Attack.should_stop () then None
-            else
-              let key = Array.make k v in
-              let cand = Shell_locking.Locked.apply_key lk key in
-              (* specialization can leave a combinational cycle (eFPGA
-                 decoy loops under the wrong key): not a candidate *)
-              if Netlist.has_comb_cycle cand then None
-              else begin
-                incr tried;
-                let r =
-                  attempt ~vectors:b.Attack.vectors ~oracle ~oracle_w cand
-                in
-                queries := !queries + r.vectors_tried;
-                if r.matched then Some key else None
-              end
+            let key = Array.make k v in
+            let cand = Shell_locking.Locked.apply_key lk key in
+            (* specialization can leave a combinational cycle (eFPGA
+               decoy loops under the wrong key): not a candidate *)
+            if Netlist.has_comb_cycle cand then None
+            else begin
+              incr tried;
+              let r = attempt ~vectors:b.Attack.vectors ~oracle cand in
+              queries := !queries + r.vectors_tried;
+              if r.matched then Some key else None
+            end
           in
           let stats () =
             {

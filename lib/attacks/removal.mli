@@ -15,19 +15,17 @@ type verdict = {
 
 val attempt :
   ?vectors:int ->
-  ?seed:int ->
-  oracle:(bool array -> bool array) ->
-  ?oracle_w:(lanes:int -> int array -> int array) ->
+  oracle:(lanes:int -> int array -> int array) ->
   Shell_netlist.Netlist.t ->
   verdict
 (** [attempt ~oracle candidate] — [candidate] is the attacker's guessed
-    replacement (key-free, same port shape as the oracle's scan view).
-    Exhaustive under 2^16 input space, sampled otherwise. The candidate
-    side always simulates word-parallel; pass [oracle_w] (e.g.
-    {!Sat_attack.word_oracle_of_netlist}) to batch the oracle queries
-    too, otherwise [oracle] is called per vector. Either way the
-    verdict — including [vectors_tried] and [first_mismatch] — is
-    byte-identical to the scalar loop's. *)
+    replacement (key-free, same port shape as the oracle's scan view);
+    [oracle] is the activated chip in word form ({!Attack.word_oracle}).
+    Candidate and oracle run word-parallel over the sample: exhaustive
+    under 2^16 input space, otherwise [vectors] (default 512) random
+    vectors. On a miscompare, [vectors_tried] counts up to and
+    including the earliest differing vector, which is
+    [first_mismatch]. *)
 
 val attack : Attack.t
 (** Battery form (["removal"]): tries the all-false and all-true

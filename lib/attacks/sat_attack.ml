@@ -1,19 +1,6 @@
-module Netlist = Shell_netlist.Netlist
-module Sim = Shell_netlist.Sim
 module Locked = Shell_locking.Locked
 module Solver = Shell_sat.Solver
 module Obs = Shell_util.Obs
-
-type stats = {
-  dips : int;
-  conflicts : int;
-  decisions : int;
-  propagations : int;
-  restarts : int;
-  elapsed : float;
-  key_bits : int;
-  c2v : float;
-}
 
 (* Attack effort depends on the wall-clock budget, so everything here
    is unstable except the run count (one per [run] invocation, a pure
@@ -28,47 +15,17 @@ let h_solve_us =
   Obs.histogram ~help:"microseconds per DIS-loop solver call"
     "attack_solve_us"
 
-type outcome = Broken of bool array * stats | Timeout of stats
-
-let oracle_of_netlist original =
-  let comb = Netlist.comb_view original in
-  let sim = Sim.create comb in
-  fun input -> Sim.eval_comb sim input
-
-let word_oracle_of_netlist original =
-  let comb = Netlist.comb_view original in
-  let simw = Shell_netlist.Simw.create comb in
-  fun ~lanes words -> Shell_netlist.Simw.eval_comb simw ~lanes words
-
 (* Per-attack wall clock: [Sys.time] is process-wide CPU time, which
    inflates with every concurrently attacking domain and would shrink
    the effective budget of parallel runs. *)
 let now = Shell_util.Clock.now
 
-let run ?(max_dips = 256) ?(max_conflicts = 200_000) ?(time_limit = 30.0)
-    ?cycle_blocks ?(solver_seed = 0) ?(should_stop = fun () -> false) ~oracle
-    locked =
-  Obs.incr m_runs;
-  Obs.with_span "sat_attack" @@ fun () ->
-  let start = now () in
-  let miter = Miter.create ?cycle_blocks ~seed:solver_seed locked in
-  let stats dips =
-    let s = Miter.stats miter in
-    {
-      dips;
-      conflicts = s.Solver.conflicts;
-      decisions = s.Solver.decisions;
-      propagations = s.Solver.propagations;
-      restarts = s.Solver.restarts;
-      elapsed = now () -. start;
-      key_bits = Miter.num_keys miter;
-      c2v = Miter.clause_to_var_ratio miter;
-    }
-  in
+type ending = Key of bool array | Out_of_budget | Settled of Attack.verdict
+
+let dip_loop (b : Attack.budget) ~start ~oracle ~settle miter =
   let budget_left () =
-    (not (should_stop ()))
-    && Miter.conflicts miter < max_conflicts
-    && now () -. start < time_limit
+    Miter.conflicts miter < b.Attack.max_conflicts
+    && now () -. start < b.Attack.time_limit
   in
   (* one capped DIS-loop solver call; each becomes a child span of the
      attack with its own latency sample when Obs is on *)
@@ -86,91 +43,79 @@ let run ?(max_dips = 256) ?(max_conflicts = 200_000) ?(time_limit = 30.0)
     end
   in
   let rec loop dips =
-    if dips >= max_dips || not (budget_left ()) then Timeout (stats dips)
+    if dips >= b.Attack.max_dips || not (budget_left ()) then
+      (Out_of_budget, dips)
     else
       (* cap each solver call so wall-clock budget checks stay frequent
          even on large miters *)
       let per_call =
-        max 1_000 (min 20_000 ((max_conflicts - Miter.conflicts miter) / 2))
+        max 1_000
+          (min 20_000 ((b.Attack.max_conflicts - Miter.conflicts miter) / 2))
       in
       match find_dip per_call with
-      | `Dip input ->
-          let output = oracle input in
-          Miter.add_dip miter input output;
-          loop (dips + 1)
+      | `Dip input -> (
+          Miter.add_dip miter input (oracle input);
+          let dips = dips + 1 in
+          match settle dips with Some v -> (Settled v, dips) | None -> loop dips)
       | `Budget ->
           (* capped call ran out: the loop head re-checks the global
-             budget and either resumes the search or reports timeout *)
+             budget and either resumes the search or gives up *)
           loop dips
       | `Unsat -> (
           (* the DIP loop already consumed part of the conflict budget;
              hand extraction only the remainder (with a floor so a
-             near-exhausted budget can still emit the key) instead of
-             the full budget again, which let total conflicts overrun
-             ~2x *)
-          let remaining = max 2_000 (max_conflicts - Miter.conflicts miter) in
+             near-exhausted budget can still emit the key) *)
+          let remaining =
+            max 2_000 (b.Attack.max_conflicts - Miter.conflicts miter)
+          in
           match Miter.extract_key ~max_conflicts:remaining miter with
-          | Some key -> Broken (key, stats dips)
-          | None -> Timeout (stats dips))
+          | Some key -> (Key key, dips)
+          | None -> (Out_of_budget, dips))
   in
-  let outcome = loop 0 in
-  (match outcome with
-  | Broken (_, st) | Timeout st ->
-      Obs.span_add "dips" st.dips;
-      Obs.span_add "conflicts" st.conflicts);
-  outcome
+  loop 0
 
-let attack_locked ?max_dips ?max_conflicts ?time_limit ?cycle_blocks
-    ?solver_seed ?should_stop ~original (lk : Locked.t) =
-  let oracle = oracle_of_netlist original in
-  match
-    run ?max_dips ?max_conflicts ?time_limit ?cycle_blocks ?solver_seed
-      ?should_stop ~oracle lk.Locked.locked
-  with
-  | Broken (key, st) ->
-      (* sanity: the recovered key must unlock the design *)
-      let ok =
-        Locked.verify ~original { lk with Locked.key }
-      in
-      if ok then Broken (key, st)
-      else
-        (* should not happen: the attack is sound; report as timeout to
-           stay conservative rather than claim a break *)
-        Timeout st
-  | Timeout st -> Timeout st
-
-(* ---------------- unified interface ---------------- *)
-
-let to_attack_stats ?(broken = false) (st : stats) =
-  {
-    Attack.iterations = st.dips;
-    oracle_queries = st.dips;
-    conflicts = st.conflicts;
-    elapsed = st.elapsed;
-    key_bits = st.key_bits;
-    recovered_bits = (if broken then st.key_bits else 0);
-    detail =
-      [
-        ("decisions", st.decisions);
-        ("propagations", st.propagations);
-        ("restarts", st.restarts);
-      ];
-  }
+let run ?(solver_seed = 0) b (s : Attack.subject) =
+  Obs.incr m_runs;
+  let ending, stats =
+    Obs.with_span "sat_attack" @@ fun () ->
+    let start = now () in
+    let miter =
+      Miter.create ~cycle_blocks:s.Attack.cycle_blocks ~seed:solver_seed
+        s.Attack.locked.Locked.locked
+    in
+    let ending, dips =
+      dip_loop b ~start ~oracle:(Attack.oracle s.Attack.original)
+        ~settle:(fun _ -> None)
+        miter
+    in
+    let st = Miter.stats miter in
+    Obs.span_add "dips" dips;
+    Obs.span_add "conflicts" st.Solver.conflicts;
+    ( ending,
+      {
+        Attack.iterations = dips;
+        oracle_queries = dips;
+        conflicts = st.Solver.conflicts;
+        elapsed = now () -. start;
+        key_bits = Miter.num_keys miter;
+        recovered_bits = 0;
+        detail =
+          [
+            ("decisions", st.Solver.decisions);
+            ("propagations", st.Solver.propagations);
+            ("restarts", st.Solver.restarts);
+          ];
+      } )
+  in
+  match ending with
+  | Key key -> Attack.checked_broken s key stats
+  | Out_of_budget -> Attack.Resilient stats
+  | Settled v -> v
 
 let attack =
   {
     Attack.name = "sat";
     description = "oracle-guided SAT attack (exact; Subramanyan et al.)";
     capabilities = [ Attack.Oracle_access ];
-    run =
-      (fun (b : Attack.budget) (s : Attack.subject) ->
-        match
-          attack_locked ~max_dips:b.Attack.max_dips
-            ~max_conflicts:b.Attack.max_conflicts
-            ~time_limit:b.Attack.time_limit ~cycle_blocks:s.Attack.cycle_blocks
-            ~should_stop:b.Attack.should_stop ~original:s.Attack.original
-            s.Attack.locked
-        with
-        | Broken (key, st) -> Attack.Broken (key, to_attack_stats ~broken:true st)
-        | Timeout st -> Attack.Resilient (to_attack_stats st));
+    run = (fun b s -> run b s);
   }

@@ -7,74 +7,47 @@
     queries until no distinguishing input remains, then extracts a key
     that is functionally correct by construction.
 
-    Budgets stand in for the paper's 48-hour timeout: the attack
-    reports [Timeout] when it exhausts DIPs, conflicts or wall-clock
-    budget — that is the "resilient" verdict of Tables IV–VI. *)
+    Budgets stand in for the paper's 48-hour timeout: an attack that
+    exhausts its DIPs, conflicts or wall-clock budget is [Resilient] —
+    the "resilient" verdict of Tables IV–VI.
 
-type stats = {
-  dips : int;
-  conflicts : int;
-  decisions : int;  (** solver branching decisions *)
-  propagations : int;  (** solver unit propagations *)
-  restarts : int;  (** solver restarts *)
-  elapsed : float;  (** wall-clock seconds for this attack *)
-  key_bits : int;
-  c2v : float;
-}
+    {!dip_loop} is the one DIP loop of the library: the exact attack
+    runs it plain, {!Appsat} through its per-DIP settle hook, and the
+    {!Portfolio} races {!run} under several solver seeds. *)
 
-type outcome =
-  | Broken of bool array * stats  (** functionally-correct key found *)
-  | Timeout of stats
-
-val oracle_of_netlist : Shell_netlist.Netlist.t -> bool array -> bool array
-(** Build the oracle from the original design (full-scan view). *)
-
-val word_oracle_of_netlist :
-  Shell_netlist.Netlist.t -> lanes:int -> int array -> int array
-(** Word-level variant: up to [Simw.width] activated-chip queries per
-    call (one lane each), for consumers that batch vectors — the
-    removal attack and key-verification sweeps. Input/output words
-    follow the {!Shell_netlist.Simw} packing convention. *)
-
-val run :
-  ?max_dips:int ->
-  ?max_conflicts:int ->
-  ?time_limit:float ->
-  ?cycle_blocks:(int array * bool array) list ->
-  ?solver_seed:int ->
-  ?should_stop:(unit -> bool) ->
-  oracle:(bool array -> bool array) ->
-  Shell_netlist.Netlist.t ->
-  outcome
-(** Defaults: [max_dips] 256, [max_conflicts] 200_000 total,
-    [time_limit] 30.0 s (wall clock). [solver_seed] perturbs the
-    underlying solver's initial phases (0 = MiniSat default).
-    [should_stop] is polled at every DIP-loop head; when it returns
-    true the attack gives up with [Timeout] — the portfolio uses it to
-    cancel losers once a racer breaks the key. *)
-
-val attack_locked :
-  ?max_dips:int ->
-  ?max_conflicts:int ->
-  ?time_limit:float ->
-  ?cycle_blocks:(int array * bool array) list ->
-  ?solver_seed:int ->
-  ?should_stop:(unit -> bool) ->
-  original:Shell_netlist.Netlist.t ->
-  Shell_locking.Locked.t ->
-  outcome
-(** Convenience wrapper: oracle from the original netlist; on success
-    the recovered key is additionally checked to be functionally
-    equivalent to the correct key (assert-level sanity). *)
-
-val to_attack_stats : ?broken:bool -> stats -> Attack.stats
-(** Legacy stats in unified terms: [iterations]/[oracle_queries] =
-    DIPs, decisions/propagations/restarts in [detail];
-    [recovered_bits] = [key_bits] when [broken]. The portfolio wrapper
-    shares this mapping. *)
+val run : ?solver_seed:int -> Attack.budget -> Attack.subject -> Attack.verdict
+(** [run budget subject] attacks the subject's locked netlist under its
+    [cycle_blocks], with the original as oracle. [solver_seed] perturbs
+    the solver's initial phases (0, the default, is MiniSat's
+    all-false). The extracted key goes through {!Attack.checked_broken}.
+    Stats: [iterations] = [oracle_queries] = DIPs; the solver's
+    decisions, propagations and restarts ride in [detail]. Each call
+    counts one [attack_runs] and opens a ["sat_attack"] span. *)
 
 val attack : Attack.t
-(** The same attack behind the unified interface: [Broken] maps to
-    {!Attack.Broken}, [Timeout] to {!Attack.Resilient}; solver
-    decisions/propagations/restarts land in [detail]. Registered in
-    {!Battery.all} as ["sat"]. *)
+(** {!run} at the default seed, registered in {!Battery.all} as
+    ["sat"]. *)
+
+(** {1 The DIP loop} *)
+
+(** How a {!dip_loop} ended. *)
+type ending =
+  | Key of bool array
+      (** no distinguishing input left: a key consistent with every DIP *)
+  | Out_of_budget  (** DIP, conflict or time cap hit, or key extraction failed *)
+  | Settled of Attack.verdict  (** the settle hook ended the loop *)
+
+val dip_loop :
+  Attack.budget ->
+  start:float ->
+  oracle:(bool array -> bool array) ->
+  settle:(int -> Attack.verdict option) ->
+  Miter.t ->
+  ending * int
+(** [dip_loop budget ~start ~oracle ~settle miter] searches DIPs, asks
+    the oracle and constrains the miter until none is left or the
+    budget ([start] is the attack's {!Shell_util.Clock.now} origin)
+    runs out; returns how it ended and the number of DIPs added. After
+    each DIP, [settle dips] may end the loop with a verdict. Each solver
+    call counts in [attack_dis_iterations] and opens a ["dip"] span
+    when telemetry is on. *)

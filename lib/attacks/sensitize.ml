@@ -1,7 +1,6 @@
 module Netlist = Shell_netlist.Netlist
 module Simw = Shell_netlist.Simw
 module Locked = Shell_locking.Locked
-module Rng = Shell_util.Rng
 
 let now = Shell_util.Clock.now
 
@@ -40,24 +39,12 @@ let attack =
           let start = now () in
           let comb = Netlist.comb_view nl in
           let simw = Simw.create comb in
-          let n_in = List.length (Netlist.inputs comb) in
-          let rng = Rng.create 0x5e45 in
-          let nvec = max 1 (min b.Attack.vectors 1024) in
-          let vecs = Array.make nvec [||] in
-          for i = 0 to nvec - 1 do
-            vecs.(i) <- Array.init n_in (fun _ -> Rng.bool rng)
-          done;
           let chunks =
-            let rec go pos acc =
-              if pos >= nvec then List.rev acc
-              else
-                let lanes = min Simw.width (nvec - pos) in
-                let chunk = Array.sub vecs pos lanes in
-                go (pos + lanes) ((lanes, chunk, Simw.pack chunk) :: acc)
-            in
-            go 0 []
+            Attack.stimulus ~seed:0x5e45
+              ~vectors:(max 1 (min b.Attack.vectors 1024))
+              (List.length (Netlist.inputs comb))
           in
-          let oracle = Attack.oracle s in
+          let oracle = Attack.oracle s.Attack.original in
           let guess = Array.make k false in
           let decided = Array.make k false in
           let probes = ref 0 and queries = ref 0 in
@@ -79,20 +66,17 @@ let attack =
             let tries = ref 0 in
             let rec scan = function
               | [] -> ()
-              | (lanes, chunk, ins) :: rest ->
+              | (lanes, ins) :: rest ->
                   let out0 = Simw.eval_comb simw ~keys:g0 ~lanes ins in
                   let out1 = Simw.eval_comb simw ~keys:g1 ~lanes ins in
-                  let diff = ref 0 in
-                  Array.iteri
-                    (fun j w -> diff := !diff lor (w lxor out1.(j)))
-                    out0;
+                  let diff = ref (Simw.mismatch out0 out1) in
                   while
                     (not decided.(i)) && !diff <> 0 && !tries < max_queries
                   do
                     let l = Simw.first_lane !diff in
                     diff := !diff land lnot (1 lsl l);
                     incr tries;
-                    let o = oracle chunk.(l) in
+                    let o = oracle (Simw.lane ins l) in
                     incr queries;
                     match lane_votes out0 out1 l o with
                     | v0, 0 when v0 > 0 ->
@@ -117,10 +101,8 @@ let attack =
             incr round;
             for i = 0 to k - 1 do
               if not !budget_out then
-                if
-                  b.Attack.should_stop ()
-                  || now () -. start > b.Attack.time_limit
-                then budget_out := true
+                if now () -. start > b.Attack.time_limit then
+                  budget_out := true
                 else probe i
             done;
             if not !budget_out then
@@ -136,29 +118,15 @@ let attack =
              small keys, and re-verify on zero. *)
           let polished = ref 0 in
           if (not !verified) && not !budget_out then begin
-            let oracle_w = Attack.word_oracle s in
-            let golden =
-              List.map
-                (fun (lanes, _, ins) -> (lanes, ins, oracle_w ~lanes ins))
-                chunks
-            in
-            let popcount w =
-              let c = ref 0 and w = ref w in
-              while !w <> 0 do
-                w := !w land (!w - 1);
-                incr c
-              done;
-              !c
-            in
+            let golden = Attack.golden s.Attack.original chunks in
             let err () =
               List.fold_left
                 (fun acc (lanes, ins, theirs) ->
-                  let mine = Simw.eval_comb simw ~keys:guess ~lanes ins in
-                  let d = ref 0 in
-                  Array.iteri
-                    (fun j w -> d := !d lor (w lxor theirs.(j)))
-                    mine;
-                  acc + popcount !d)
+                  acc
+                  + Simw.popcount
+                      (Simw.mismatch
+                         (Simw.eval_comb simw ~keys:guess ~lanes ins)
+                         theirs))
                 0 golden
             in
             let best = ref (err ()) in
@@ -171,9 +139,7 @@ let attack =
               end
               else List.iter (fun i -> guess.(i) <- not guess.(i)) bits
             in
-            let time_out () =
-              b.Attack.should_stop () || now () -. start > b.Attack.time_limit
-            in
+            let time_out () = now () -. start > b.Attack.time_limit in
             for i = 0 to k - 1 do
               if !best > 0 && not (time_out ()) then try_flip [ i ]
             done;

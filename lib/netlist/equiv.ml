@@ -28,9 +28,8 @@ let find_cex sa sb ~keys_a ~keys_b vecs =
     let words = Simw.pack chunk in
     let wa = Simw.eval_comb sa ~keys:keys_a ~lanes words in
     let wb = Simw.eval_comb sb ~keys:keys_b ~lanes words in
-    let diff = ref 0 in
-    Array.iteri (fun i w -> diff := !diff lor (w lxor wb.(i))) wa;
-    if !diff <> 0 then result := Counterexample chunk.(Simw.first_lane !diff)
+    let diff = Simw.mismatch wa wb in
+    if diff <> 0 then result := Counterexample chunk.(Simw.first_lane diff)
     else pos := !pos + lanes
   done;
   !result
@@ -127,12 +126,11 @@ let check_sequential ?(cycles = 32) ?(runs = 16) ?rng ?keys_a ?keys_b a b =
       let words = Simw.pack chunk in
       let oa = Simw.step sa ~keys:keys_a ~lanes words in
       let ob = Simw.step sb ~keys:keys_b ~lanes words in
-      let diff = ref 0 in
-      Array.iteri (fun i w -> diff := !diff lor (w lxor ob.(i))) oa;
-      if !diff <> 0 then begin
+      let diff = Simw.mismatch oa ob in
+      if diff <> 0 then begin
         any := true;
         for l = 0 to lanes - 1 do
-          if fail_cycle.(l) < 0 && (!diff lsr l) land 1 = 1 then
+          if fail_cycle.(l) < 0 && (diff lsr l) land 1 = 1 then
             fail_cycle.(l) <- !c
         done;
         if fail_cycle.(0) >= 0 then stop := true

@@ -154,3 +154,16 @@ let first_lane w =
   if w = 0 then invalid_arg "Simw.first_lane: zero word";
   let rec go w i = if w land 1 = 1 then i else go (w lsr 1) (i + 1) in
   go w 0
+
+let mismatch a b =
+  let d = ref 0 in
+  Array.iteri (fun i w -> d := !d lor (w lxor b.(i))) a;
+  !d
+
+let popcount w =
+  let c = ref 0 and w = ref w in
+  while !w <> 0 do
+    w := !w land (!w - 1);
+    incr c
+  done;
+  !c

@@ -55,3 +55,12 @@ val lane : int array -> int -> bool array
 val first_lane : int -> int
 (** Index of the lowest set bit of a non-zero word — the earliest lane
     (in vector order) a miscompare word flags. *)
+
+val mismatch : int array -> int array -> int
+(** [mismatch a b] ORs the lane-wise XOR of two equal-length word
+    arrays (two circuits' outputs on the same chunk): lane [l] is set
+    iff the responses differ on vector [l]. *)
+
+val popcount : int -> int
+(** Set lanes of a word — with {!mismatch}, the number of vectors of a
+    chunk on which two responses disagree. *)

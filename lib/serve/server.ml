@@ -271,16 +271,18 @@ let run_one_job t =
       let kind = P.job_kind pjob in
       logf t "serve: running %s job #%d" kind pid;
       let t0 = Clock.now () in
+      (* the job's span tree comes back to us instead of joining the
+         process-wide roots: dropped here rather than kept for the
+         daemon's lifetime (a per-request trace would return it) *)
       let result =
-        match Obs.with_span ("serve.job." ^ kind) (fun () -> Jobs.run pjob) with
-        | r -> r
+        match
+          Obs.with_root_span ("serve.job." ^ kind) (fun () -> Jobs.run pjob)
+        with
+        | r, _root -> r
         | exception Diag.Error d -> Error d
         | exception exn -> Error (Diag.make ~pass:"serve" (Printexc.to_string exn))
       in
       Obs.observe_us (List.assoc kind m_job_us) (Clock.now () -. t0);
-      (* the job's span tree is finished: drop it rather than keep it for
-         the daemon's lifetime (a per-request trace would return it) *)
-      ignore (Obs.take_spans ());
       (match result with
       | Ok output ->
           Obs.incr m_jobs_done;

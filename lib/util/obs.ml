@@ -328,6 +328,24 @@ let with_span name f =
       f
   end
 
+let with_root_span name f =
+  if not (Atomic.get on_flag) then (f (), None)
+  else begin
+    let st = Domain.DLS.get stack_key in
+    let saved_stack = st.stack and saved_parent = st.parent in
+    let o = { sname = name; acc = []; kids = [] } in
+    st.stack <- [ o ];
+    st.parent <- None;
+    let t0 = Clock.now () in
+    Fun.protect
+      ~finally:(fun () ->
+        st.stack <- saved_stack;
+        st.parent <- saved_parent)
+      (fun () ->
+        let r = f () in
+        (r, Some (freeze o (Clock.now () -. t0))))
+  end
+
 let span_add name v =
   if Atomic.get on_flag then
     let st = Domain.DLS.get stack_key in

@@ -118,6 +118,14 @@ val with_span : string -> (unit -> 'a) -> 'a
     domain runs under a borrowed {!context}, in which case they attach
     to the lending span. When disabled this is exactly [f ()]. *)
 
+val with_root_span : string -> (unit -> 'a) -> 'a * span option
+(** [with_root_span name f] runs [f] under a fresh root span, on an
+    empty local stack (any span already open on the calling domain is
+    not its parent), and returns the finished root to the caller
+    instead of publishing it to {!spans}: a long-lived process (the
+    serve daemon) gets back exactly its own job's tree. [None] when
+    disabled. If [f] raises, the span is dropped. *)
+
 val span_add : string -> int -> unit
 (** Attach a named counter to the innermost open span of the calling
     domain, or to the borrowed {!context} parent when no local span is
@@ -149,9 +157,7 @@ val spans : unit -> span list
 (** Completed root spans, oldest first. *)
 
 val take_spans : unit -> span list
-(** {!spans}, removing them from the recorder: a long-lived process
-    (the serve daemon) drains each job's roots when the job ends
-    instead of keeping them for its lifetime. *)
+(** {!spans}, removing them from the recorder. *)
 
 val pp_spans : Format.formatter -> span list -> unit
 (** Indented tree, one line per span: wall time and counters. *)

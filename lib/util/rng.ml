@@ -1,33 +1,42 @@
 (* Splitmix64: fast, high-quality, trivially seedable. The golden-gamma
    constant and the mixing rounds follow Steele, Lea & Flood (OOPSLA'14). *)
 
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in an 8-byte buffer: a mutable
+   [int64] record field would box a fresh Int64 on every draw. With
+   [bits64] inlined, [int] and [bool] allocate nothing per draw. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let[@inline] get t = Bytes.get_int64_ne t 0
+let[@inline] set t s = Bytes.set_int64_ne t 0 s
 
-let copy t = { state = t.state }
+let of_state s =
+  let t = Bytes.create 8 in
+  set t s;
+  t
 
-let mix z =
+let create seed = of_state (Int64.of_int seed)
+
+let copy = Bytes.copy
+
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] bits64 t =
+  let s = Int64.add (get t) golden_gamma in
+  set t s;
+  mix s
 
-let split t =
-  let s = bits64 t in
-  { state = s }
+let split t = of_state (bits64 t)
 
 let child t i =
   if i < 0 then invalid_arg "Rng.child: negative index";
   (* Perturb the current state by a per-index multiple of the gamma and
      re-mix; the parent's own stream is left untouched. *)
-  let s = Int64.add t.state (Int64.mul (Int64.of_int (i + 1)) golden_gamma) in
-  { state = mix s }
+  of_state (mix (Int64.add (get t) (Int64.mul (Int64.of_int (i + 1)) golden_gamma)))
 
 let split_n t n =
   if n < 0 then invalid_arg "Rng.split_n: negative count";
@@ -37,18 +46,18 @@ let split_n t n =
    on 64-bit OCaml [max_int] is exactly 2^62 - 1, the largest raw draw. *)
 let bits62_max = max_int
 
+(* Rejection sampling: [raw mod bound] alone over-weights the low
+   residues whenever [bound] does not divide 2^62. Redraw in the
+   (vanishingly rare for small bounds) tail where the last, partial
+   block of residues starts. Top-level, so no closure per call. *)
+let rec draw_below t bound =
+  let raw = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
+  let r = raw mod bound in
+  if raw - r > bits62_max - bound + 1 then draw_below t bound else r
+
 let int t bound =
   assert (bound > 0);
-  (* Rejection sampling: [raw mod bound] alone over-weights the low
-     residues whenever [bound] does not divide 2^62. Redraw in the
-     (vanishingly rare for small bounds) tail where the last, partial
-     block of residues starts. *)
-  let rec draw () =
-    let raw = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
-    let r = raw mod bound in
-    if raw - r > bits62_max - bound + 1 then draw () else r
-  in
-  draw ()
+  draw_below t bound
 
 let float t bound =
   let raw = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in

@@ -25,17 +25,20 @@ let victim seed n_gates =
   done;
   nl
 
-let attack ?cycle_blocks ?(max_dips = 128) ~original lk =
-  A.Sat_attack.attack_locked ~max_dips ~max_conflicts:150_000 ~time_limit:20.0
-    ?cycle_blocks ~original lk
+let sat_budget =
+  A.Attack.budget ~max_dips:128 ~max_conflicts:150_000 ~time_limit:20.0 ()
 
-let expect_broken name outcome =
-  match outcome with
-  | A.Sat_attack.Broken (_, _) -> ()
-  | A.Sat_attack.Timeout st ->
+let attack ~original lk =
+  A.Sat_attack.run sat_budget (A.Attack.subject ~original lk)
+
+let expect_broken name verdict =
+  match verdict with
+  | A.Attack.Broken (_, _) -> ()
+  | A.Attack.Resilient st ->
       Alcotest.fail
         (Printf.sprintf "%s should break (dips=%d conflicts=%d)" name
-           st.A.Sat_attack.dips st.A.Sat_attack.conflicts)
+           st.A.Attack.iterations st.A.Attack.conflicts)
+  | A.Attack.Inapplicable why -> Alcotest.fail ("inapplicable: " ^ why)
 
 let test_breaks_xor () =
   let nl = victim 1 80 in
@@ -60,20 +63,21 @@ let test_recovered_key_functional () =
   let nl = victim 5 60 in
   let lk = L.Schemes.xor_keys ~bits:10 nl in
   match attack ~original:nl lk with
-  | A.Sat_attack.Broken (key, _) ->
+  | A.Attack.Broken (key, _) ->
       Alcotest.(check bool) "key unlocks" true
         (L.Locked.verify ~original:nl { lk with L.Locked.key = key })
-  | A.Sat_attack.Timeout _ -> Alcotest.fail "should break"
+  | _ -> Alcotest.fail "should break"
 
 let test_budget_timeout () =
   let nl = victim 6 80 in
   let lk = L.Schemes.mux_lut ~width:16 nl in
   match
-    A.Sat_attack.attack_locked ~max_dips:1 ~max_conflicts:10 ~time_limit:0.001
-      ~original:nl lk
+    A.Sat_attack.run
+      (A.Attack.budget ~max_dips:1 ~max_conflicts:10 ~time_limit:0.001 ())
+      (A.Attack.subject ~original:nl lk)
   with
-  | A.Sat_attack.Timeout _ -> ()
-  | A.Sat_attack.Broken _ -> ()
+  | A.Attack.Resilient _ | A.Attack.Broken _ -> ()
+  | A.Attack.Inapplicable why -> Alcotest.fail ("inapplicable: " ^ why)
 (* a break within such a small budget is possible but unlikely; either
    way the call must return promptly *)
 
@@ -81,10 +85,16 @@ let test_attack_stats_populated () =
   let nl = victim 7 60 in
   let lk = L.Schemes.xor_keys ~bits:8 nl in
   match attack ~original:nl lk with
-  | A.Sat_attack.Broken (_, st) ->
-      Alcotest.(check int) "key bits" 8 st.A.Sat_attack.key_bits;
-      Alcotest.(check bool) "c2v positive" true (st.A.Sat_attack.c2v > 0.0)
-  | A.Sat_attack.Timeout _ -> Alcotest.fail "should break"
+  | A.Attack.Broken (_, st) ->
+      Alcotest.(check int) "key bits" 8 st.A.Attack.key_bits;
+      Alcotest.(check int) "recovered = key bits" 8 st.A.Attack.recovered_bits;
+      Alcotest.(check int) "one oracle query per DIP" st.A.Attack.iterations
+        st.A.Attack.oracle_queries;
+      Alcotest.(check bool) "solver decisions in detail" true
+        (match List.assoc_opt "decisions" st.A.Attack.detail with
+        | Some d -> d > 0
+        | None -> false)
+  | _ -> Alcotest.fail "should break"
 
 let test_sequential_attack () =
   (* scan-model attack on a sequential victim *)
@@ -118,40 +128,27 @@ let test_cycle_blocks_constrain () =
 
 let test_removal_true_guess () =
   let nl = victim 10 50 in
-  let oracle = A.Sat_attack.oracle_of_netlist nl in
-  let v = A.Removal.attempt ~oracle nl in
+  let v = A.Removal.attempt ~oracle:(A.Attack.word_oracle nl) nl in
   Alcotest.(check bool) "true guess matches" true v.A.Removal.matched
 
 let test_removal_wrong_guess () =
   let nl = victim 11 50 in
   let other = victim 12 50 in
-  let oracle = A.Sat_attack.oracle_of_netlist nl in
-  let v = A.Removal.attempt ~oracle other in
+  let v = A.Removal.attempt ~oracle:(A.Attack.word_oracle nl) other in
   Alcotest.(check bool) "wrong guess caught" false v.A.Removal.matched;
-  Alcotest.(check bool) "counterexample reported" true
-    (v.A.Removal.first_mismatch <> None)
-
-let test_removal_word_oracle () =
-  (* the word-level oracle must produce verdicts identical to the
-     scalar oracle's on both matching and mismatching candidates *)
-  let nl = victim 10 50 in
-  let other = victim 12 50 in
-  let oracle = A.Sat_attack.oracle_of_netlist nl in
-  let oracle_w = A.Sat_attack.word_oracle_of_netlist nl in
-  let vt_s = A.Removal.attempt ~oracle nl in
-  let vt_w = A.Removal.attempt ~oracle ~oracle_w nl in
-  Alcotest.(check bool) "true guess matches (word)" true vt_w.A.Removal.matched;
-  Alcotest.(check int) "true guess vectors_tried identical"
-    vt_s.A.Removal.vectors_tried vt_w.A.Removal.vectors_tried;
-  let vw_s = A.Removal.attempt ~oracle other in
-  let vw_w = A.Removal.attempt ~oracle ~oracle_w other in
-  Alcotest.(check bool) "wrong guess caught (word)" false vw_w.A.Removal.matched;
-  Alcotest.(check int) "wrong guess vectors_tried identical"
-    vw_s.A.Removal.vectors_tried vw_w.A.Removal.vectors_tried;
-  match (vw_s.A.Removal.first_mismatch, vw_w.A.Removal.first_mismatch) with
-  | Some a, Some b ->
-      Alcotest.(check (array bool)) "first mismatch identical" a b
-  | _ -> Alcotest.fail "both paths must report a counterexample"
+  (* 8 inputs: the scan is exhaustive in counting order, so it must stop
+     at the first vector a scalar replay finds the two designs
+     disagreeing on *)
+  let chip = A.Attack.oracle nl and guess = A.Attack.oracle other in
+  let vec n = Array.init 8 (fun i -> (n lsr i) land 1 = 1) in
+  let first = ref 0 in
+  while chip (vec !first) = guess (vec !first) do
+    incr first
+  done;
+  Alcotest.(check int) "vectors tried up to the first miscompare"
+    (!first + 1) v.A.Removal.vectors_tried;
+  Alcotest.(check (option (array bool))) "earliest counterexample"
+    (Some (vec !first)) v.A.Removal.first_mismatch
 
 let test_proximity_reports () =
   let nl = victim 13 100 in
@@ -187,45 +184,14 @@ let test_link_prediction_reports () =
   let r2 = A.Proximity.predict_links cyclic_lk in
   Alcotest.(check int) "cyclic skipped" 0 r2.A.Proximity.links
 
-(* ---------------- unified interface: parity with legacy ----------- *)
-
-let sat_budget =
-  A.Attack.budget ~max_dips:128 ~max_conflicts:150_000 ~time_limit:20.0 ()
-
-let test_unified_sat_parity () =
-  (* the unified "sat" attack must reproduce the legacy outcome verbatim:
-     same verdict kind, same key, same dips/conflicts *)
-  let check seed mk =
-    let nl = victim seed 80 in
-    let lk = mk nl in
-    let legacy = attack ~original:nl lk in
-    let unified =
-      A.Sat_attack.attack.A.Attack.run sat_budget
-        (A.Attack.subject ~original:nl lk)
-    in
-    match (legacy, unified) with
-    | A.Sat_attack.Broken (k1, st), A.Attack.Broken (k2, ust) ->
-        Alcotest.(check (array bool)) "same key" k1 k2;
-        Alcotest.(check int) "dips = iterations" st.A.Sat_attack.dips
-          ust.A.Attack.iterations;
-        Alcotest.(check int) "conflicts" st.A.Sat_attack.conflicts
-          ust.A.Attack.conflicts;
-        Alcotest.(check int) "recovered = key bits" ust.A.Attack.key_bits
-          ust.A.Attack.recovered_bits
-    | A.Sat_attack.Timeout st, A.Attack.Resilient ust ->
-        Alcotest.(check int) "dips = iterations" st.A.Sat_attack.dips
-          ust.A.Attack.iterations
-    | _ -> Alcotest.fail "legacy and unified verdicts disagree"
-  in
-  check 1 (L.Schemes.xor_keys ~bits:16);
-  check 4 (L.Schemes.mux_routing ~width:8)
+(* ---------------- battery forms ---------------- *)
 
 let test_unified_removal_parity () =
-  (* unified "removal" is Broken exactly when one of its two constant-key
-     specializations passes the legacy attempt AND verifies *)
+  (* the battery's "removal" is Broken exactly when one of its two
+     constant-key specializations passes [attempt] AND verifies *)
   let nl = victim 40 60 in
   let lk = L.Schemes.mux_routing ~width:8 nl in
-  let oracle = A.Sat_attack.oracle_of_netlist nl in
+  let oracle = A.Attack.word_oracle nl in
   let expected =
     List.exists
       (fun key ->
@@ -243,11 +209,11 @@ let test_unified_removal_parity () =
       (A.Attack.subject ~original:nl lk)
   in
   let got = match unified with A.Attack.Broken _ -> true | _ -> false in
-  Alcotest.(check bool) "removal verdict matches legacy attempt" expected got
+  Alcotest.(check bool) "removal verdict matches attempt" expected got
 
 let test_unified_proximity_parity () =
-  (* unified "proximity" must report the legacy run's counters in its
-     stats detail *)
+  (* the battery's "proximity" must report [Proximity.run]'s counters in
+     its stats detail *)
   let nl = victim 13 100 in
   let lk = L.Schemes.mux_routing ~width:8 nl in
   let r = A.Proximity.run lk in
@@ -268,25 +234,21 @@ let test_unified_proximity_parity () =
     (List.assoc_opt "correct" st.A.Attack.detail)
 
 let test_unified_portfolio_parity () =
-  (* the battery's "portfolio" wrapper = deterministic race + best *)
+  (* the battery's "portfolio" = deterministic race + best, with the
+     race's winner in its detail *)
   let nl = victim 41 60 in
   let lk = L.Schemes.xor_keys ~bits:10 nl in
-  let p =
-    A.Portfolio.run ~stop_on_first_broken:false ~max_dips:128
-      ~max_conflicts:150_000 ~time_limit:20.0 ~original:nl lk.L.Locked.locked
-  in
-  let unified =
-    A.Portfolio.attack.A.Attack.run sat_budget
-      (A.Attack.subject ~original:nl lk)
-  in
+  let subject = A.Attack.subject ~original:nl lk in
+  let p = A.Portfolio.run sat_budget subject in
+  let unified = A.Portfolio.attack.A.Attack.run sat_budget subject in
   match (A.Portfolio.best p, unified) with
-  | A.Sat_attack.Broken (k1, _), A.Attack.Broken (k2, ust) ->
+  | A.Attack.Broken (k1, _), A.Attack.Broken (k2, ust) ->
       Alcotest.(check (array bool)) "same key" k1 k2;
       Alcotest.(check (option int))
         "winner index in detail"
         (Some (match p.A.Portfolio.winner with Some i -> i | None -> -1))
         (List.assoc_opt "winner" ust.A.Attack.detail)
-  | A.Sat_attack.Timeout _, A.Attack.Resilient _ -> ()
+  | A.Attack.Resilient _, A.Attack.Resilient _ -> ()
   | _ -> Alcotest.fail "portfolio verdicts disagree"
 
 (* ---------------- new attacks ---------------- *)
@@ -305,6 +267,44 @@ let test_appsat_breaks_xor () =
         (L.Locked.verify ~original:nl { lk with L.Locked.key = key })
   | A.Attack.Resilient _ -> Alcotest.fail "appsat should break xor:8"
   | A.Attack.Inapplicable why -> Alcotest.fail ("inapplicable: " ^ why)
+
+let test_appsat_dips_instrumented () =
+  (* AppSAT runs on the SAT attack's DIP loop, so each of its solver
+     calls counts in attack_dis_iterations and opens an appsat/dip span
+     just like the exact attack's *)
+  let module Obs = Shell_util.Obs in
+  let nl = victim 42 80 in
+  let lk = L.Schemes.xor_keys ~bits:8 nl in
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Obs.reset ();
+  Fun.protect ~finally:(fun () ->
+      Obs.set_enabled was;
+      Obs.reset ())
+  @@ fun () ->
+  let dips =
+    match
+      A.Appsat.attack.A.Attack.run sat_budget (A.Attack.subject ~original:nl lk)
+    with
+    | A.Attack.Broken (_, st) | A.Attack.Resilient st -> st.A.Attack.iterations
+    | A.Attack.Inapplicable why -> Alcotest.fail ("inapplicable: " ^ why)
+  in
+  let solver_calls =
+    List.fold_left
+      (fun acc (s : Obs.sample) ->
+        match s.Obs.value with
+        | Obs.Counter n when s.Obs.name = "attack_dis_iterations" -> n
+        | _ -> acc)
+      0 (Obs.snapshot ())
+  in
+  let agg = Obs.span_aggregate (Obs.spans ()) in
+  Alcotest.(check bool) "some DIPs" true (dips > 0);
+  Alcotest.(check bool) "a solver call per DIP at least" true
+    (solver_calls >= dips);
+  Alcotest.(check (option int)) "one dip span per solver call"
+    (Some solver_calls) (List.assoc_opt "appsat/dip" agg);
+  Alcotest.(check (option int)) "dips on the appsat span" (Some dips)
+    (List.assoc_opt "appsat#dips" agg)
 
 let test_brute_force_small_key () =
   let nl = victim 43 60 in
@@ -590,43 +590,40 @@ let test_battery_rows_and_cells () =
   | rows ->
       Alcotest.fail (Printf.sprintf "expected 1 row, got %d" (List.length rows))
 
-(* ---------------- portfolio cancellation ---------------- *)
-
-let test_portfolio_external_stop () =
-  (* an external should_stop must cancel every racer before any DIP *)
-  let nl = victim 50 80 in
-  let lk = L.Schemes.xor_keys ~bits:12 nl in
-  let p =
-    A.Portfolio.run ~max_dips:128 ~max_conflicts:150_000 ~time_limit:20.0
-      ~should_stop:(fun () -> true)
-      ~original:nl lk.L.Locked.locked
+(* The battery bytes of every registered attack, pinned: one row per
+   scheme on a 4-channel crossbar under a cap-bound budget, checked
+   against the MD5s of the rows' stable JSON (the same digests the
+   benchmark's battery workload checks). The pool runs at the default
+   job count, so running the suite at different SHELL_JOBS also checks
+   that the rows do not depend on it. *)
+let test_battery_pinned_rows () =
+  let nl = Shell_circuits.Axi_xbar.netlist ~channels:4 ~data_width:8 () in
+  let budget =
+    A.Attack.budget ~max_dips:32 ~max_conflicts:60_000 ~time_limit:120.0
+      ~vectors:256 ()
   in
-  Alcotest.(check bool) "no winner" true (p.A.Portfolio.winner = None);
-  Array.iter
-    (fun (_, o) ->
-      match o with
-      | A.Sat_attack.Timeout st ->
-          Alcotest.(check int) "no dips" 0 st.A.Sat_attack.dips
-      | A.Sat_attack.Broken _ -> Alcotest.fail "stopped racer cannot break")
-    p.A.Portfolio.outcomes
-
-let test_portfolio_first_break_cancels () =
-  (* with stop_on_first_broken, a break must surface as the winner and
-     the call must return without waiting for losers' full budgets *)
-  let nl = victim 51 60 in
-  let lk = L.Schemes.xor_keys ~bits:10 nl in
-  let p =
-    A.Portfolio.run ~stop_on_first_broken:true ~max_dips:128
-      ~max_conflicts:150_000 ~time_limit:20.0 ~original:nl lk.L.Locked.locked
-  in
-  (match p.A.Portfolio.winner with
-  | Some i -> (
-      match snd p.A.Portfolio.outcomes.(i) with
-      | A.Sat_attack.Broken (key, _) ->
-          Alcotest.(check bool) "winner key unlocks" true
-            (L.Locked.verify ~original:nl { lk with L.Locked.key = key })
-      | A.Sat_attack.Timeout _ -> Alcotest.fail "winner must have broken")
-  | None -> Alcotest.fail "xor:10 should fall to some racer")
+  List.iter
+    (fun (scheme, md5) ->
+      let lk =
+        match Shell_serve.Jobs.locked_of_spec ~seed:1 nl scheme with
+        | Ok lk -> lk
+        | Error d -> Alcotest.fail (Shell_util.Diag.to_string d)
+      in
+      let label = Printf.sprintf "xbar4/%s@1" scheme in
+      let m =
+        A.Battery.run ~budget [ A.Attack.subject ~label ~original:nl lk ]
+      in
+      Alcotest.(check string) label md5
+        (Digest.to_hex
+           (Digest.string
+              (Shell_util.Jsonw.to_string (A.Battery.matrix_json m)))))
+    [
+      ("xor:8", "a6cf189372c708c82abb4887f51f6908");
+      ("mux:8", "63468bcb50aa7277d3f89be8f391843b");
+      ("rlut:4", "f9feadb6ecca33fa44a9b33bc9c3c751");
+      ("hlut:4", "97f89307715f9db84681874777bc0592");
+      ("muxlut:8", "b0d51d00ae15414bc78587b996232dcb");
+    ]
 
 (* ---------------- miter cycle blocks, both key vectors ------------- *)
 
@@ -692,17 +689,16 @@ let suite =
     ("cycle blocks constrain", `Quick, test_cycle_blocks_constrain);
     ("removal true guess", `Quick, test_removal_true_guess);
     ("removal wrong guess", `Quick, test_removal_wrong_guess);
-    ("removal word oracle identical", `Quick, test_removal_word_oracle);
     ("proximity reports", `Quick, test_proximity_reports);
     ("proximity ignores non-mux keys", `Quick, test_proximity_no_muxes);
     ("link prediction reports", `Quick, test_link_prediction_reports);
     ("metrics", `Quick, test_metrics);
     ("metrics bitstream split", `Quick, test_metrics_bitstream_split);
-    ("unified sat parity", `Quick, test_unified_sat_parity);
     ("unified removal parity", `Quick, test_unified_removal_parity);
     ("unified proximity parity", `Quick, test_unified_proximity_parity);
     ("unified portfolio parity", `Quick, test_unified_portfolio_parity);
     ("appsat breaks xor", `Quick, test_appsat_breaks_xor);
+    ("appsat dips instrumented", `Quick, test_appsat_dips_instrumented);
     ("brute force small key", `Quick, test_brute_force_small_key);
     ("brute force wide key n/a", `Quick, test_brute_force_wide_key_inapplicable);
     ("sensitize breaks xor", `Quick, test_sensitize_breaks_xor);
@@ -716,7 +712,6 @@ let suite =
     ("battery registry", `Quick, test_battery_registry);
     ("battery jobs identical", `Quick, test_battery_jobs_identical);
     ("battery rows and cells", `Quick, test_battery_rows_and_cells);
-    ("portfolio external stop", `Quick, test_portfolio_external_stop);
-    ("portfolio first break cancels", `Quick, test_portfolio_first_break_cancels);
+    ("battery pinned xbar4 rows", `Quick, test_battery_pinned_rows);
     ("cycle blocks both vectors", `Quick, test_cycle_blocks_exclude_both_vectors);
   ]

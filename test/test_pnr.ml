@@ -179,8 +179,8 @@ let test_anneal_allocation () =
   let moves = 20_000 in
   let per_move = (words moves -. words 0) /. float_of_int moves in
   Alcotest.(check bool)
-    (Printf.sprintf "%.1f minor words per move < 64" per_move)
-    true (per_move < 64.)
+    (Printf.sprintf "%.1f minor words per move < 8" per_move)
+    true (per_move < 8.)
 
 let test_chain_cells_fit () =
   let nl = N.create "ch" in

@@ -615,10 +615,9 @@ let test_store_gc () =
   rm_rf dir
 
 (* Job accounting rides the one Obs registry: the status counts, the
-   per-kind spans and the Prometheus page move together, and the daemon
-   drops each job's span tree when the job ends instead of keeping a
-   root per job for its lifetime. Counts are process-wide, so compare
-   deltas. *)
+   per-kind spans and the Prometheus page move together, and no job
+   leaves a root span behind for the daemon's lifetime. Counts are
+   process-wide, so compare deltas. *)
 let test_server_job_telemetry () =
   Pipeline.clear_cache ();
   ignore (Obs.take_spans ());
@@ -660,6 +659,24 @@ let test_server_job_telemetry () =
   Alcotest.(check int) "no span roots after shutdown" 0
     (List.length (Obs.spans ()))
 
+(* The daemon gets each job's span tree back from Obs and touches no
+   other root, so a root recorded by another domain of the process
+   outlives the daemon's jobs. *)
+let test_server_keeps_foreign_roots () =
+  Pipeline.clear_cache ();
+  ignore (Obs.take_spans ());
+  let addr, d = start_server Server.default_config in
+  Obs.set_enabled true;
+  Obs.with_span "test.foreign" ignore;
+  Client.with_connection addr (fun t ->
+      ignore (submit_ok t (P.Lock fir_spec));
+      ignore (submit_ok t (P.Lock fir_spec)));
+  stop_server addr d;
+  let roots = List.map (fun (s : Obs.span) -> s.Obs.name) (Obs.spans ()) in
+  ignore (Obs.take_spans ());
+  Alcotest.(check (list string))
+    "the test's root survives two jobs" [ "test.foreign" ] roots
+
 let test_address_parsing () =
   (match Server.address_of_string "/tmp/x.sock" with
   | Ok (Server.Unix_sock "/tmp/x.sock") -> ()
@@ -699,4 +716,5 @@ let suite =
     ("server restart warm from disk", `Quick,
      test_server_restart_warm_from_disk);
     ("server job telemetry", `Quick, test_server_job_telemetry);
+    ("server keeps foreign roots", `Quick, test_server_keeps_foreign_roots);
   ]

@@ -317,6 +317,24 @@ let test_rng_vectors_packed_stream_compat () =
   done;
   Alcotest.(check int64) "streams aligned" (Rng.bits64 a) (Rng.bits64 b)
 
+let test_rng_draws_allocate_nothing () =
+  (* the state is unboxed and [int]'s rejection loop is closure-free, so
+     the hot draws of the annealer and the vector samplers allocate
+     nothing per call *)
+  let rng = Rng.create 0xa110c in
+  let draws = 100_000 in
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to draws do
+    acc := !acc + Rng.int rng 1000;
+    if Rng.bool rng then incr acc
+  done;
+  let per_draw = (Gc.minor_words () -. w0) /. float_of_int (2 * draws) in
+  ignore (Sys.opaque_identity !acc);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f minor words per draw < 0.01" per_draw)
+    true (per_draw < 0.01)
+
 let test_tt_eval_row () =
   let t = Truthtab.var 1 ~arity:3 in
   for row = 0 to 7 do
@@ -335,6 +353,7 @@ let suite =
     ("rng int large bound", `Quick, test_rng_int_large_bound);
     ("rng seeds differ", `Quick, test_rng_seeds_differ);
     ("rng int range", `Quick, test_rng_int_range);
+    ("rng draws allocate nothing", `Quick, test_rng_draws_allocate_nothing);
     ("rng int covers", `Quick, test_rng_int_covers);
     ("rng float range", `Quick, test_rng_float_range);
     ("rng shuffle permutes", `Quick, test_rng_shuffle_permutes);

@@ -2,17 +2,30 @@
    locked designs, and inspect the bundled benchmarks.
 
      shell list
-     shell analyze  -b PicoSoC
-     shell lock     -b PicoSoC [-s style] [--route PAT]... [--lgc PAT]...
-                    [-o locked.v] [--bitstream bits.hex]
+     shell analyze   -b PicoSoC
+     shell lock      -b PicoSoC [-s style] [--route PAT]... [--lgc PAT]...
+                     [-o locked.v] [--bitstream bits.hex] [--trace]
      shell lock-file -i design.v --route PAT ... (structural dialect)
-     shell attack   -b PicoSoC [--dips N] [--conflicts N] [--seconds S]
+     shell attack    -b PicoSoC [-a NAME] [--dips N] [--conflicts N]
+                     [--seconds S] [--vectors N]
+     shell battery   -b Xbar [--scheme SPEC]... [-a NAME]... [--json]
+     shell fuzz      [-n N] [--self-test] [--no-shrink] [--dir DIR]
+     shell lint      -b FIR [--locked] [-i design.v]... [--json]
+     shell bench     [-t NAME]... [--record] [--check] [--report FILE]
+     shell serve     [--cache-dir DIR]
+     shell client    lock|attack|battery|fuzz|lint ... | status|metrics|...
+
+   The five job kinds (lock, attack, battery, fuzz, lint) each declare
+   their flags once, as one term that builds the kind's Protocol spec:
+   `shell KIND` and `shell client KIND` parse the same term, and the
+   direct command adds only its local flags (output files, --trace,
+   --json, listings). Process-wide settings have one way in, the
+   environment ([envs] at the bottom, shown by `shell --help`).
 
    All subcommands are deterministic for a given --seed. *)
 
 module N = Shell_netlist
 module F = Shell_fabric
-module L = Shell_locking
 module A = Shell_attacks
 module C = Shell_core
 module Circ = Shell_circuits
@@ -66,27 +79,6 @@ let seed_arg =
   let doc = "Deterministic seed for decoys and placement." in
   Arg.(value & opt int 0x51e11 & info [ "seed" ] ~doc)
 
-let metrics_arg =
-  let doc =
-    "Enable the metrics registry and write a snapshot to $(docv) on \
-     completion. A .prom suffix selects Prometheus text format, anything \
-     else JSON (same as setting SHELL_METRICS=$(docv); \
-     SHELL_METRICS_STABLE=1 restricts the snapshot to deterministic \
-     metrics)."
-  in
-  Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
-
-(* Run [f] with the registry on, writing the snapshot even when [f]
-   dies through [die] (which exits rather than unwinds) — hence
-   at_exit instead of Fun.protect. *)
-let with_metrics metrics f =
-  match metrics with
-  | None -> f ()
-  | Some path ->
-      Obs.set_enabled true;
-      at_exit (fun () -> try Obs.write_file path with Sys_error _ -> ());
-      f ()
-
 let read_file path =
   try
     let ic = open_in path in
@@ -95,14 +87,6 @@ let read_file path =
     close_in ic;
     s
   with Sys_error m -> dief "%s" m
-
-(* Benchmark lookup, TfR defaults and job execution live in
-   Shell_serve.Jobs, shared with the daemon so socket and CLI
-   invocations return byte-identical output. *)
-let netlist_of_bench name =
-  match SJ.netlist_of_bench name with
-  | Ok nl -> Ok nl
-  | Error d -> Error (`Msg (Diag.to_string d))
 
 (* ---------------- list ---------------- *)
 
@@ -131,8 +115,8 @@ let list_cmd =
 
 let analyze_cmd =
   let run bench =
-    match netlist_of_bench bench with
-    | Error (`Msg m) -> dief "%s" m
+    match SJ.netlist_of_bench bench with
+    | Error d -> die d
     | Ok nl ->
         let t = C.Connectivity.analyze nl in
         Printf.printf "%d cells, %d blocks\n\n" (N.Netlist.num_cells nl)
@@ -160,146 +144,23 @@ let analyze_cmd =
        ~doc:"Run the connectivity analysis and print scored blocks.")
     Term.(const run $ bench_arg)
 
-(* ---------------- lock ---------------- *)
+(* ---------------- job terms ---------------- *)
 
-let lock_spec bench style route lgc seed =
-  { SP.bench; style = SJ.style_id style; route; lgc; seed }
+(* One term per Protocol spec. `shell KIND` and `shell client KIND`
+   parse the same term, so both front ends accept the same flags and
+   build the same spec, which Shell_serve.Jobs turns into the same
+   bytes. *)
 
-(* --trace: telemetry on for the flow, then its [pipeline] span subtree
-   on stderr (each pass with its wall time, cache_hit and counters),
-   failed flows included; stdout is untouched. *)
-let traced trace flow =
-  if trace then Obs.set_enabled true;
-  let r = flow () in
-  if trace then
-    Format.eprintf "%a@?" Obs.pp_spans
-      (List.filter (fun (s : Obs.span) -> s.Obs.name = "pipeline") (Obs.spans ()));
-  r
+(* The flow flags of a lock spec; the design name completes it: a
+   bundled benchmark for `lock`, the parsed module for `lock-file`. *)
+let flow_term =
+  Term.(
+    const (fun style route lgc seed bench ->
+        { SP.bench; style = SJ.style_id style; route; lgc; seed })
+    $ style_arg $ route_arg $ lgc_arg $ seed_arg)
 
-let write_locked out (r : C.Flow.result) =
-  match out with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (N.Verilog.to_string r.C.Flow.locked_full);
-      close_out oc;
-      Printf.printf "locked design written to %s\n" path
-
-let lock_run bench style route lgc seed trace metrics out bitstream_out =
-  with_metrics metrics @@ fun () ->
-  match
-    traced trace (fun () -> SJ.lock_flow (lock_spec bench style route lgc seed))
-  with
-  | Error d -> die d
-  | Ok r ->
-      print_string (SJ.lock_render r);
-      write_locked out r;
-      (match bitstream_out with
-      | None -> ()
-      | Some path ->
-          let oc = open_out path in
-          output_string oc
-            (F.Bitstream.to_hex r.C.Flow.emitted.F.Emit.bitstream);
-          output_string oc "\n";
-          close_out oc;
-          Printf.printf "bitstream written to %s\n" path)
-
-let trace_arg =
-  let doc =
-    "Print the flow's span tree to stderr: every pass with its wall time, \
-     cache hit and counters."
-  in
-  Arg.(value & flag & info [ "trace" ] ~doc)
-
-let lock_cmd =
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~doc:"Write the locked design (netlist dialect).")
-  in
-  let bs_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "bitstream" ] ~doc:"Write the correct bitstream (hex).")
-  in
-  Cmd.v
-    (Cmd.info "lock" ~doc:"Redact a benchmark with the SheLL flow.")
-    Term.(
-      const lock_run $ bench_arg $ style_arg $ route_arg $ lgc_arg $ seed_arg
-      $ trace_arg $ metrics_arg $ out_arg $ bs_arg)
-
-(* ---------------- lock-file ---------------- *)
-
-let lock_file_run input style route lgc seed trace metrics out bitstream_out =
-  with_metrics metrics @@ fun () ->
-  let nl =
-    match N.Verilog.parse (read_file input) with
-    | nl -> nl
-    | exception N.Verilog.Parse_error m -> dief "parse error: %s" m
-  in
-  if route = [] && lgc = [] then dief "pass --route/--lgc origin patterns";
-  Printf.printf "parsed %s: %d cells\n" (N.Netlist.name nl)
-    (N.Netlist.num_cells nl);
-  let spec = lock_spec (N.Netlist.name nl) style route lgc seed in
-  match traced trace (fun () -> SJ.lock_netlist spec nl) with
-  | Error d -> die d
-  | Ok r -> (
-      print_string (SJ.lock_render r);
-      write_locked out r;
-      match bitstream_out with
-      | None -> ()
-      | Some path ->
-          F.Bitstream.save r.C.Flow.emitted.F.Emit.bitstream path;
-          Printf.printf "bitstream written to %s\n" path)
-
-let lock_file_cmd =
-  let input =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "i"; "input" ] ~doc:"Structural netlist file (library dialect).")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~doc:"Write the locked design.")
-  in
-  let bs_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "bitstream" ] ~doc:"Write the bitstream (versioned format).")
-  in
-  Cmd.v
-    (Cmd.info "lock-file"
-       ~doc:"Redact an external structural netlist with the SheLL flow.")
-    Term.(
-      const lock_file_run $ input $ style_arg $ route_arg $ lgc_arg $ seed_arg
-      $ trace_arg $ metrics_arg $ out_arg $ bs_arg)
-
-(* ---------------- attack ---------------- *)
-
-(* every attack command funnels through the unified interface now: one
-   verdict type, one budget record, any registered attack by name *)
-let attack_run bench style route lgc seed attack_name dips conflicts seconds
-    vectors metrics =
-  with_metrics metrics @@ fun () ->
-  let spec =
-    {
-      SP.target = lock_spec bench style route lgc seed;
-      attack = attack_name;
-      dips;
-      conflicts;
-      seconds;
-      vectors;
-    }
-  in
-  match SJ.attack_output spec with
-  | Error d -> die d
-  | Ok out -> print_string out
+let lock_term =
+  Term.(const (fun bench spec -> spec bench) $ bench_arg $ flow_term)
 
 let dips_arg = Arg.(value & opt int 64 & info [ "dips" ] ~doc:"Max DIPs.")
 
@@ -315,55 +176,20 @@ let vectors_arg =
     & info [ "vectors" ]
         ~doc:"Simulation sample size for the sim-family attacks.")
 
-let attack_cmd =
-  let attack_name_arg =
+let attack_term =
+  let attack_name =
     Arg.(
       value & opt string "sat"
       & info [ "a"; "attack" ] ~docv:"NAME"
           ~doc:"Registered attack to run (see `shell battery --list-attacks`).")
   in
-  Cmd.v
-    (Cmd.info "attack"
-       ~doc:"Run one registered attack on a SheLL-redacted benchmark.")
-    Term.(
-      const attack_run $ bench_arg $ style_arg $ route_arg $ lgc_arg $ seed_arg
-      $ attack_name_arg $ dips_arg $ conflicts_arg $ seconds_arg $ vectors_arg
-      $ metrics_arg)
+  Term.(
+    const (fun target attack dips conflicts seconds vectors ->
+        { SP.target; attack; dips; conflicts; seconds; vectors })
+    $ lock_term $ attack_name $ dips_arg $ conflicts_arg $ seconds_arg
+    $ vectors_arg)
 
-(* ---------------- battery ---------------- *)
-
-let battery_run benches schemes attack_names jobs seed dips conflicts seconds
-    vectors json metrics list_attacks =
-  with_metrics metrics @@ fun () ->
-  if list_attacks then
-    List.iter
-      (fun (a : A.Attack.t) ->
-        Printf.printf "%-11s %-12s %s\n" a.A.Attack.name
-          (String.concat ","
-             (List.map A.Attack.capability_name a.A.Attack.capabilities))
-          a.A.Attack.description)
-      A.Battery.all
-  else begin
-    let spec =
-      {
-        SP.benches;
-        schemes;
-        attacks = attack_names;
-        bt_seed = seed;
-        bt_dips = dips;
-        bt_conflicts = conflicts;
-        bt_seconds = seconds;
-        bt_vectors = vectors;
-      }
-    in
-    match SJ.battery_matrix ?jobs spec with
-    | Error d -> die d
-    | Ok m ->
-        if json then print_string (SJ.battery_render_json m)
-        else Format.printf "%a@." A.Battery.pp_matrix m
-  end
-
-let battery_cmd =
+let battery_term =
   let benches =
     Arg.(
       value & opt_all string []
@@ -385,16 +211,192 @@ let battery_cmd =
       & info [ "a"; "attack" ] ~docv:"NAME"
           ~doc:"Restrict to one registered attack (repeatable; default all).")
   in
-  let jobs =
+  Term.(
+    const
+      (fun benches schemes attacks bt_seed bt_dips bt_conflicts bt_seconds
+           bt_vectors ->
+        {
+          SP.benches;
+          schemes;
+          attacks;
+          bt_seed;
+          bt_dips;
+          bt_conflicts;
+          bt_seconds;
+          bt_vectors;
+        })
+    $ benches $ schemes $ attacks $ seed_arg $ dips_arg $ conflicts_arg
+    $ seconds_arg $ vectors_arg)
+
+let fuzz_term =
+  let cases =
+    Arg.(
+      value & opt int 200
+      & info [ "n"; "cases" ] ~docv:"N"
+          ~doc:"Number of random cases to generate.")
+  in
+  Term.(const (fun fz_seed cases -> { SP.fz_seed; cases }) $ seed_arg $ cases)
+
+let lint_term =
+  let benches =
+    Arg.(
+      value & opt_all string []
+      & info [ "b"; "benchmark" ] ~docv:"NAME"
+          ~doc:"Lint a bundled benchmark (repeatable).")
+  in
+  let locked =
+    Arg.(
+      value & flag
+      & info [ "locked" ]
+          ~doc:
+            "Run the SheLL flow on each benchmark first and lint the locked \
+             result with its fabric, bitstream and selection artifacts \
+             (activates the security and fabric rule packs).")
+  in
+  Term.(
+    const (fun lint_benches locked style lint_seed ->
+        { SP.lint_benches; locked; lint_style = SJ.style_id style; lint_seed })
+    $ benches $ locked $ style_arg $ seed_arg)
+
+(* ---------------- lock ---------------- *)
+
+(* --trace: telemetry on for the flow, then its [pipeline] span subtree
+   on stderr (each pass with its wall time, cache_hit and counters),
+   failed flows included; stdout is untouched. *)
+let traced trace flow =
+  if trace then Obs.set_enabled true;
+  let r = flow () in
+  if trace then
+    Format.eprintf "%a@?" Obs.pp_spans
+      (List.filter (fun (s : Obs.span) -> s.Obs.name = "pipeline") (Obs.spans ()));
+  r
+
+let write_locked out (r : C.Flow.result) =
+  match out with
+  | None -> ()
+  | Some path ->
+      let oc = open_out path in
+      output_string oc (N.Verilog.to_string r.C.Flow.locked_full);
+      close_out oc;
+      Printf.printf "locked design written to %s\n" path
+
+let lock_run spec trace out bitstream_out =
+  match traced trace (fun () -> SJ.lock_flow spec) with
+  | Error d -> die d
+  | Ok r ->
+      print_string (SJ.lock_render r);
+      write_locked out r;
+      (match bitstream_out with
+      | None -> ()
+      | Some path ->
+          let oc = open_out path in
+          output_string oc
+            (F.Bitstream.to_hex r.C.Flow.emitted.F.Emit.bitstream);
+          output_string oc "\n";
+          close_out oc;
+          Printf.printf "bitstream written to %s\n" path)
+
+let trace_arg =
+  let doc =
+    "Print the flow's span tree to stderr: every pass with its wall time, \
+     cache hit and counters."
+  in
+  Arg.(value & flag & info [ "trace" ] ~doc)
+
+let out_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "o"; "output" ] ~doc:"Write the locked design (netlist dialect).")
+
+let lock_cmd =
+  let bs_arg =
     Arg.(
       value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains for the (subject x attack) fan-out (default: \
-             SHELL_JOBS or the core count). The matrix is byte-identical for \
-             any value.")
+      & opt (some string) None
+      & info [ "bitstream" ] ~doc:"Write the correct bitstream (hex).")
   in
+  Cmd.v
+    (Cmd.info "lock" ~doc:"Redact a benchmark with the SheLL flow.")
+    Term.(const lock_run $ lock_term $ trace_arg $ out_arg $ bs_arg)
+
+(* ---------------- lock-file ---------------- *)
+
+let lock_file_run input spec_of trace out bitstream_out =
+  let nl =
+    match N.Verilog.parse (read_file input) with
+    | nl -> nl
+    | exception N.Verilog.Parse_error m -> dief "parse error: %s" m
+  in
+  let spec = spec_of (N.Netlist.name nl) in
+  if spec.SP.route = [] && spec.SP.lgc = [] then
+    dief "pass --route/--lgc origin patterns";
+  Printf.printf "parsed %s: %d cells\n" (N.Netlist.name nl)
+    (N.Netlist.num_cells nl);
+  match traced trace (fun () -> SJ.lock_netlist spec nl) with
+  | Error d -> die d
+  | Ok r -> (
+      print_string (SJ.lock_render r);
+      write_locked out r;
+      match bitstream_out with
+      | None -> ()
+      | Some path ->
+          F.Bitstream.save r.C.Flow.emitted.F.Emit.bitstream path;
+          Printf.printf "bitstream written to %s\n" path)
+
+let lock_file_cmd =
+  let input =
+    Arg.(
+      required
+      & opt (some string) None
+      & info [ "i"; "input" ] ~doc:"Structural netlist file (library dialect).")
+  in
+  let bs_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "bitstream" ] ~doc:"Write the bitstream (versioned format).")
+  in
+  Cmd.v
+    (Cmd.info "lock-file"
+       ~doc:"Redact an external structural netlist with the SheLL flow.")
+    Term.(
+      const lock_file_run $ input $ flow_term $ trace_arg $ out_arg $ bs_arg)
+
+(* ---------------- attack ---------------- *)
+
+(* The bytes a daemon attack job returns: one verdict type, one budget
+   record, any registered attack by name. *)
+let attack_run spec =
+  match SJ.attack_output spec with
+  | Error d -> die d
+  | Ok out -> print_string out
+
+let attack_cmd =
+  Cmd.v
+    (Cmd.info "attack"
+       ~doc:"Run one registered attack on a SheLL-redacted benchmark.")
+    Term.(const attack_run $ attack_term)
+
+(* ---------------- battery ---------------- *)
+
+let battery_run spec json list_attacks =
+  if list_attacks then
+    List.iter
+      (fun (a : A.Attack.t) ->
+        Printf.printf "%-11s %-12s %s\n" a.A.Attack.name
+          (String.concat ","
+             (List.map A.Attack.capability_name a.A.Attack.capabilities))
+          a.A.Attack.description)
+      A.Battery.all
+  else
+    match SJ.battery_matrix spec with
+    | Error d -> die d
+    | Ok m ->
+        if json then print_string (SJ.battery_render_json m)
+        else Format.printf "%a@." A.Battery.pp_matrix m
+
+let battery_cmd =
   let json =
     Arg.(
       value & flag
@@ -414,16 +416,13 @@ let battery_cmd =
          "Run the whole attack battery over locked variants of the bundled \
           benchmarks and print the per-scheme x per-attack resilience \
           matrix.")
-    Term.(
-      const battery_run $ benches $ schemes $ attacks $ jobs $ seed_arg
-      $ dips_arg $ conflicts_arg $ seconds_arg $ vectors_arg $ json
-      $ metrics_arg $ list_attacks)
+    Term.(const battery_run $ battery_term $ json $ list_attacks)
 
 (* ---------------- stats ---------------- *)
 
-let stats_run bench style route lgc seed attack =
+let stats_run spec attack =
   Obs.set_enabled true;
-  match SJ.lock_flow (lock_spec bench style route lgc seed) with
+  match SJ.lock_flow spec with
   | Error d -> die d
   | Ok r ->
       if attack then begin
@@ -436,7 +435,7 @@ let stats_run bench style route lgc seed attack =
                 ~cycle_blocks:r.C.Flow.emitted.F.Emit.cycle_blocks
                 ~original:r.C.Flow.cut.C.Extraction.sub lk))
       end;
-      Printf.printf "span tree for `lock -b %s`%s:\n" bench
+      Printf.printf "span tree for `lock -b %s`%s:\n" spec.SP.bench
         (if attack then " + attack" else "");
       Obs.pp_spans Format.std_formatter (Obs.spans ());
       print_newline ();
@@ -454,15 +453,12 @@ let stats_cmd =
        ~doc:
          "Run the lock flow with telemetry on and print the hierarchical \
           span tree plus all metrics (Prometheus text format).")
-    Term.(
-      const stats_run $ bench_arg $ style_arg $ route_arg $ lgc_arg $ seed_arg
-      $ attack)
+    Term.(const stats_run $ lock_term $ attack)
 
 (* ---------------- fuzz ---------------- *)
 
-let fuzz_run metrics seed cases jobs oracle_names self_test no_shrink dir
+let fuzz_run (spec : SP.fuzz_spec) oracle_names self_test no_shrink dir
     list_oracles =
-  with_metrics metrics @@ fun () ->
   if list_oracles then
     List.iter
       (fun (o : Fz.Oracles.t) ->
@@ -480,8 +476,9 @@ let fuzz_run metrics seed cases jobs oracle_names self_test no_shrink dir
               | None -> dief "unknown oracle %S (try --list-oracles)" nm)
             names
     in
+    let seed = spec.SP.fz_seed and cases = spec.SP.cases in
     if self_test then begin
-      let stats = Fz.Runner.self_test ?jobs ~oracles ~seed ~cases () in
+      let stats = Fz.Runner.self_test ~oracles ~seed ~cases () in
       Fz.Runner.pp_self_test Format.std_formatter stats;
       if not (Fz.Runner.self_test_ok stats) then begin
         prerr_endline "self-test failed: some oracle is blind to its fault class";
@@ -490,7 +487,7 @@ let fuzz_run metrics seed cases jobs oracle_names self_test no_shrink dir
     end
     else begin
       let report =
-        Fz.Runner.run ?jobs ~oracles ~shrink:(not no_shrink) ?out_dir:dir ~seed
+        Fz.Runner.run ~oracles ~shrink:(not no_shrink) ?out_dir:dir ~seed
           ~cases ()
       in
       Fz.Runner.pp_report Format.std_formatter report;
@@ -499,21 +496,6 @@ let fuzz_run metrics seed cases jobs oracle_names self_test no_shrink dir
   end
 
 let fuzz_cmd =
-  let cases =
-    Arg.(
-      value & opt int 200
-      & info [ "n"; "cases" ] ~docv:"N"
-          ~doc:"Number of random cases to generate.")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains (default: SHELL_JOBS or the core count). The \
-             report is byte-identical for any value.")
-  in
   let oracle =
     Arg.(
       value & opt_all string []
@@ -552,17 +534,16 @@ let fuzz_cmd =
           (sim vs SAT, passes vs Equiv, lock/unlock, emit round-trips). \
           Deterministic in --seed; exits 1 on any failure.")
     Term.(
-      const fuzz_run $ metrics_arg $ seed_arg $ cases $ jobs $ oracle
-      $ self_test $ no_shrink $ dir $ list_oracles)
+      const fuzz_run $ fuzz_term $ oracle $ self_test $ no_shrink $ dir
+      $ list_oracles)
 
 (* ---------------- lint ---------------- *)
 
 module Lint = Shell_lint.Lint
 module Rules = Shell_lint.Rules
 
-let lint_run metrics benches files locked style seed jobs json_out severity
-    baseline update_baseline list_rules =
-  with_metrics metrics @@ fun () ->
+let lint_run (spec : SP.lint_spec) files json_out severity baseline
+    update_baseline list_rules =
   if list_rules then
     List.iter
       (fun (r : Lint.rule) ->
@@ -585,15 +566,10 @@ let lint_run metrics benches files locked style seed jobs json_out severity
           | Error m -> dief "%s" m)
       | _ -> []
     in
-    if benches = [] && files = [] then
+    if spec.SP.lint_benches = [] && files = [] then
       dief "nothing to lint: pass -b BENCH and/or -i FILE";
     let bench_subjects =
-      List.map
-        (fun b ->
-          match SJ.lint_subject_of_bench ~locked ~style ~seed b with
-          | Ok subject -> subject
-          | Error d -> die d)
-        benches
+      match SJ.lint_subjects spec with Ok s -> s | Error d -> die d
     in
     let file_subjects =
       List.map
@@ -606,7 +582,7 @@ let lint_run metrics benches files locked style seed jobs json_out severity
     in
     let reports =
       List.map
-        (Lint.run ?jobs ~severity ~baseline:base_fps ~rules:Rules.all)
+        (Lint.run ~severity ~baseline:base_fps ~rules:Rules.all)
         (bench_subjects @ file_subjects)
     in
     (match (baseline, update_baseline) with
@@ -653,35 +629,11 @@ let lint_run metrics benches files locked style seed jobs json_out severity
   end
 
 let lint_cmd =
-  let benches =
-    Arg.(
-      value & opt_all string []
-      & info [ "b"; "benchmark" ] ~docv:"NAME"
-          ~doc:"Lint a bundled benchmark (repeatable).")
-  in
   let files =
     Arg.(
       value & opt_all string []
       & info [ "i"; "input" ] ~docv:"FILE"
           ~doc:"Lint a structural netlist file (repeatable).")
-  in
-  let locked =
-    Arg.(
-      value & flag
-      & info [ "locked" ]
-          ~doc:
-            "Run the SheLL flow on each benchmark first and lint the locked \
-             result with its fabric, bitstream and selection artifacts \
-             (activates the security and fabric rule packs).")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains for the rule fan-out (default: SHELL_JOBS or the \
-             core count). Output is byte-identical for any value.")
   in
   let json =
     Arg.(
@@ -723,16 +675,15 @@ let lint_cmd =
           well-formedness, the paper's locking invariants and \
           fabric/bitstream accounting. Exits 1 on unsuppressed errors.")
     Term.(
-      const lint_run $ metrics_arg $ benches $ files $ locked $ style_arg
-      $ seed_arg $ jobs $ json $ severity $ baseline $ update_baseline
-      $ list_rules)
+      const lint_run $ lint_term $ files $ json $ severity $ baseline
+      $ update_baseline $ list_rules)
 
 (* ---------------- bench ---------------- *)
 
 module BH = Shell_bench_history
 
-let bench_run targets jobs history record check report allowlist
-    time_tolerance commit against list_targets =
+let bench_run targets history record check report commit against
+    list_targets =
   if list_targets then
     List.iter
       (fun (t : BH.Targets.t) ->
@@ -742,13 +693,10 @@ let bench_run targets jobs history record check report allowlist
     let opts =
       {
         BH.Runner.targets;
-        jobs;
         history;
         record;
         check;
         report;
-        allowlist;
-        time_tolerance;
         commit;
         against;
       }
@@ -767,15 +715,6 @@ let bench_cmd =
           ~doc:
             "Bench target to run (repeatable; default all). See \
              --list-targets.")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains (default: SHELL_JOBS or the core count). The \
-             stable part of every record is byte-identical for any value.")
   in
   let history =
     Arg.(
@@ -807,25 +746,6 @@ let bench_cmd =
           ~doc:
             "Write a self-contained HTML trend page over the history to \
              $(docv).")
-  in
-  let allowlist =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "allowlist" ] ~docv:"FILE"
-          ~doc:
-            "Intentional-change patterns, one per line: $(i,key) or \
-             $(i,target:key), trailing * wildcard, # comments.")
-  in
-  let time_tolerance =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "time-tolerance" ] ~docv:"FRAC"
-          ~doc:
-            "Also flag per-bench wall times drifting beyond the \
-             $(docv)-relative band (e.g. 0.5 = +-50%). Off by default: \
-             times are machine noise; counters are the gate.")
   in
   let commit =
     Arg.(
@@ -859,8 +779,8 @@ let bench_cmd =
           history: --record appends, --check gates on stable-counter drift, \
           --report renders the HTML trend page.")
     Term.(
-      const bench_run $ targets $ jobs $ history $ record $ check
-      $ report $ allowlist $ time_tolerance $ commit $ against $ list_targets)
+      const bench_run $ targets $ history $ record $ check $ report $ commit
+      $ against $ list_targets)
 
 (* ---------------- serve ---------------- *)
 
@@ -999,129 +919,27 @@ let client_submit socket priority job =
   | Ok _ -> dief "unexpected response type from daemon"
   | Error m -> dief "%s" m
 
-let client_lock_cmd =
-  let run socket priority bench style route lgc seed =
-    client_submit socket priority
-      (SP.Lock (lock_spec bench style route lgc seed))
-  in
-  Cmd.v
-    (Cmd.info "lock" ~doc:"Submit a lock job to the daemon.")
-    Term.(
-      const run $ socket_arg $ priority_arg $ bench_arg $ style_arg
-      $ route_arg $ lgc_arg $ seed_arg)
+let client_job_cmd name ~doc job =
+  Cmd.v (Cmd.info name ~doc)
+    Term.(const client_submit $ socket_arg $ priority_arg $ job)
 
-let client_attack_cmd =
-  let run socket priority bench style route lgc seed attack dips conflicts
-      seconds vectors =
-    client_submit socket priority
-      (SP.Attack
-         {
-           SP.target = lock_spec bench style route lgc seed;
-           attack;
-           dips;
-           conflicts;
-           seconds;
-           vectors;
-         })
-  in
-  let attack_name_arg =
-    Arg.(
-      value & opt string "sat"
-      & info [ "a"; "attack" ] ~docv:"NAME" ~doc:"Registered attack to run.")
-  in
-  Cmd.v
-    (Cmd.info "attack" ~doc:"Submit an attack job to the daemon.")
-    Term.(
-      const run $ socket_arg $ priority_arg $ bench_arg $ style_arg
-      $ route_arg $ lgc_arg $ seed_arg $ attack_name_arg $ dips_arg
-      $ conflicts_arg $ seconds_arg $ vectors_arg)
-
-let client_battery_cmd =
-  let run socket priority benches schemes attacks seed dips conflicts seconds
-      vectors =
-    client_submit socket priority
-      (SP.Battery
-         {
-           SP.benches;
-           schemes;
-           attacks;
-           bt_seed = seed;
-           bt_dips = dips;
-           bt_conflicts = conflicts;
-           bt_seconds = seconds;
-           bt_vectors = vectors;
-         })
-  in
-  let benches =
-    Arg.(
-      value & opt_all string []
-      & info [ "b"; "benchmark" ] ~docv:"NAME"
-          ~doc:"Benchmark to lock and attack (repeatable).")
-  in
-  let schemes =
-    Arg.(
-      value
-      & opt_all string [ "xor:8"; "mux:8" ]
-      & info [ "scheme" ] ~docv:"SPEC"
-          ~doc:"Locking scheme spec (repeatable; default xor:8 and mux:8).")
-  in
-  let attacks =
-    Arg.(
-      value & opt_all string []
-      & info [ "a"; "attack" ] ~docv:"NAME"
-          ~doc:"Restrict to one registered attack (repeatable; default all).")
-  in
-  Cmd.v
-    (Cmd.info "battery"
-       ~doc:
-         "Submit a battery job to the daemon (response is the JSON matrix, \
-          byte-identical to `shell battery --json`).")
-    Term.(
-      const run $ socket_arg $ priority_arg $ benches $ schemes $ attacks
-      $ seed_arg $ dips_arg $ conflicts_arg $ seconds_arg $ vectors_arg)
-
-let client_fuzz_cmd =
-  let run socket priority seed cases =
-    client_submit socket priority (SP.Fuzz { SP.fz_seed = seed; cases })
-  in
-  let cases =
-    Arg.(
-      value & opt int 200
-      & info [ "n"; "cases" ] ~docv:"N" ~doc:"Number of random cases.")
-  in
-  Cmd.v
-    (Cmd.info "fuzz"
-       ~doc:"Submit a fuzz campaign to the daemon (no shrinking).")
-    Term.(const run $ socket_arg $ priority_arg $ seed_arg $ cases)
-
-let client_lint_cmd =
-  let run socket priority benches locked style seed =
-    client_submit socket priority
-      (SP.Lint
-         {
-           SP.lint_benches = benches;
-           locked;
-           lint_style = SJ.style_id style;
-           lint_seed = seed;
-         })
-  in
-  let benches =
-    Arg.(
-      value & opt_all string []
-      & info [ "b"; "benchmark" ] ~docv:"NAME"
-          ~doc:"Lint a bundled benchmark (repeatable).")
-  in
-  let locked =
-    Arg.(
-      value & flag
-      & info [ "locked" ] ~doc:"Run the SheLL flow first; lint the result.")
-  in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:"Submit a lint job to the daemon (JSON report).")
-    Term.(
-      const run $ socket_arg $ priority_arg $ benches $ locked $ style_arg
-      $ seed_arg)
+let client_job_cmds =
+  [
+    client_job_cmd "lock" ~doc:"Submit a lock job to the daemon."
+      Term.(const (fun s -> SP.Lock s) $ lock_term);
+    client_job_cmd "attack" ~doc:"Submit an attack job to the daemon."
+      Term.(const (fun a -> SP.Attack a) $ attack_term);
+    client_job_cmd "battery"
+      ~doc:
+        "Submit a battery job to the daemon (response is the JSON matrix, \
+         byte-identical to `shell battery --json`)."
+      Term.(const (fun b -> SP.Battery b) $ battery_term);
+    client_job_cmd "fuzz"
+      ~doc:"Submit a fuzz campaign to the daemon (no shrinking)."
+      Term.(const (fun f -> SP.Fuzz f) $ fuzz_term);
+    client_job_cmd "lint" ~doc:"Submit a lint job to the daemon (JSON report)."
+      Term.(const (fun l -> SP.Lint l) $ lint_term);
+  ]
 
 let client_status_cmd =
   let run socket =
@@ -1176,25 +994,40 @@ let client_cmd =
          "Talk to a running `shell serve` daemon: submit jobs (stdout is \
           byte-identical to the direct subcommand) or query \
           status/metrics.")
-    [
-      client_lock_cmd;
-      client_attack_cmd;
-      client_battery_cmd;
-      client_fuzz_cmd;
-      client_lint_cmd;
-      client_status_cmd;
-      client_metrics_cmd;
-      client_ping_cmd;
-      client_shutdown_cmd;
-    ]
+    (client_job_cmds
+    @ [
+        client_status_cmd;
+        client_metrics_cmd;
+        client_ping_cmd;
+        client_shutdown_cmd;
+      ])
 
 (* ---------------- main ---------------- *)
+
+(* The process settings: each has this one way in, no flag. *)
+let envs =
+  [
+    Cmd.Env.info "SHELL_JOBS"
+      ~doc:
+        "Worker domains for every parallel fan-out (default: the core \
+         count). Output is byte-identical for any value.";
+    Cmd.Env.info "SHELL_METRICS"
+      ~doc:
+        "Turn telemetry on and write a metrics snapshot to this file at \
+         exit: Prometheus text for a .prom suffix, JSON otherwise.";
+    Cmd.Env.info "SHELL_METRICS_STABLE"
+      ~doc:
+        "1 restricts the SHELL_METRICS snapshot to the metrics that are \
+         byte-identical at any SHELL_JOBS.";
+    Cmd.Env.info "SHELL_PASS_CACHE"
+      ~doc:"0 turns the pipeline's pass cache off (same output either way).";
+  ]
 
 let () =
   let doc = "SheLL: shrinking eFPGA fabrics for logic locking (DATE 2023)" in
   exit
     (Cmd.eval
-       (Cmd.group (Cmd.info "shell" ~version:"1.0.0" ~doc)
+       (Cmd.group (Cmd.info "shell" ~version:"1.0.0" ~doc ~envs)
           [
             list_cmd;
             analyze_cmd;

@@ -1,86 +1,23 @@
 module Diag = Shell_util.Diag
 
-type change = {
-  key : string;
-  baseline : int option;
-  current : int option;
-  allowed : bool;
-}
-
-type time_drift = {
-  bench : string;
-  baseline_s : float;
-  current_s : float;
-  ratio : float;
-}
+type change = { key : string; baseline : int option; current : int option }
 
 type report = {
   target : string;
   baseline_commit : string;
   counters : change list;
   spans : change list;
-  times : time_drift list;
 }
 
 type Diag.payload += Perf_drift of report
-
-(* -------- allowlist -------- *)
-
-let allowlist_of_string text =
-  String.split_on_char '\n' text
-  |> List.filter_map (fun line ->
-         let line =
-           match String.index_opt line '#' with
-           | Some i -> String.sub line 0 i
-           | None -> line
-         in
-         let line = String.trim line in
-         if line = "" then None else Some line)
-
-let load_allowlist path =
-  match open_in path with
-  | exception Sys_error e -> Error (Printf.sprintf "allowlist: %s" e)
-  | ic ->
-      (* line loop, not [in_channel_length]: the path may be a pipe *)
-      let buf = Buffer.create 256 in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          (try
-             while true do
-               Buffer.add_string buf (input_line ic);
-               Buffer.add_char buf '\n'
-             done
-           with End_of_file -> ());
-          Ok (allowlist_of_string (Buffer.contents buf)))
-
-let key_matches pat key =
-  if String.length pat > 0 && pat.[String.length pat - 1] = '*' then
-    let prefix = String.sub pat 0 (String.length pat - 1) in
-    String.length key >= String.length prefix
-    && String.sub key 0 (String.length prefix) = prefix
-  else pat = key
-
-let allows patterns ~target key =
-  List.exists
-    (fun pat ->
-      match String.index_opt pat ':' with
-      | Some i ->
-          let t = String.sub pat 0 i in
-          let p = String.sub pat (i + 1) (String.length pat - i - 1) in
-          t = target && key_matches p key
-      | None -> key_matches pat key)
-    patterns
 
 (* -------- diff -------- *)
 
 (* Both sides are name-sorted; a merge walk yields every key that
    differs, in key order. *)
-let diff_assoc allow ~target base cur =
+let diff_assoc base cur =
   let rec go acc base cur =
-    let change key b c =
-      { key; baseline = b; current = c; allowed = allows allow ~target key }
-    in
+    let change key baseline current = { key; baseline; current } in
     match (base, cur) with
     | [], [] -> List.rev acc
     | (k, v) :: btl, [] -> go (change k (Some v) None :: acc) btl []
@@ -96,34 +33,15 @@ let diff_assoc allow ~target base cur =
   in
   go [] base cur
 
-let diff ?(allow = []) ?time_tolerance ~baseline (r : Record.t) =
-  let target = r.Record.target in
-  let counters =
-    diff_assoc allow ~target baseline.Record.counters r.Record.counters
-  in
-  let spans = diff_assoc allow ~target baseline.Record.spans r.Record.spans in
-  let times =
-    match time_tolerance with
-    | None -> []
-    | Some tol ->
-        List.filter_map
-          (fun (bench, current_s) ->
-            match List.assoc_opt bench baseline.Record.times with
-            | None -> None
-            | Some baseline_s when baseline_s <= 0.0 -> None
-            | Some baseline_s ->
-                let ratio = current_s /. baseline_s in
-                if ratio > 1.0 +. tol || ratio < 1.0 /. (1.0 +. tol) then
-                  Some { bench; baseline_s; current_s; ratio }
-                else None)
-          r.Record.times
-  in
-  { target; baseline_commit = baseline.Record.commit; counters; spans; times }
+let diff ~baseline (r : Record.t) =
+  {
+    target = r.Record.target;
+    baseline_commit = baseline.Record.commit;
+    counters = diff_assoc baseline.Record.counters r.Record.counters;
+    spans = diff_assoc baseline.Record.spans r.Record.spans;
+  }
 
-let unallowed changes = List.filter (fun c -> not c.allowed) changes
-
-let ok r =
-  unallowed r.counters = [] && unallowed r.spans = [] && r.times = []
+let ok r = r.counters = [] && r.spans = []
 
 (* -------- rendering -------- *)
 
@@ -134,9 +52,8 @@ let pp_value ppf = function
 let pp_changes ppf what changes =
   List.iter
     (fun c ->
-      Format.fprintf ppf "  %s %-44s %a -> %a%s@," what c.key pp_value
-        c.baseline pp_value c.current
-        (if c.allowed then "   (allowed)" else ""))
+      Format.fprintf ppf "  %s %-44s %a -> %a@," what c.key pp_value
+        c.baseline pp_value c.current)
     changes
 
 let pp ppf r =
@@ -145,18 +62,11 @@ let pp ppf r =
     r.baseline_commit;
   pp_changes ppf "counter" r.counters;
   pp_changes ppf "span   " r.spans;
-  List.iter
-    (fun d ->
-      Format.fprintf ppf "  time    %-44s %.3fs -> %.3fs (x%.2f)@," d.bench
-        d.baseline_s d.current_s d.ratio)
-    r.times;
   Format.pp_close_box ppf ()
 
 let summary r =
-  let nc = List.length (unallowed r.counters) in
-  let ns = List.length (unallowed r.spans) in
-  let nt = List.length r.times in
-  Printf.sprintf "%d counter, %d span, %d wall-time drift(s)" nc ns nt
+  Printf.sprintf "%d counter, %d span drift(s)" (List.length r.counters)
+    (List.length r.spans)
 
 let to_diag r =
   Diag.make ~context:[ "bench"; r.target ] ~payload:(Perf_drift r)

@@ -4,22 +4,14 @@
     Stable counters and span aggregates must match {e exactly} — they
     are deterministic by the Obs contract, so any drift is a real
     behavioural change (more solver conflicts, a lost cache hit, an
-    extra pass), not noise. Intentional changes ride in through an
-    allowlist file; wall times, which are machine noise, are only
-    checked when an explicit tolerance band is given. *)
+    extra pass), not noise. An intentional change is declared by
+    re-recording the history in the same change. Wall times, which are
+    machine noise, are informational and never compared. *)
 
 type change = {
   key : string;
   baseline : int option;  (** [None]: key absent from the baseline *)
   current : int option;  (** [None]: key vanished *)
-  allowed : bool;
-}
-
-type time_drift = {
-  bench : string;
-  baseline_s : float;
-  current_s : float;
-  ratio : float;  (** current / baseline *)
 }
 
 type report = {
@@ -27,40 +19,20 @@ type report = {
   baseline_commit : string;
   counters : change list;  (** counter keys that differ *)
   spans : change list;  (** span-aggregate keys that differ *)
-  times : time_drift list;  (** outside the tolerance band, if any *)
 }
 
 type Shell_util.Diag.payload += Perf_drift of report
 (** Attached to the diagnostic a failing [--check] raises; a printer
     is registered at module load. *)
 
-val allowlist_of_string : string -> string list
-(** Parse allowlist text: one pattern per line, [#] comments and blank
-    lines skipped. A pattern is [key] (any target) or [target:key]; a
-    trailing [*] matches any suffix. *)
-
-val load_allowlist : string -> (string list, string) result
-(** {!allowlist_of_string} on a file; missing file is an error. *)
-
-val allows : string list -> target:string -> string -> bool
-(** Does any pattern cover counter/span [key] of [target]? *)
-
-val diff :
-  ?allow:string list ->
-  ?time_tolerance:float ->
-  baseline:Record.t ->
-  Record.t ->
-  report
-(** Compare the stable parts key by key. [time_tolerance] (e.g. [0.5]
-    for +-50%) enables wall-time checking of benches present in both
-    records; omitted, times are ignored. *)
+val diff : baseline:Record.t -> Record.t -> report
+(** Compare the stable parts key by key. *)
 
 val ok : report -> bool
-(** No unallowed counter/span change and no time drift. *)
+(** No counter or span change. *)
 
 val to_diag : report -> Shell_util.Diag.t
 (** A [Perf_drift]-carrying diagnostic summarizing the report. *)
 
 val pp : Format.formatter -> report -> unit
-(** Human-readable drift table ([old -> new] per key, allowed changes
-    annotated). *)
+(** Human-readable drift table ([old -> new] per key). *)

@@ -130,13 +130,10 @@ let run_target ?commit ~jobs (t : Targets.t) =
 
 type opts = {
   targets : string list;
-  jobs : int option;
   history : string option;
   record : bool;
   check : bool;
   report : string option;
-  allowlist : string option;
-  time_tolerance : float option;
   commit : string option;
   against : string option;
 }
@@ -144,13 +141,10 @@ type opts = {
 let default_opts =
   {
     targets = [];
-    jobs = None;
     history = None;
     record = false;
     check = false;
     report = None;
-    allowlist = None;
-    time_tolerance = None;
     commit = None;
     against = None;
   }
@@ -178,23 +172,11 @@ let resolve_targets names =
 
 let execute ?(out = print_endline) opts =
   let* targets = resolve_targets opts.targets in
-  let jobs =
-    match opts.jobs with
-    | Some j -> j
-    | None -> Shell_util.Pool.default_jobs ()
-  in
+  let jobs = Shell_util.Pool.default_jobs () in
   let history_path =
     match opts.history with
     | Some p -> p
     | None -> "BENCH_HISTORY.jsonl"
-  in
-  let* allow =
-    match opts.allowlist with
-    | None -> Ok []
-    | Some path ->
-        Result.map_error
-          (fun e -> [ Diag.make ~context:[ "bench" ] e ])
-          (Check.load_allowlist path)
   in
   let* committed =
     Result.map_error
@@ -263,10 +245,7 @@ let execute ?(out = print_endline) opts =
                    r.Record.target history_path);
               None
           | Some baseline ->
-              let rep =
-                Check.diff ~allow ?time_tolerance:opts.time_tolerance
-                  ~baseline r
-              in
+              let rep = Check.diff ~baseline r in
               if Check.ok rep then begin
                 out
                   (Printf.sprintf "check %s: clean vs %s" r.Record.target

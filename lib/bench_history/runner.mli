@@ -2,7 +2,9 @@
     {!Targets.t} with Obs enabled from a clean slate, snapshot the
     diffable counters and span aggregate, stamp the commit id, and
     orchestrate [--record] / [--check] / [--report]
-    against the JSONL history. *)
+    against the JSONL history. {!execute} runs every target at
+    {!Shell_util.Pool.default_jobs} ([SHELL_JOBS] or the core count);
+    the stable part of a record is the same at any job count. *)
 
 val commit_id : unit -> string
 (** [SHELL_BENCH_COMMIT] when set; otherwise the current git HEAD
@@ -36,13 +38,10 @@ val run_target : ?commit:string -> jobs:int -> Targets.t -> Record.t
 
 type opts = {
   targets : string list;  (** empty = every registered target *)
-  jobs : int option;  (** default {!Shell_util.Pool.default_jobs} *)
   history : string option;  (** default [BENCH_HISTORY.jsonl] in the cwd *)
   record : bool;  (** append the new records to the history *)
   check : bool;  (** diff against the last committed record per target *)
   report : string option;  (** write the HTML trend page here *)
-  allowlist : string option;  (** intentional-change patterns file *)
-  time_tolerance : float option;  (** e.g. [0.5] = +-50%; off if absent *)
   commit : string option;  (** override {!commit_id} *)
   against : string option;
       (** [--check] baseline selector: [Some "merge-base"] diffs

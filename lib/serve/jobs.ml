@@ -190,7 +190,7 @@ let attack_output (a : P.attack_spec) =
 
 (* ---------------- battery ---------------- *)
 
-let battery_matrix ?jobs (b : P.battery_spec) =
+let battery_matrix (b : P.battery_spec) =
   let* attacks =
     match b.P.attacks with
     | [] -> Ok A.Battery.all
@@ -231,13 +231,13 @@ let battery_matrix ?jobs (b : P.battery_spec) =
       A.Attack.budget ~max_dips:b.P.bt_dips ~max_conflicts:b.P.bt_conflicts
         ~time_limit:b.P.bt_seconds ~vectors:b.P.bt_vectors ()
     in
-    Ok (A.Battery.run ?jobs ~attacks ~budget subjects)
+    Ok (A.Battery.run ~attacks ~budget subjects)
   end
 
 let battery_render_json m = J.to_string ~indent:2 (A.Battery.matrix_json m) ^ "\n"
 
-let battery_output ?jobs b =
-  let* m = battery_matrix ?jobs b in
+let battery_output b =
+  let* m = battery_matrix b in
   Ok (battery_render_json m)
 
 (* ---------------- fuzz ---------------- *)
@@ -245,9 +245,9 @@ let battery_output ?jobs b =
 (* Daemon fuzzing reports without shrinking or reproducer files: a
    shared long-lived process shouldn't write minimized Verilog into
    its own working directory on behalf of a remote client. *)
-let fuzz_output ?jobs (f : P.fuzz_spec) =
+let fuzz_output (f : P.fuzz_spec) =
   let report =
-    Fz.Runner.run ?jobs ~oracles:Fz.Oracles.all ~shrink:false ~seed:f.P.fz_seed
+    Fz.Runner.run ~oracles:Fz.Oracles.all ~shrink:false ~seed:f.P.fz_seed
       ~cases:f.P.cases ()
   in
   Ok (Format.asprintf "%a" Fz.Runner.pp_report report)
@@ -271,32 +271,33 @@ let lint_subject_of_bench ~locked ~style ~seed bench =
     | exception Diag.Error d -> Error d
   else Ok (Lint.subject nl)
 
-let lint_output ?jobs (l : P.lint_spec) =
+let lint_subjects (l : P.lint_spec) =
   let* style = style_of_string l.P.lint_style in
-  if l.P.lint_benches = [] then errf "nothing to lint: pass -b BENCH"
+  let* subjects =
+    List.fold_left
+      (fun acc b ->
+        let* acc = acc in
+        let* subject =
+          lint_subject_of_bench ~locked:l.P.locked ~style ~seed:l.P.lint_seed b
+        in
+        Ok (subject :: acc))
+      (Ok []) l.P.lint_benches
+  in
+  Ok (List.rev subjects)
+
+let lint_output l =
+  let* subjects = lint_subjects l in
+  if subjects = [] then errf "nothing to lint: pass -b BENCH"
   else
-    let* subjects =
-      List.fold_left
-        (fun acc b ->
-          let* acc = acc in
-          let* subject =
-            lint_subject_of_bench ~locked:l.P.locked ~style ~seed:l.P.lint_seed
-              b
-          in
-          Ok (subject :: acc))
-        (Ok []) l.P.lint_benches
-    in
-    let reports =
-      List.map (Lint.run ?jobs ~rules:Rules.all) (List.rev subjects)
-    in
+    let reports = List.map (Lint.run ~rules:Rules.all) subjects in
     Ok (J.to_string ~indent:2 (Lint.reports_json reports) ^ "\n")
 
 (* ---------------- dispatch ---------------- *)
 
-let run ?jobs (job : P.job) : (string, Diag.t) result =
+let run (job : P.job) : (string, Diag.t) result =
   match job with
   | P.Lock s -> lock_output s
   | P.Attack a -> attack_output a
-  | P.Battery b -> battery_output ?jobs b
-  | P.Fuzz f -> fuzz_output ?jobs f
-  | P.Lint l -> lint_output ?jobs l
+  | P.Battery b -> battery_output b
+  | P.Fuzz f -> fuzz_output f
+  | P.Lint l -> lint_output l

@@ -54,7 +54,6 @@ val attack_output :
 (** The `shell attack` stdout bytes: banner + verdict. *)
 
 val battery_matrix :
-  ?jobs:int ->
   Protocol.battery_spec ->
   (A.Battery.matrix, Shell_util.Diag.t) result
 
@@ -62,10 +61,10 @@ val battery_render_json : A.Battery.matrix -> string
 (** The `shell battery --json` stdout bytes. *)
 
 val battery_output :
-  ?jobs:int -> Protocol.battery_spec -> (string, Shell_util.Diag.t) result
+  Protocol.battery_spec -> (string, Shell_util.Diag.t) result
 
 val fuzz_output :
-  ?jobs:int -> Protocol.fuzz_spec -> (string, Shell_util.Diag.t) result
+  Protocol.fuzz_spec -> (string, Shell_util.Diag.t) result
 (** Full oracle battery, no shrinking, no reproducer files (a shared
     daemon shouldn't write into its working directory for a remote
     client). *)
@@ -74,20 +73,17 @@ val lint_subject_of_result : C.Flow.result -> Shell_lint.Lint.subject
 (** The subject the pipeline's lint pass checks, artifacts included
     ({!Shell_core.Pipeline.lint_subject}). *)
 
-val lint_subject_of_bench :
-  locked:bool ->
-  style:F.Style.t ->
-  seed:int ->
-  string ->
-  (Shell_lint.Lint.subject, Shell_util.Diag.t) result
-(** What `lint -b BENCH` checks: the bundled netlist, or with [locked]
-    the SheLL flow's result on it under [style] and [seed]
-    ({!lint_subject_of_result}). *)
+val lint_subjects :
+  Protocol.lint_spec -> (Shell_lint.Lint.subject list, Shell_util.Diag.t) result
+(** What `lint -b BENCH...` checks, one subject per benchmark in order:
+    the bundled netlist, or with [locked] the SheLL flow's result on it
+    under the spec's style and seed ({!lint_subject_of_result}). The
+    first failure wins. Both lint front ends call this. *)
 
 val lint_output :
-  ?jobs:int -> Protocol.lint_spec -> (string, Shell_util.Diag.t) result
+  Protocol.lint_spec -> (string, Shell_util.Diag.t) result
 (** JSON lint report over bundled benchmarks (optionally locked
     first). *)
 
-val run : ?jobs:int -> Protocol.job -> (string, Shell_util.Diag.t) result
+val run : Protocol.job -> (string, Shell_util.Diag.t) result
 (** Dispatch any protocol job to its executor. *)

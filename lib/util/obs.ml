@@ -437,12 +437,9 @@ let reset () =
   List.iter (fun m -> Array.iter (fun c -> Atomic.set c 0) m.cells) ms;
   ignore (take_spans ())
 
-(* ---------------- env gates ---------------- *)
+(* ---------------- env gate ---------------- *)
 
 let () =
-  (match Sys.getenv_opt "SHELL_OBS" with
-  | Some ("1" | "true") -> set_enabled true
-  | _ -> ());
   match Sys.getenv_opt "SHELL_METRICS" with
   | Some path when path <> "" ->
       set_enabled true;

@@ -21,11 +21,11 @@
 
     {b Cost.} Collection is disabled by default; every recording
     entry point is a single atomic-flag load and branch when disabled
-    (no allocation, no time syscalls). Enable with {!set_enabled},
-    [SHELL_OBS=1], or [SHELL_METRICS=FILE] (which additionally writes
+    (no allocation, no time syscalls). Enable with {!set_enabled}, or
+    for a whole process with [SHELL_METRICS=FILE], which also writes
     a snapshot at process exit: Prometheus text when [FILE] ends in
     [.prom], JSON otherwise; [SHELL_METRICS_STABLE=1] restricts it to
-    stable metrics). *)
+    stable metrics. *)
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit

@@ -177,17 +177,16 @@ let seq_mapi f arr =
   end
 
 (* Counted on every path (sequential, parallel, nested) so the totals
-   match at any job count. [iter_chunks] counts its logical element
-   count, not its piece count — the piece count is a function of the
-   job count and would break snapshot byte-identity. *)
+   match at any job count. *)
 let count_batch n =
   if n > 0 then begin
     Obs.incr m_batches;
     Obs.add m_tasks n
   end
 
-let mapi_uncounted ?jobs f arr =
+let mapi ?jobs f arr =
   let n = Array.length arr in
+  count_batch n;
   let jobs = resolve jobs in
   (* Lend the caller's open span to every task — wrapped before the
      path split so the span tree has the same shape on the sequential
@@ -212,32 +211,9 @@ let mapi_uncounted ?jobs f arr =
     Array.map (function Some v -> v | None -> assert false) out
   end
 
-let mapi ?jobs f arr =
-  count_batch (Array.length arr);
-  mapi_uncounted ?jobs f arr
-
 let map ?jobs f arr = mapi ?jobs (fun _ x -> f x) arr
 
 let map_list ?jobs f l = Array.to_list (map ?jobs f (Array.of_list l))
-
-let map_reduce ?jobs ~map:f ~reduce ~init arr =
-  Array.fold_left reduce init (map ?jobs f arr)
-
-let iter_chunks ?jobs ?chunk f n =
-  if n > 0 then begin
-    count_batch n;
-    let jobs = resolve jobs in
-    let chunk =
-      match chunk with
-      | Some c when c >= 1 -> c
-      | Some _ | None -> max 1 (n / (4 * jobs))
-    in
-    let pieces = (n + chunk - 1) / chunk in
-    let bounds =
-      Array.init pieces (fun k -> (k * chunk, min n ((k + 1) * chunk)))
-    in
-    ignore (mapi_uncounted ~jobs (fun _ (lo, hi) -> f lo hi) bounds)
-  end
 
 let task_rng ~seed i =
   (* decorrelate nearby (seed, i) pairs before seeding splitmix *)

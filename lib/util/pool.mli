@@ -7,9 +7,6 @@
 
     - results are collected into the output by input index, never by
       completion order;
-    - reductions ([map_reduce]) run sequentially on the caller in input
-      order once all mapped values exist, so floating-point sums are
-      bit-identical to the sequential fold;
     - stochastic tasks derive their randomness from {!task_rng}, which
       seeds from the task index alone;
     - if several tasks raise, the exception of the {e lowest} task
@@ -43,23 +40,6 @@ val mapi : ?jobs:int -> (int -> 'a -> 'b) -> 'a array -> 'b array
 
 val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** List counterpart of [map] (input order preserved). *)
-
-val map_reduce :
-  ?jobs:int ->
-  map:('a -> 'b) ->
-  reduce:('acc -> 'b -> 'acc) ->
-  init:'acc ->
-  'a array ->
-  'acc
-(** Parallel map, then a sequential left fold over the mapped values in
-    input order — the reduction order is fixed, so non-associative
-    reductions (floats!) match the sequential run exactly. *)
-
-val iter_chunks : ?jobs:int -> ?chunk:int -> (int -> int -> unit) -> int -> unit
-(** [iter_chunks f n] partitions [0, n) into contiguous chunks and
-    calls [f lo hi] (half-open) for each, in parallel. [chunk] defaults
-    to [max 1 (n / (4 * jobs))]. The [f] calls must write to disjoint
-    state (e.g. distinct array slices). *)
 
 val count_batch : int -> unit
 (** Record [n] tasks (one batch, when [n > 0]) in the pool's stable

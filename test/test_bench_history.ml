@@ -1,7 +1,7 @@
 (* Tests for the bench-history subsystem: record round-trips, the
    runner's stable-part byte-identity across job counts and runs,
-   drift detection (with allowlist and time-tolerance), history file
-   round-trips and the HTML trend report. *)
+   drift detection, history file round-trips and the HTML trend
+   report. *)
 
 module BH = Shell_bench_history
 module Record = BH.Record
@@ -165,57 +165,6 @@ let test_check_catches_perturbation () =
     | Check.Perf_drift _ -> true
     | _ -> false)
 
-let test_check_allowlist () =
-  let baseline = sample_record () in
-  let r = sample_record () in
-  let perturbed =
-    {
-      r with
-      Record.counters =
-        List.map
-          (fun (k, v) -> if k = "beta" then (k, v + 5) else (k, v))
-          r.Record.counters;
-    }
-  in
-  let try_allow allow =
-    Check.ok (Check.diff ~allow ~baseline perturbed)
-  in
-  Alcotest.(check bool) "exact key" true (try_allow [ "beta" ]);
-  Alcotest.(check bool) "wildcard" true (try_allow [ "be*" ]);
-  Alcotest.(check bool) "target-scoped" true (try_allow [ "t:beta" ]);
-  Alcotest.(check bool) "other target does not allow" false
-    (try_allow [ "other:beta" ]);
-  Alcotest.(check bool) "unrelated key does not allow" false
-    (try_allow [ "alpha" ]);
-  (* allowed changes are still reported, just flagged *)
-  let rep = Check.diff ~allow:[ "beta" ] ~baseline perturbed in
-  (match rep.Check.counters with
-  | [ c ] -> Alcotest.(check bool) "flagged allowed" true c.Check.allowed
-  | _ -> Alcotest.fail "change should still be listed");
-  (* parser: comments, blanks, inline # *)
-  let pats =
-    Check.allowlist_of_string "# header\n\n  beta  # why\nt:gam*\n"
-  in
-  Alcotest.(check (list string)) "parsed" [ "beta"; "t:gam*" ] pats
-
-let test_check_time_tolerance () =
-  let baseline = sample_record () in
-  let r = sample_record () in
-  let slow =
-    { r with Record.times = [ ("a", 1.2); ("b", 1.25) ] }
-  in
-  (* times ignored without an explicit tolerance *)
-  Alcotest.(check bool) "no tolerance: ignored" true
-    (Check.ok (Check.diff ~baseline slow));
-  (* a: 0.5 -> 1.2 is x2.4, outside +-100% *)
-  let rep = Check.diff ~time_tolerance:1.0 ~baseline slow in
-  Alcotest.(check bool) "outside band flagged" false (Check.ok rep);
-  (match rep.Check.times with
-  | [ d ] -> Alcotest.(check string) "right bench" "a" d.Check.bench
-  | _ -> Alcotest.fail "expected one time drift");
-  Alcotest.(check bool) "inside a wide band" true
-    (Check.ok (Check.diff ~time_tolerance:2.0 ~baseline slow))
-
 (* ---- history file ---- *)
 
 let test_history_roundtrip () =
@@ -287,7 +236,6 @@ let test_execute_record_check () =
     {
       Runner.default_opts with
       Runner.targets = [ "simulate" ];
-      jobs = Some 2;
       history = Some history;
       record = target;
       check = not target;
@@ -352,7 +300,6 @@ let test_check_against () =
     {
       Runner.default_opts with
       Runner.targets = [ "simulate" ];
-      jobs = Some 2;
       history = Some history;
       check = true;
     }
@@ -446,9 +393,6 @@ let suite =
       test_runner_stable_identity;
     Alcotest.test_case "check catches counter perturbation" `Quick
       test_check_catches_perturbation;
-    Alcotest.test_case "check allowlist" `Quick test_check_allowlist;
-    Alcotest.test_case "check time tolerance" `Quick
-      test_check_time_tolerance;
     Alcotest.test_case "history round-trip" `Quick test_history_roundtrip;
     Alcotest.test_case "report html" `Quick test_report_html;
     Alcotest.test_case "execute record+check+report" `Quick

@@ -78,7 +78,6 @@ let stable_snapshot jobs =
   let o = C.Flow.run_staged (C.Flow.shell_config ()) (Lazy.force fir) in
   Alcotest.(check bool) "flow succeeds" true (o.C.Pipeline.failed = None);
   ignore (Pool.map (fun x -> x * x) (Array.init 64 Fun.id));
-  Pool.iter_chunks (fun _ _ -> ()) 1000;
   Obs.to_json ~stable_only:true (Obs.snapshot ())
 
 let test_stable_snapshot_byte_identical () =

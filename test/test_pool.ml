@@ -1,7 +1,7 @@
 (* Tests for Shell_util.Pool: the deterministic contract (index-ordered
-   collection, fixed reduction order, lowest-index exception), and the
-   parallel == sequential guarantees of the call sites that ride on it
-   (betweenness, Explore.search). *)
+   collection, lowest-index exception), and the parallel == sequential
+   guarantees of the call sites that ride on it (betweenness,
+   Explore.search). *)
 
 module Pool = Shell_util.Pool
 module Rng = Shell_util.Rng
@@ -49,40 +49,6 @@ let test_map_list_order () =
         (Pool.map_list ~jobs (fun x -> x * 2) input))
     job_counts
 
-let test_map_reduce_fixed_order () =
-  (* string concatenation is not commutative: any out-of-order
-     reduction changes the result *)
-  let input = Array.init 40 (fun i -> i) in
-  let expect =
-    Array.fold_left (fun acc x -> acc ^ string_of_int x ^ ";") "" input
-  in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check string)
-        (Printf.sprintf "jobs=%d" jobs)
-        expect
-        (Pool.map_reduce ~jobs
-           ~map:(fun x -> string_of_int x ^ ";")
-           ~reduce:( ^ ) ~init:"" input))
-    job_counts
-
-let test_map_reduce_float_bitexact () =
-  (* float addition is non-associative; the fixed reduction order must
-     reproduce the sequential sum bit for bit *)
-  let rng = Rng.create 99 in
-  let input = Array.init 101 (fun _ -> Rng.float rng 1.0 -. 0.5) in
-  let expect = Array.fold_left ( +. ) 0.0 input in
-  List.iter
-    (fun jobs ->
-      let got =
-        Pool.map_reduce ~jobs ~map:Fun.id ~reduce:( +. ) ~init:0.0 input
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "jobs=%d bit-exact" jobs)
-        true
-        (Int64.equal (Int64.bits_of_float expect) (Int64.bits_of_float got)))
-    job_counts
-
 let test_lowest_index_exception () =
   let input = Array.init 64 (fun i -> i) in
   List.iter
@@ -99,24 +65,6 @@ let test_lowest_index_exception () =
       Alcotest.(check (option int))
         (Printf.sprintf "jobs=%d lowest raiser" jobs)
         (Some 2) raised)
-    job_counts
-
-let test_iter_chunks_covers () =
-  let n = 237 in
-  List.iter
-    (fun jobs ->
-      let hits = Array.make n 0 in
-      (* chunks are disjoint, so these writes never race *)
-      Pool.iter_chunks ~jobs ~chunk:10
-        (fun lo hi ->
-          for i = lo to hi - 1 do
-            hits.(i) <- hits.(i) + 1
-          done)
-        n;
-      Alcotest.(check bool)
-        (Printf.sprintf "jobs=%d each index once" jobs)
-        true
-        (Array.for_all (fun c -> c = 1) hits))
     job_counts
 
 let test_task_rng_stable () =
@@ -203,14 +151,8 @@ let suite =
       test_map_matches_sequential;
     Alcotest.test_case "mapi passes indices" `Quick test_mapi_indices;
     Alcotest.test_case "map_list keeps order" `Quick test_map_list_order;
-    Alcotest.test_case "map_reduce fixed order" `Quick
-      test_map_reduce_fixed_order;
-    Alcotest.test_case "map_reduce float bit-exact" `Quick
-      test_map_reduce_float_bitexact;
     Alcotest.test_case "lowest-index exception wins" `Quick
       test_lowest_index_exception;
-    Alcotest.test_case "iter_chunks covers range once" `Quick
-      test_iter_chunks_covers;
     Alcotest.test_case "task_rng stable per (seed,index)" `Quick
       test_task_rng_stable;
     Alcotest.test_case "nested map falls back sequentially" `Quick

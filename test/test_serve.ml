@@ -268,14 +268,19 @@ let test_lint_subject_of_result () =
        (Shell_lint.Lint.run ~rules:Shell_lint.Rules.all
           (Jobs.lint_subject_of_result r)))
 
-(* The one per-bench subject function both lint front ends call turns
-   an unknown benchmark into a typed error, locked or not. *)
+(* The one subject builder both lint front ends call turns an unknown
+   benchmark into a typed error, locked or not. *)
 let test_lint_subject_of_bench () =
   List.iter
     (fun locked ->
       match
-        Jobs.lint_subject_of_bench ~locked
-          ~style:Shell_fabric.Style.Fabulous_muxchain ~seed:0 "NoSuchBench"
+        Jobs.lint_subjects
+          {
+            P.lint_benches = [ "FIR"; "NoSuchBench" ];
+            locked;
+            lint_style = "muxchain";
+            lint_seed = 0;
+          }
       with
       | Error d ->
           Alcotest.(check bool) "names the bench" true

@@ -4,7 +4,7 @@
      shell list
      shell analyze   -b PicoSoC
      shell lock      -b PicoSoC [-s style] [--route PAT]... [--lgc PAT]...
-                     [-o locked.v] [--bitstream bits.hex] [--trace]
+                     [-o locked.v] [--bitstream key.bits] [--trace]
      shell lock-file -i design.v --route PAT ... (structural dialect)
      shell attack    -b PicoSoC [-a NAME] [--dips N] [--conflicts N]
                      [--seconds S] [--vectors N]
@@ -280,21 +280,21 @@ let write_locked out (r : C.Flow.result) =
       close_out oc;
       Printf.printf "locked design written to %s\n" path
 
+(* both lock commands write the versioned format [Bitstream.load] reads *)
+let write_bitstream out (r : C.Flow.result) =
+  match out with
+  | None -> ()
+  | Some path ->
+      F.Bitstream.save r.C.Flow.emitted.F.Emit.bitstream path;
+      Printf.printf "bitstream written to %s\n" path
+
 let lock_run spec trace out bitstream_out =
   match traced trace (fun () -> SJ.lock_flow spec) with
   | Error d -> die d
   | Ok r ->
       print_string (SJ.lock_render r);
       write_locked out r;
-      (match bitstream_out with
-      | None -> ()
-      | Some path ->
-          let oc = open_out path in
-          output_string oc
-            (F.Bitstream.to_hex r.C.Flow.emitted.F.Emit.bitstream);
-          output_string oc "\n";
-          close_out oc;
-          Printf.printf "bitstream written to %s\n" path)
+      write_bitstream bitstream_out r
 
 let trace_arg =
   let doc =
@@ -309,16 +309,20 @@ let out_arg =
     & opt (some string) None
     & info [ "o"; "output" ] ~doc:"Write the locked design (netlist dialect).")
 
+let bitstream_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "bitstream" ] ~docv:"FILE"
+        ~doc:
+          "Write the correct bitstream in the versioned format (a \
+           $(b,shell-bitstream 1) header, one line per segment, then the \
+           bits in hex).")
+
 let lock_cmd =
-  let bs_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "bitstream" ] ~doc:"Write the correct bitstream (hex).")
-  in
   Cmd.v
     (Cmd.info "lock" ~doc:"Redact a benchmark with the SheLL flow.")
-    Term.(const lock_run $ lock_term $ trace_arg $ out_arg $ bs_arg)
+    Term.(const lock_run $ lock_term $ trace_arg $ out_arg $ bitstream_arg)
 
 (* ---------------- lock-file ---------------- *)
 
@@ -335,14 +339,10 @@ let lock_file_run input spec_of trace out bitstream_out =
     (N.Netlist.num_cells nl);
   match traced trace (fun () -> SJ.lock_netlist spec nl) with
   | Error d -> die d
-  | Ok r -> (
+  | Ok r ->
       print_string (SJ.lock_render r);
       write_locked out r;
-      match bitstream_out with
-      | None -> ()
-      | Some path ->
-          F.Bitstream.save r.C.Flow.emitted.F.Emit.bitstream path;
-          Printf.printf "bitstream written to %s\n" path)
+      write_bitstream bitstream_out r
 
 let lock_file_cmd =
   let input =
@@ -351,17 +351,12 @@ let lock_file_cmd =
       & opt (some string) None
       & info [ "i"; "input" ] ~doc:"Structural netlist file (library dialect).")
   in
-  let bs_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "bitstream" ] ~doc:"Write the bitstream (versioned format).")
-  in
   Cmd.v
     (Cmd.info "lock-file"
        ~doc:"Redact an external structural netlist with the SheLL flow.")
     Term.(
-      const lock_file_run $ input $ flow_term $ trace_arg $ out_arg $ bs_arg)
+      const lock_file_run $ input $ flow_term $ trace_arg $ out_arg
+      $ bitstream_arg)
 
 (* ---------------- attack ---------------- *)
 

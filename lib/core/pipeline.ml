@@ -318,17 +318,8 @@ let the pass = function
 let count_feedthroughs original (cut : Extraction.cut) route_origins =
   let member = Hashtbl.create 64 in
   List.iter (fun ci -> Hashtbl.replace member ci ()) cut.Extraction.cells;
-  let origin_matches pats (c : Cell.t) =
-    List.exists
-      (fun pat ->
-        let s = c.Cell.origin and m = String.length pat in
-        let n = String.length s in
-        let rec go i = i + m <= n && (String.sub s i m = pat || go (i + 1)) in
-        m > 0 && go 0)
-      pats
-  in
   let family ci =
-    if origin_matches route_origins (Netlist.cell original ci) then `Route
+    if Cell.origin_matches route_origins (Netlist.cell original ci) then `Route
     else `Lgc
   in
   (* family of each boundary-output driver / boundary-input reader *)

@@ -15,15 +15,6 @@ type mapped = {
   ffs : int;
 }
 
-let origin_matches origins (c : Cell.t) =
-  List.exists
-    (fun pat ->
-      let s = c.Cell.origin and m = String.length pat in
-      let n = String.length s in
-      let rec go i = i + m <= n && (String.sub s i m = pat || go (i + 1)) in
-      m > 0 && go 0)
-    origins
-
 let count nl p = Netlist.count_kind nl p
 
 let run ~style ~route_origins sub =
@@ -31,7 +22,7 @@ let run ~style ~route_origins sub =
   let simplified = Opt.simplify sub in
   let mapped_nl, lut_stats, chain_stages =
     if p.Style.supports_chain && route_origins <> [] then begin
-      let is_route = origin_matches route_origins in
+      let is_route = Cell.origin_matches route_origins in
       let packed, chain_stats =
         Mux_chain.map ~should_pack:is_route simplified
       in

@@ -26,6 +26,22 @@ let make ~n ~edges =
     num_edges = !count;
   }
 
+let of_succs succs =
+  let n = Array.length succs in
+  let indeg = Array.make n 0 in
+  Array.iter (Array.iter (fun v -> indeg.(v) <- indeg.(v) + 1)) succs;
+  let preds = Array.map (fun d -> Array.make d 0) indeg in
+  let fill = Array.make n 0 in
+  Array.iteri
+    (fun u vs ->
+      Array.iter
+        (fun v ->
+          preds.(v).(fill.(v)) <- u;
+          fill.(v) <- fill.(v) + 1)
+        vs)
+    succs;
+  { n; succs; preds; num_edges = Array.fold_left ( + ) 0 indeg }
+
 let n t = t.n
 let num_edges t = t.num_edges
 let succs t u = t.succs.(u)

@@ -5,6 +5,12 @@ type t
 val make : n:int -> edges:(int * int) list -> t
 (** Duplicate edges are kept once; self-loops are allowed. *)
 
+val of_succs : int array array -> t
+(** [of_succs succs]: node [u]'s successors are [succs.(u)], taken as
+    given (the array is shared, not copied). The caller guarantees that
+    each array is duplicate-free and in range; self-loops are allowed.
+    Builds no edge list and no dedup table. *)
+
 val n : t -> int
 val num_edges : t -> int
 val succs : t -> int -> int array

@@ -79,7 +79,16 @@ let eval_cell ?(config_through = false) values (c : Cell.t) =
       let r = residual_table tt vals in
       (match Truthtab.is_const r with Some b -> of_bool b | None -> Unknown)
 
-let const_values ?(pins = []) ?(config_through = false) nl =
+type order = { cells : int array; acyclic : bool }
+
+let order nl =
+  match N.topo_order nl with
+  | o -> { cells = o; acyclic = true }
+  | exception Failure _ ->
+      { cells = Array.init (N.num_cells nl) Fun.id; acyclic = false }
+
+let const_values ?(pins = []) ?(config_through = false) ?order:o nl =
+  let o = match o with Some o -> o | None -> order nl in
   let n = N.num_nets nl in
   let values = Array.make (max n 1) Unknown in
   List.iter
@@ -97,17 +106,11 @@ let const_values ?(pins = []) ?(config_through = false) nl =
         end
         else false
   in
-  let order, acyclic =
-    match N.topo_order nl with
-    | o -> (o, true)
-    | exception Failure _ ->
-        (Array.init (Array.length cells) (fun i -> i), false)
-  in
-  if acyclic && not config_through then
+  if o.acyclic && not config_through then
     (* one sweep suffices when the combinational part is acyclic:
        sequential cells come last in the order, and their outputs stay
        Unknown anyway *)
-    Array.iter (fun ci -> ignore (eval_into ci)) order
+    Array.iter (fun ci -> ignore (eval_into ci)) o.cells
   else begin
     (* cyclic, or facts flowing through Config_latch (which the topo
        order places after its readers): bounded monotone fixpoint —
@@ -118,7 +121,7 @@ let const_values ?(pins = []) ?(config_through = false) nl =
     while !changed && !rounds < 64 do
       changed := false;
       incr rounds;
-      Array.iter (fun ci -> if eval_into ci then changed := true) order
+      Array.iter (fun ci -> if eval_into ci then changed := true) o.cells
     done
   end;
   values
@@ -185,8 +188,8 @@ let fanin_nets ?values nl targets =
 
 type cones = { values : value array; reach : bool array; live : bool array }
 
-let output_cones nl =
-  let values = const_values nl in
+let output_cones ?order nl =
+  let values = const_values ?order nl in
   let outs = Array.to_list (N.output_nets nl) in
   { values; reach = fanin_nets nl outs; live = fanin_nets ~values nl outs }
 
@@ -210,36 +213,77 @@ let key_fates ?cones nl =
       (nm, net, fate))
     (N.keys nl)
 
-let cell_edges nl ~keep =
-  let cells = N.cells nl in
-  let edges = ref [] in
-  Array.iteri
-    (fun i c ->
-      if keep c then
-        Array.iter
-          (fun net ->
-            match N.driver nl net with
-            | Some j when keep cells.(j) -> edges := (j, i) :: !edges
-            | _ -> ())
-          c.Cell.ins)
-    cells;
-  Digraph.make ~n:(Array.length cells) ~edges:!edges
+type cycles = { comb : int list list; mux : int list list }
 
-let nontrivial_sccs g =
-  Digraph.sccs g
-  |> List.filter_map (fun scc ->
-         match scc with
-         | [ v ] -> if Digraph.has_edge g v v then Some [ v ] else None
-         | _ -> Some (List.sort compare scc))
-  |> List.sort (fun a b -> compare (List.hd a) (List.hd b))
+(* no input position before [p], from [k] on, reads [ins.(p)]'s net *)
+let rec first_read ins p k =
+  k = p || (ins.(k) <> ins.(p) && first_read ins p (k + 1))
 
-let comb_graph nl =
-  cell_edges nl ~keep:(fun c -> not (Cell.is_sequential c.Cell.kind))
+let is_mux (c : Cell.t) =
+  match c.Cell.kind with Cell.Mux2 | Cell.Mux4 -> true | _ -> false
 
-let comb_sccs nl = nontrivial_sccs (comb_graph nl)
-
-let mux_sccs nl =
-  let is_mux c =
-    match c.Cell.kind with Cell.Mux2 | Cell.Mux4 -> true | _ -> false
-  in
-  nontrivial_sccs (cell_edges nl ~keep:is_mux)
+let cycles ~order nl =
+  if order.acyclic then { comb = []; mux = [] }
+  else begin
+    let cells = N.cells nl in
+    let ncells = Array.length cells in
+    let comb i = not (Cell.is_sequential cells.(i).Cell.kind) in
+    let driver = Array.make (max (N.num_nets nl) 1) (-1) in
+    (* the last driver of a net wins, as in [N.driver] and
+       [N.topo_order] *)
+    Array.iteri (fun i (c : Cell.t) -> driver.(c.Cell.out) <- i) cells;
+    (* edge j -> i when combinational cell i reads combinational cell
+       j's output; an input net repeated at two positions of i is one
+       edge *)
+    let each_edge f =
+      for i = 0 to ncells - 1 do
+        if comb i then begin
+          let ins = cells.(i).Cell.ins in
+          for p = 0 to Array.length ins - 1 do
+            let j = driver.(ins.(p)) in
+            if j >= 0 && comb j && first_read ins p 0 then f j i
+          done
+        end
+      done
+    in
+    (* count the successors, then place them *)
+    let deg = Array.make ncells 0 in
+    each_edge (fun j _ -> deg.(j) <- deg.(j) + 1);
+    let succs = Array.map (fun d -> Array.make d 0) deg in
+    Array.fill deg 0 ncells 0;
+    each_edge (fun j i ->
+        succs.(j).(deg.(j)) <- i;
+        deg.(j) <- deg.(j) + 1);
+    (* non-trivial SCCs (size > 1, or a self-loop), each sorted
+       ascending, in ascending order of their smallest member *)
+    let nontrivial g =
+      Digraph.sccs g
+      |> List.filter_map (fun scc ->
+             match scc with
+             | [ v ] -> if Digraph.has_edge g v v then Some [ v ] else None
+             | _ -> Some (List.sort Int.compare scc))
+      |> List.sort (fun a b -> Int.compare (List.hd a) (List.hd b))
+    in
+    let comb_sccs = nontrivial (Digraph.of_succs succs) in
+    (* a MUX cycle is a combinational cycle, so the MUX-only subgraph
+       only needs the MUX cells on one; with none there is no second
+       graph at all *)
+    let on_cycle = Array.make ncells false in
+    List.iter
+      (List.iter (fun i -> if is_mux cells.(i) then on_cycle.(i) <- true))
+      comb_sccs;
+    let mux_sccs =
+      if not (Array.exists Fun.id on_cycle) then []
+      else
+        nontrivial
+          (Digraph.of_succs
+             (Array.mapi
+                (fun j vs ->
+                  if on_cycle.(j) then
+                    Array.of_list
+                      (List.filter (fun i -> on_cycle.(i)) (Array.to_list vs))
+                  else [||])
+                succs))
+    in
+    { comb = comb_sccs; mux = mux_sccs }
+  end

@@ -14,10 +14,12 @@
       nets, unselected mux arms and LUT inputs the residual table does
       not depend on. A key bit inside the structural cone but outside
       the functional one is constant-blocked.
-    - {b cycle detection} ({!comb_sccs}, {!mux_sccs}): Tarjan SCCs over
-      the cell graph, either the full combinational part or the
-      MUX-only subgraph (the paper's non-cyclic ROUTE-chain
-      invariant). *)
+    - {b cycle detection} ({!cycles}): Tarjan SCCs over the cell graph,
+      both the full combinational part and the MUX-only subgraph (the
+      paper's non-cyclic ROUTE-chain invariant).
+
+    Each takes the netlist's one {!order} (its [N.topo_order]) so that a
+    caller running several analyses computes it once. *)
 
 type value = Zero | One | Unknown
 
@@ -31,9 +33,22 @@ val residual_table :
     functional cone walk, the ODC masking rules and the taint
     propagation. *)
 
+(** The evaluation order of a netlist's cells. *)
+type order = {
+  cells : int array;
+      (** {!Shell_netlist.Netlist.topo_order}, or index order when the
+          combinational part is cyclic *)
+  acyclic : bool;  (** the topological order exists *)
+}
+
+val order : Shell_netlist.Netlist.t -> order
+(** One [N.topo_order] call. Every function below taking an optional
+    [?order] computes it when absent. *)
+
 val const_values :
   ?pins:(int * bool) list ->
   ?config_through:bool ->
+  ?order:order ->
   Shell_netlist.Netlist.t ->
   value array
 (** Per-net constant facts, indexed by net id. Ports are [Unknown].
@@ -81,7 +96,7 @@ type cones = {
   live : bool array;  (** nets in the {e functional} cone (constant cuts) *)
 }
 
-val output_cones : Shell_netlist.Netlist.t -> cones
+val output_cones : ?order:order -> Shell_netlist.Netlist.t -> cones
 (** {!const_values} plus {!fanin_nets} (structural and functional) over
     the primary outputs. *)
 
@@ -104,16 +119,25 @@ val key_fates :
     function: any value unlocks it (the structural attack's "free"
     bits, and what the [key-dead]/[key-blocked] lint rules report). *)
 
-val comb_graph : Shell_netlist.Netlist.t -> Shell_graph.Digraph.t
-(** Cell-level dependency graph over combinational cells only: edge
-    [j -> i] when cell [j]'s output feeds cell [i] and neither is
-    sequential. Nodes are cell indices. *)
+(** {1 Cycles} *)
 
-val comb_sccs : Shell_netlist.Netlist.t -> int list list
-(** Non-trivial strongly connected components (size > 1, or a
-    self-loop) of {!comb_graph}, each sorted ascending, in ascending
-    order of their smallest member. Combinational cycles. *)
+type cycles = {
+  comb : int list list;
+      (** non-trivial SCCs (size > 1, or a self-loop) of the
+          combinational cell graph: edge [j -> i] when cell [j]'s output
+          feeds cell [i] and neither is sequential *)
+  mux : int list list;
+      (** the same, restricted to edges between [Mux2]/[Mux4] cells
+          through any input (select or data): cyclic MUX chains *)
+}
+(** Nodes are cell indices; each SCC is sorted ascending, and the lists
+    are in ascending order of their smallest member. *)
 
-val mux_sccs : Shell_netlist.Netlist.t -> int list list
-(** Same, restricted to edges between [Mux2]/[Mux4] cells through any
-    input (select or data): cyclic MUX chains. *)
+val cycles : order:order -> Shell_netlist.Netlist.t -> cycles
+(** Both SCC lists, given the netlist's {!order}. An acyclic [order]
+    proves both empty, and no graph is built. Otherwise the
+    combinational graph is built once from the driver table (the last
+    driver of a multi-driven net, as in [N.topo_order]) and handed to
+    {!Shell_graph.Digraph.sccs}; the MUX-only graph is its restriction
+    to the MUX cells on a combinational cycle, built only when there
+    are any. *)

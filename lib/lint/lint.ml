@@ -69,19 +69,45 @@ type finding = {
 
 type ctx = {
   subj : subject;
+  order : Dataflow.order;
+  invalid : (N.invalid * string) list;
   values : Dataflow.value array;
   reach : bool array;
   live : bool array;
+  masked : int array;
   odc : Odc.t;
   taint : Taint.t;
+  cycles : Dataflow.cycles;
 }
 
+(* Everything is built here, before the rules fan out over the pool: a
+   lazy field forced from two domains at once would raise. *)
 let make_ctx subj =
-  let c = Dataflow.output_cones subj.netlist in
-  let odc = Odc.analyze ~values:c.Dataflow.values subj.netlist in
-  let taint = Taint.analyze ~values:c.Dataflow.values subj.netlist in
-  { subj; values = c.Dataflow.values; reach = c.Dataflow.reach;
-    live = c.Dataflow.live; odc; taint }
+  let nl = subj.netlist in
+  let order = Dataflow.order nl in
+  let invalid =
+    List.filter_map
+      (fun d ->
+        match d.Diag.payload with
+        | N.Invalid iv -> Some (iv, d.Diag.message)
+        | _ -> None)
+      (N.validate_all nl)
+  in
+  let c = Dataflow.output_cones ~order nl in
+  let values = c.Dataflow.values in
+  let masked = Odc.masks values nl in
+  {
+    subj;
+    order;
+    invalid;
+    values;
+    reach = c.Dataflow.reach;
+    live = c.Dataflow.live;
+    masked;
+    odc = Odc.analyze ~values ~masked nl;
+    taint = Taint.analyze ~order ~values ~masked nl;
+    cycles = Dataflow.cycles ~order nl;
+  }
 
 type rule = {
   name : string;

@@ -76,21 +76,36 @@ type finding = {
   message : string;
 }
 
-(** Everything a rule may consult, precomputed once per subject. *)
+(** Everything a rule may consult, precomputed once per subject: each
+    analysis below runs once, however many rules read it. *)
 type ctx = {
   subj : subject;
+  order : Dataflow.order;
+      (** the netlist's one [N.topo_order], shared by the constant
+          facts, taint and the [scope-leak] rule's SCOPE scores *)
+  invalid : (Shell_netlist.Netlist.invalid * string) list;
+      (** the one [N.validate_all], with each defect's message; read by
+          [port-invalid], [net-multi-driven] and [net-undriven] *)
   values : Dataflow.value array;  (** forward constant facts per net *)
   reach : bool array;
       (** nets in the {e structural} fanin cone of the outputs *)
   live : bool array;
       (** nets in the {e functional} cone (constant-aware cuts) *)
+  masked : int array;
+      (** per cell, the bitmask of its masked input positions
+          ({!Odc.masks}), shared by ODC and taint *)
   odc : Odc.t;
       (** backward observability: which nets can still reach an output *)
   taint : Taint.t;
       (** forward key influence: which key bits reach which nets *)
+  cycles : Dataflow.cycles;
+      (** combinational and MUX-chain SCCs, read by [comb-cycle] and
+          [mux-chain-cycle]; empty without a graph when [order] is
+          acyclic *)
 }
 
 val make_ctx : subject -> ctx
+(** Built eagerly, before the rules fan out over the pool. *)
 
 type rule = {
   name : string;

@@ -24,6 +24,25 @@ type t = {
   const_cuts : int;  (** nets cut because they are proven constants *)
 }
 
+(* A LUT's masked inputs, as a bitmask (bit [i] set when input [i] is
+   masked): an input is masked when it is pinned, or when the residual
+   table over the unknown inputs no longer depends on it. One
+   cofactoring serves every input. *)
+let lut_mask values tt ins =
+  let vals = Array.map (fun net -> values.(net)) ins in
+  let r = Dataflow.residual_table tt vals in
+  (* [j]: position of input [i] among the unknown inputs *)
+  let mask = ref 0 and j = ref 0 in
+  Array.iteri
+    (fun i v ->
+      match Dataflow.known v with
+      | Some _ -> mask := !mask lor (1 lsl i)
+      | None ->
+          if not (Truthtab.depends_on r !j) then mask := !mask lor (1 lsl i);
+          incr j)
+    vals;
+  !mask
+
 (* Is the read of input position [i] of cell [c] masked under the
    constant facts? *)
 let input_masked values (c : Cell.t) i =
@@ -72,29 +91,51 @@ let input_masked values (c : Cell.t) i =
           in
           arms_equal || kv i <> None
       | _ -> not (arm_reachable (i - 2)))
-  | Cell.Lut tt ->
-      (* masked when the input is pinned, or the residual table over
-         the unknown inputs no longer depends on it *)
-      let vals = Array.map (fun net -> values.(net)) ins in
-      (match Dataflow.known vals.(i) with
-      | Some _ -> true
-      | None ->
-          let r = Dataflow.residual_table tt vals in
-          (* position of input i among the unknown inputs *)
-          let j = ref 0 in
-          for k = 0 to i - 1 do
-            if Dataflow.known vals.(k) = None then incr j
-          done;
-          not (Truthtab.depends_on r !j))
+  | Cell.Lut tt -> lut_mask values tt ins land (1 lsl i) <> 0
 
-let analyze ?values nl =
+(* [input_masked] for every input of [c] at once, as a bitmask *)
+let cell_mask values (c : Cell.t) =
+  match c.Cell.kind with
+  | Cell.Lut tt -> lut_mask values tt c.Cell.ins
+  | _ ->
+      let mask = ref 0 in
+      for i = 0 to Array.length c.Cell.ins - 1 do
+        if input_masked values c i then mask := !mask lor (1 lsl i)
+      done;
+      !mask
+
+let masks values nl = Array.map (cell_mask values) (N.cells nl)
+
+let analyze ?values ?masked nl =
   let values =
     match values with Some v -> v | None -> Dataflow.const_values nl
   in
+  let masked = match masked with Some m -> m | None -> masks values nl in
   let n = N.num_nets nl in
+  let cells = N.cells nl in
+  let ncells = Array.length cells in
+  (* every driver of every net, ascending, as a CSR table: a multi-driven
+     net passes observability to each of its drivers *)
+  let first = Array.make (n + 1) 0 in
+  Array.iter
+    (fun (c : Cell.t) -> first.(c.Cell.out + 1) <- first.(c.Cell.out + 1) + 1)
+    cells;
+  for net = 1 to n do
+    first.(net) <- first.(net) + first.(net - 1)
+  done;
+  let drivers = Array.make ncells 0 in
+  let fill = Array.sub first 0 (max n 1) in
+  Array.iteri
+    (fun ci (c : Cell.t) ->
+      drivers.(fill.(c.Cell.out)) <- ci;
+      fill.(c.Cell.out) <- fill.(c.Cell.out) + 1)
+    cells;
+  (* observability is the least set holding the non-constant outputs and
+     closed under unmasked reads of observable cells, so a worklist over
+     nets reaches the fixpoint the sweeps did, in any visiting order:
+     each net enters at most once, each driver's inputs are read once *)
   let observable = Array.make (max n 1) false in
-  let masked_reads = ref 0 in
-  let const_cuts = ref 0 in
+  let stack = Array.make (max n 1) 0 and sp = ref 0 in
   (* a proven-constant net carries no toggle: never observable *)
   let mark net =
     if
@@ -103,51 +144,30 @@ let analyze ?values nl =
       && Dataflow.known values.(net) = None
     then begin
       observable.(net) <- true;
-      true
+      stack.(!sp) <- net;
+      incr sp
     end
-    else false
   in
-  Array.iter (fun net -> ignore (mark net)) (N.output_nets nl);
-  let cells = N.cells nl in
-  (* reverse topological order converges in one sweep on acyclic
-     netlists; observability only grows, so sweeping to a fixpoint is
-     a terminating least-fixpoint computation on cyclic ones (and
-     through sequential feedback, where state influence counts) *)
-  let order =
-    match N.topo_order nl with
-    | o ->
-        let m = Array.length o in
-        Array.init m (fun i -> o.(m - 1 - i))
-    | exception Failure _ -> Array.init (Array.length cells) (fun i -> i)
-  in
-  let sweep () =
-    let changed = ref false in
-    Array.iter
-      (fun ci ->
-        let c = cells.(ci) in
-        if observable.(c.Cell.out) then
-          Array.iteri
-            (fun i net ->
-              if (not (input_masked values c i)) && mark net then
-                changed := true)
-            c.Cell.ins)
-      order;
-    !changed
-  in
-  (* no round cap: every sweep that reports a change marked at least
-     one new net, so the loop runs at most [n] sweeps — and on acyclic
-     netlists the reverse topological order converges after the sweeps
-     needed to cross sequential boundaries *)
-  let changed = ref true in
-  while !changed do
-    changed := sweep ()
+  Array.iter mark (N.output_nets nl);
+  while !sp > 0 do
+    decr sp;
+    let net = stack.(!sp) in
+    for d = first.(net) to first.(net + 1) - 1 do
+      let ci = drivers.(d) in
+      let m = masked.(ci) in
+      Array.iteri
+        (fun i inp -> if m land (1 lsl i) = 0 then mark inp)
+        cells.(ci).Cell.ins
+    done
   done;
-  (* diagnostics over the final fixpoint *)
-  Array.iter
-    (fun (c : Cell.t) ->
+  (* diagnostics over the fixpoint *)
+  let masked_reads = ref 0 and const_cuts = ref 0 in
+  Array.iteri
+    (fun ci (c : Cell.t) ->
       if observable.(c.Cell.out) then
         Array.iteri
-          (fun i _ -> if input_masked values c i then incr masked_reads)
+          (fun i _ ->
+            if masked.(ci) land (1 lsl i) <> 0 then incr masked_reads)
           c.Cell.ins)
     cells;
   for net = 0 to n - 1 do

@@ -22,8 +22,12 @@
 
     Proven-constant nets are never observable (they carry no toggle).
     Sequential cells pass observability through (state influence
-    counts), and cyclic netlists converge by a monotone least-fixpoint
-    iteration.
+    counts). The result is the least set closed under these rules,
+    computed by a worklist over nets: a net enters once, when it becomes
+    observable, and then passes observability to the unmasked inputs of
+    {e every} cell driving it (all drivers of a multi-driven net). The
+    cost is one read per input of an observable cell, on cyclic and
+    sequential netlists alike, with no topological order.
 
     Observable implies live: the analysis refines
     {!Dataflow.cones.live} with strictly more cuts. *)
@@ -43,6 +47,18 @@ val input_masked :
     alone can never change [c]'s output. Shared with the key-taint
     propagation, which skips masked reads. *)
 
-val analyze : ?values:Dataflow.value array -> Shell_netlist.Netlist.t -> t
-(** Run the analysis; [~values] defaults to {!Dataflow.const_values}
-    (pass the context's facts to avoid recomputing them). *)
+val masks : Dataflow.value array -> Shell_netlist.Netlist.t -> int array
+(** Per cell index, the bitmask of its masked input positions: bit [i]
+    is set iff [input_masked values c i]. Decided once per (cell, input)
+    pair (a LUT cofactors its table once); the lint context computes it
+    once and shares it between ODC, taint and the [masked_reads]
+    count. *)
+
+val analyze :
+  ?values:Dataflow.value array ->
+  ?masked:int array ->
+  Shell_netlist.Netlist.t ->
+  t
+(** Run the analysis; [~values] defaults to {!Dataflow.const_values} and
+    [~masked] to {!masks} over them (pass the context's to avoid
+    recomputing either). *)

@@ -1,7 +1,6 @@
 module N = Shell_netlist.Netlist
 module Cell = Shell_netlist.Cell
 module Truthtab = Shell_util.Truthtab
-module Diag = Shell_util.Diag
 module Fabric = Shell_fabric.Fabric
 module Bitstream = Shell_fabric.Bitstream
 module Resources = Shell_fabric.Resources
@@ -17,20 +16,13 @@ let rule name pack severity help check =
   in
   r
 
-let invalids ctx =
-  N.validate_all ctx.subj.netlist
-  |> List.filter_map (fun d ->
-         match d.Diag.payload with
-         | N.Invalid iv -> Some (iv, d.Diag.message)
-         | _ -> None)
-
 (* ---------------- structural pack ---------------- *)
 
 let port_invalid =
   rule "port-invalid" Structural Error
     "a port names an out-of-range net or duplicates another port's name"
     (fun r ctx ->
-      invalids ctx
+      ctx.invalid
       |> List.filter_map (fun (iv, msg) ->
              match iv with
              | N.Bad_net_id { port; _ } | N.Duplicate_port { port } ->
@@ -40,7 +32,7 @@ let port_invalid =
 let net_multi_driven =
   rule "net-multi-driven" Structural Error
     "a net is driven by more than one source" (fun r ctx ->
-      invalids ctx
+      ctx.invalid
       |> List.filter_map (fun (iv, msg) ->
              match iv with
              | N.Multiple_drivers { net; _ } ->
@@ -50,7 +42,7 @@ let net_multi_driven =
 let net_undriven =
   rule "net-undriven" Structural Error
     "an output or a cell input reads a floating net" (fun r ctx ->
-      invalids ctx
+      ctx.invalid
       |> List.filter_map (fun (iv, msg) ->
              match iv with
              | N.Undriven_output { port; _ } ->
@@ -68,7 +60,7 @@ let comb_cycle =
   rule "comb-cycle" Structural Error
     "the combinational part contains a cycle (unsynthesizable feedback)"
     (fun r ctx ->
-      Dataflow.comb_sccs ctx.subj.netlist
+      ctx.cycles.Dataflow.comb
       |> List.map (fun scc ->
              finding r
                ~where:(Printf.sprintf "cell:%d" (List.hd scc))
@@ -233,7 +225,7 @@ let scope_leak =
     (fun r ctx ->
       if N.keys ctx.subj.netlist = [] then []
       else
-        Scope.scores ctx.subj.netlist
+        Scope.scores ~order:ctx.order ctx.subj.netlist
         |> List.filter_map (fun (b : Scope.bit_score) ->
                match Scope.guess b with
                | Some g ->
@@ -256,7 +248,7 @@ let mux_chain_cycle =
   rule "mux-chain-cycle" Security Error
     "MUX cells form a cycle, violating the non-cyclic ROUTE-chain mapping"
     (fun r ctx ->
-      Dataflow.mux_sccs ctx.subj.netlist
+      ctx.cycles.Dataflow.mux
       |> List.map (fun scc ->
              finding r
                ~where:(Printf.sprintf "cell:%d" (List.hd scc))
@@ -265,15 +257,6 @@ let mux_chain_cycle =
                (List.length scc)
                (if List.length scc = 1 then "" else "s")
                (pp_cells scc)))
-
-let origin_matches pats (c : Cell.t) =
-  List.exists
-    (fun pat ->
-      let s = c.Cell.origin and m = String.length pat in
-      let n = String.length s in
-      let rec go i = i + m <= n && (String.sub s i m = pat || go (i + 1)) in
-      m > 0 && go 0)
-    pats
 
 let lgc_depth =
   rule "lgc-depth" Security Warn
@@ -286,7 +269,7 @@ let lgc_depth =
           let matching pats =
             let acc = ref [] in
             Array.iteri
-              (fun i c -> if origin_matches pats c then acc := i :: !acc)
+              (fun i c -> if Cell.origin_matches pats c then acc := i :: !acc)
               cells;
             List.rev !acc
           in
@@ -295,20 +278,27 @@ let lgc_depth =
           else begin
             (* BFS over "shares a net" cell adjacency: distance 1 means
                a direct wire between the families, i.e. the paper's
-               depth 0 *)
+               depth 0. Cells are reached in nondecreasing distance, so
+               the first LGC cell reached is the nearest and ends the
+               search *)
             let n = Array.length cells in
+            let is_lgc = Array.make n false in
+            List.iter (fun i -> is_lgc.(i) <- true) lgc;
             let dist = Array.make n max_int in
+            let best = ref max_int in
             let q = Queue.create () in
             List.iter
               (fun i ->
                 dist.(i) <- 0;
+                if is_lgc.(i) then best := 0;
                 Queue.add i q)
               route;
-            while not (Queue.is_empty q) do
+            while !best = max_int && not (Queue.is_empty q) do
               let i = Queue.take q in
               let visit j =
                 if dist.(j) = max_int then begin
                   dist.(j) <- dist.(i) + 1;
+                  if is_lgc.(j) && !best = max_int then best := dist.(j);
                   Queue.add j q
                 end
               in
@@ -320,9 +310,7 @@ let lgc_depth =
                 cells.(i).Cell.ins;
               List.iter visit (N.fanout design cells.(i).Cell.out)
             done;
-            let best =
-              List.fold_left (fun acc j -> min acc dist.(j)) max_int lgc
-            in
+            let best = !best in
             if best = max_int then
               [
                 finding r ~where:"selection:lgc"

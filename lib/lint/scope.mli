@@ -35,5 +35,10 @@ val divergence : bit_score -> int
 val guess : bit_score -> bool option
 (** The less-collapsing value, or [None] on a tie (undecided). *)
 
-val scores : ?config_through:bool -> Shell_netlist.Netlist.t -> bit_score list
-(** Per-bit scores in {!Shell_netlist.Netlist.keys} order. *)
+val scores :
+  ?config_through:bool ->
+  ?order:Dataflow.order ->
+  Shell_netlist.Netlist.t ->
+  bit_score list
+(** Per-bit scores in {!Shell_netlist.Netlist.keys} order; [~order] as
+    in {!Dataflow.const_values}. *)

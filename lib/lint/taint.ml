@@ -4,7 +4,9 @@ module Cell = Shell_netlist.Cell
 (* Forward key-influence taint: per net, the bitset of key bits that
    can still functionally reach it. The lattice is (2^K, union) per
    net; propagation is monotone, so sweeping to the least fixpoint
-   terminates (and handles sequential feedback and cycles).
+   terminates (and handles sequential feedback and cycles), and
+   skipping a cell whose inputs did not grow leaves that fixpoint
+   unchanged.
 
    Refinement over the plain structural cone comes from the constant
    and ODC facts: a proven-constant net carries no influence (its
@@ -47,9 +49,15 @@ let net_taint t net =
 
 let count t net = List.length (net_taint t net)
 
-let analyze ?values nl =
+let analyze ?order ?values ?masked nl =
+  let order = match order with Some o -> o | None -> Dataflow.order nl in
   let values =
-    match values with Some v -> v | None -> Dataflow.const_values nl
+    match values with
+    | Some v -> v
+    | None -> Dataflow.const_values ~order nl
+  in
+  let masked =
+    match masked with Some m -> m | None -> Odc.masks values nl
   in
   let n = N.num_nets nl in
   let keys = N.keys nl in
@@ -59,39 +67,62 @@ let analyze ?values nl =
   let t = { nkeys; w; words } in
   if nkeys = 0 || n = 0 then t
   else begin
+    (* The clock ticks once per cell visit. [grew.(net)]: the tick at
+       which the net's set last grew (0: never, so still empty; 1: a key
+       seed); [seen.(ci)]: the tick of cell [ci]'s last visit. The
+       output of a visited cell already holds the union of its inputs
+       as they were then, so a visit ORs in only the unmasked inputs
+       that grew since, and a cell with none is skipped. The sweeps, and
+       the fixpoint they reach, are the plain sweeps' own; but the first
+       reads only the key fanout cone and later ones only the reads
+       behind a change. *)
+    let clock = ref 1 in
+    let grew = Array.make n 0 in
     List.iteri
       (fun b (_, net) ->
-        if net >= 0 && net < n then
+        if net >= 0 && net < n then begin
           words.((net * w) + bit_word b) <-
-            words.((net * w) + bit_word b) lor bit_mask b)
+            words.((net * w) + bit_word b) lor bit_mask b;
+          grew.(net) <- !clock
+        end)
       keys;
     let cells = N.cells nl in
-    let order =
-      match N.topo_order nl with
-      | o -> o
-      | exception Failure _ -> Array.init (Array.length cells) (fun i -> i)
+    let seen = Array.make (Array.length cells) 0 in
+    let visit ci =
+      let c = cells.(ci) in
+      let out = c.Cell.out and ins = c.Cell.ins in
+      let m = masked.(ci) and since = seen.(ci) in
+      let ticked = ref false and changed = ref false in
+      for i = 0 to Array.length ins - 1 do
+        let net = ins.(i) in
+        if m land (1 lsl i) = 0 && grew.(net) > since then begin
+          if not !ticked then begin
+            incr clock;
+            ticked := true
+          end;
+          for j = 0 to w - 1 do
+            let s = words.((net * w) + j) in
+            let d = words.((out * w) + j) in
+            if s lor d <> d then begin
+              words.((out * w) + j) <- s lor d;
+              grew.(out) <- !clock;
+              changed := true
+            end
+          done
+        end
+      done;
+      if !ticked then seen.(ci) <- !clock;
+      !changed
     in
     let sweep () =
       let changed = ref false in
       Array.iter
         (fun ci ->
-          let c = cells.(ci) in
-          let out = c.Cell.out in
           (* a proven-constant output carries no key influence *)
-          if Dataflow.known values.(out) = None then
-            Array.iteri
-              (fun i net ->
-                if not (Odc.input_masked values c i) then
-                  for j = 0 to w - 1 do
-                    let s = words.((net * w) + j) in
-                    let d = words.((out * w) + j) in
-                    if s lor d <> d then begin
-                      words.((out * w) + j) <- s lor d;
-                      changed := true
-                    end
-                  done)
-              c.Cell.ins)
-        order;
+          match values.(cells.(ci).Cell.out) with
+          | Dataflow.Unknown -> if visit ci then changed := true
+          | Dataflow.Zero | Dataflow.One -> ())
+        order.Dataflow.cells;
       !changed
     in
     (* each sweep that reports a change set at least one new bit, so

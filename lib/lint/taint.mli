@@ -14,8 +14,15 @@
     whose taint set is {e empty} provably does not depend on any key
     bit — its cone is attacker-simulable without the key (the
     [key-taint-collapse] lint rule). Sequential cells pass taint
-    through (state influence counts); cyclic netlists converge by a
-    monotone least-fixpoint iteration. *)
+    through (state influence counts).
+
+    The least fixpoint is reached by sweeps in topological order (index
+    order on cyclic netlists), repeated until one changes nothing. A
+    sweep skips each cell none of whose unmasked inputs grew since the
+    cell's last visit: the first sweep covers only the key fanout cone,
+    later ones only the cells behind a change, and the sweeps end where
+    unskipped ones would. A per-net FIFO worklist loses here: every
+    partial growth re-ORs up to [w] words into each reader. *)
 
 type t = {
   nkeys : int;
@@ -23,9 +30,15 @@ type t = {
   words : int array;  (** net-major bitset matrix, [n * w] *)
 }
 
-val analyze : ?values:Dataflow.value array -> Shell_netlist.Netlist.t -> t
-(** [~values] defaults to {!Dataflow.const_values} (pass the context's
-    facts to avoid recomputing them). *)
+val analyze :
+  ?order:Dataflow.order ->
+  ?values:Dataflow.value array ->
+  ?masked:int array ->
+  Shell_netlist.Netlist.t ->
+  t
+(** [~order] defaults to {!Dataflow.order}, [~values] to
+    {!Dataflow.const_values} and [~masked] to {!Odc.masks} (pass the
+    context's to avoid recomputing them). *)
 
 val tainted : t -> net:int -> bit:int -> bool
 (** Key bit [bit] can still reach [net]. *)

@@ -32,6 +32,20 @@ let is_sequential = function
   | And | Or | Nand | Nor | Xor | Xnor | Not | Buf | Mux2 | Mux4 | Lut _
   | Const _ -> false
 
+(* [pat] occurs in [s] at [i], from its [k]th character on *)
+let rec occurs_at s pat i k =
+  k = String.length pat || (s.[i + k] = pat.[k] && occurs_at s pat i (k + 1))
+
+let rec occurs_from s pat i =
+  i + String.length pat <= String.length s
+  && (occurs_at s pat i 0 || occurs_from s pat (i + 1))
+
+let rec origin_matches pats c =
+  match pats with
+  | [] -> false
+  | pat :: rest ->
+      (pat <> "" && occurs_from c.origin pat 0) || origin_matches rest c
+
 let make ?(origin = "") kind ins out =
   if Array.length ins <> arity kind then
     invalid_arg

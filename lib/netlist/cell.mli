@@ -42,6 +42,11 @@ val arity : kind -> int
 val is_sequential : kind -> bool
 (** [Dff] and [Config_latch]. *)
 
+val origin_matches : string list -> t -> bool
+(** [origin_matches pats c]: some non-empty pattern of [pats] occurs as
+    a substring of [c]'s origin (how ROUTE/LGC origin picks name
+    cells). Allocates nothing. *)
+
 val kind_name : kind -> string
 (** Short stable mnemonic ("and2", "mux2", "lut4:cafe", ...). *)
 

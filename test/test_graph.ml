@@ -20,6 +20,18 @@ let test_duplicate_edges () =
   let g = D.make ~n:2 ~edges:[ (0, 1); (0, 1); (0, 1) ] in
   Alcotest.(check int) "deduplicated" 1 (D.num_edges g)
 
+(* the adjacency-array constructor builds the graph [make] does *)
+let test_of_succs () =
+  let edges = [ (0, 1); (0, 3); (1, 2); (2, 0); (2, 3); (3, 3) ] in
+  let a = D.make ~n:4 ~edges in
+  let b = D.of_succs [| [| 1; 3 |]; [| 2 |]; [| 0; 3 |]; [| 3 |] |] in
+  Alcotest.(check int) "edges" (D.num_edges a) (D.num_edges b);
+  for v = 0 to 3 do
+    Alcotest.(check (array int)) "succs" (D.succs a v) (D.succs b v);
+    Alcotest.(check (array int)) "preds" (D.preds a v) (D.preds b v)
+  done;
+  Alcotest.(check (list (list int))) "sccs" (D.sccs a) (D.sccs b)
+
 let test_bfs () =
   let g = chain () in
   let d = D.bfs_from g [ 0 ] in
@@ -106,6 +118,7 @@ let suite =
   [
     ("degrees", `Quick, test_degrees);
     ("duplicate edges", `Quick, test_duplicate_edges);
+    ("of_succs", `Quick, test_of_succs);
     ("bfs", `Quick, test_bfs);
     ("bfs unreachable", `Quick, test_bfs_unreachable);
     ("coverage", `Quick, test_coverage);

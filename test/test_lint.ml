@@ -289,6 +289,7 @@ module Dataflow = Shell_lint.Dataflow
 module Odc = Shell_lint.Odc
 module Taint = Shell_lint.Taint
 module Simw = Shell_netlist.Simw
+module Digraph = Shell_graph.Digraph
 
 (* Brute-force ground truth: which outputs functionally depend on key
    bit [bit]? Exhaustive over every input vector (packed word-parallel
@@ -410,6 +411,267 @@ let test_odc_taint_vs_simw () =
         odc.Odc.observable.(knet))
     (N.keys m6)
 
+(* ---------------- fixpoints vs the plain sweeps ---------------- *)
+
+(* The sweep versions of ODC and taint the engine replaced: every cell
+   in (reverse) topological order, or index order on cyclic netlists,
+   until a whole sweep changes nothing. The worklist ODC and the
+   skipping taint sweeps must land on exactly their fixpoints. *)
+module Sweep = struct
+  let order nl =
+    match N.topo_order nl with
+    | o -> Some o
+    | exception Failure _ -> None
+
+  let odc values nl =
+    let n = N.num_nets nl in
+    let observable = Array.make (max n 1) false in
+    let masked_reads = ref 0 and const_cuts = ref 0 in
+    let mark net =
+      if
+        net >= 0 && net < n
+        && (not observable.(net))
+        && Dataflow.known values.(net) = None
+      then begin
+        observable.(net) <- true;
+        true
+      end
+      else false
+    in
+    Array.iter (fun net -> ignore (mark net)) (N.output_nets nl);
+    let cells = N.cells nl in
+    let order =
+      match order nl with
+      | Some o ->
+          let m = Array.length o in
+          Array.init m (fun i -> o.(m - 1 - i))
+      | None -> Array.init (Array.length cells) (fun i -> i)
+    in
+    let sweep () =
+      let changed = ref false in
+      Array.iter
+        (fun ci ->
+          let c = cells.(ci) in
+          if observable.(c.Cell.out) then
+            Array.iteri
+              (fun i net ->
+                if (not (Odc.input_masked values c i)) && mark net then
+                  changed := true)
+              c.Cell.ins)
+        order;
+      !changed
+    in
+    while sweep () do
+      ()
+    done;
+    Array.iter
+      (fun (c : Cell.t) ->
+        if observable.(c.Cell.out) then
+          Array.iteri
+            (fun i _ -> if Odc.input_masked values c i then incr masked_reads)
+            c.Cell.ins)
+      cells;
+    for net = 0 to n - 1 do
+      if Dataflow.known values.(net) <> None then incr const_cuts
+    done;
+    { Odc.observable; masked_reads = !masked_reads; const_cuts = !const_cuts }
+
+  let taint values nl =
+    let bpw = Sys.int_size in
+    let n = N.num_nets nl in
+    let keys = N.keys nl in
+    let nkeys = List.length keys in
+    let w = (nkeys + bpw - 1) / bpw in
+    let words = Array.make (max (n * w) 1) 0 in
+    if nkeys > 0 && n > 0 then begin
+      List.iteri
+        (fun b (_, net) ->
+          let j = (net * w) + (b / bpw) in
+          words.(j) <- words.(j) lor (1 lsl (b mod bpw)))
+        keys;
+      let cells = N.cells nl in
+      let order =
+        match order nl with
+        | Some o -> o
+        | None -> Array.init (Array.length cells) (fun i -> i)
+      in
+      let sweep () =
+        let changed = ref false in
+        Array.iter
+          (fun ci ->
+            let c = cells.(ci) in
+            let out = c.Cell.out in
+            if Dataflow.known values.(out) = None then
+              Array.iteri
+                (fun i net ->
+                  if not (Odc.input_masked values c i) then
+                    for j = 0 to w - 1 do
+                      let s = words.((net * w) + j) in
+                      let d = words.((out * w) + j) in
+                      if s lor d <> d then begin
+                        words.((out * w) + j) <- s lor d;
+                        changed := true
+                      end
+                    done)
+                c.Cell.ins)
+          order;
+        !changed
+      in
+      while sweep () do
+        ()
+      done
+    end;
+    { Taint.nkeys; w; words }
+
+  (* the Digraph-from-edge-list SCCs the lint rules used to build *)
+  let sccs nl ~keep =
+    let cells = N.cells nl in
+    let edges = ref [] in
+    Array.iteri
+      (fun i c ->
+        if keep c then
+          Array.iter
+            (fun net ->
+              match N.driver nl net with
+              | Some j when keep cells.(j) -> edges := (j, i) :: !edges
+              | _ -> ())
+            c.Cell.ins)
+      cells;
+    let g = Digraph.make ~n:(Array.length cells) ~edges:!edges in
+    Digraph.sccs g
+    |> List.filter_map (fun scc ->
+           match scc with
+           | [ v ] -> if Digraph.has_edge g v v then Some [ v ] else None
+           | _ -> Some (List.sort compare scc))
+    |> List.sort (fun a b -> compare (List.hd a) (List.hd b))
+end
+
+(* the fixpoints, standalone and through the lint context, equal the
+   sweeps' exactly; so do the shared SCCs *)
+let check_fixpoints nl =
+  let name = N.name nl in
+  let ctx = Lint.make_ctx (Lint.subject nl) in
+  let values = ctx.Lint.values in
+  Alcotest.(check bool)
+    (name ^ ": context constant facts") true
+    (values = Dataflow.const_values nl);
+  let odc_ref = Sweep.odc values nl and taint_ref = Sweep.taint values nl in
+  List.iter
+    (fun (via, (odc : Odc.t), (taint : Taint.t)) ->
+      let what s = Printf.sprintf "%s (%s): %s" name via s in
+      Alcotest.(check (array bool))
+        (what "observable") odc_ref.Odc.observable odc.Odc.observable;
+      Alcotest.(check int)
+        (what "masked_reads") odc_ref.Odc.masked_reads odc.Odc.masked_reads;
+      Alcotest.(check int)
+        (what "const_cuts") odc_ref.Odc.const_cuts odc.Odc.const_cuts;
+      Alcotest.(check int) (what "taint w") taint_ref.Taint.w taint.Taint.w;
+      Alcotest.(check (array int))
+        (what "taint words") taint_ref.Taint.words taint.Taint.words)
+    [
+      ("ctx", ctx.Lint.odc, ctx.Lint.taint);
+      ("standalone", Odc.analyze ~values nl, Taint.analyze ~values nl);
+    ];
+  let comb =
+    Sweep.sccs nl ~keep:(fun c -> not (Cell.is_sequential c.Cell.kind))
+  in
+  let mux =
+    Sweep.sccs nl ~keep:(fun c ->
+        match c.Cell.kind with Cell.Mux2 | Cell.Mux4 -> true | _ -> false)
+  in
+  Alcotest.(check (list (list int)))
+    (name ^ ": comb SCCs") comb ctx.Lint.cycles.Dataflow.comb;
+  Alcotest.(check (list (list int)))
+    (name ^ ": mux SCCs") mux ctx.Lint.cycles.Dataflow.mux
+
+let test_fixpoints_fuzz () =
+  let flops = ref 0 and wide = ref 0 in
+  for seed = 1 to 240 do
+    let rng = Shell_util.Rng.create (7919 * seed) in
+    let shape = Shell_fuzz.Gen.random_shape rng in
+    (* every case carries flops and keys; every fourth one more than a
+       word of them *)
+    let key_bits =
+      if seed mod 4 = 0 then 64 + Shell_util.Rng.int rng 40
+      else 1 + Shell_util.Rng.int rng 6
+    in
+    let shape = { shape with Shell_fuzz.Gen.with_dffs = true; key_bits } in
+    let nl = Shell_fuzz.Gen.netlist rng shape in
+    if N.count_kind nl (fun k -> k = Cell.Dff) > 0 then incr flops;
+    if key_bits > Sys.int_size then incr wide;
+    check_fixpoints nl
+  done;
+  Alcotest.(check bool) "most cases carry flops" true (!flops >= 200);
+  Alcotest.(check bool) "multi-word taint covered" true (!wide >= 50)
+
+(* The catalog locked under OpenFPGA: cyclic routing, so ODC, taint and
+   the SCCs all take their cyclic paths. *)
+let test_fixpoints_catalog_openfpga () =
+  List.iter
+    (fun (e : Circ.Catalog.entry) ->
+      let cfg =
+        {
+          (C.Flow.shell_config ()) with
+          C.Flow.style = Shell_fabric.Style.Openfpga;
+        }
+      in
+      let r = C.Flow.run cfg (e.Circ.Catalog.netlist ()) in
+      let nl = r.C.Flow.locked_full in
+      Alcotest.(check bool)
+        (e.Circ.Catalog.name ^ " locked under OpenFPGA is cyclic") false
+        (Dataflow.order nl).Dataflow.acyclic;
+      check_fixpoints nl)
+    Circ.Catalog.all
+
+(* A net with two drivers, each reading a different key, plus a flop,
+   a MUX reading its own output and a loop through a MUX and an AND:
+   observability must reach both drivers, taint must union both, and
+   only the self-loop is a MUX chain. *)
+let test_fixpoints_multi_driven () =
+  let nl = N.create "multi_driven" in
+  let a = N.add_input nl "a" in
+  let b = N.add_input nl "b" in
+  let k0 = N.add_key nl "k0" in
+  let k1 = N.add_key nl "k1" in
+  let k2 = N.add_key nl "k2" in
+  let x = N.xor_ nl a k0 in
+  N.add_cell nl (Cell.make Cell.And [| b; k1 |] x);
+  let q = N.new_net nl in
+  N.add_cell nl (Cell.make Cell.Mux2 [| k2; x; q |] q);
+  let r = N.dff nl q in
+  N.add_output nl "y" (N.or_ nl r x);
+  let l = N.new_net nl in
+  let m = N.mux2 nl ~sel:a ~a:b ~b:l in
+  N.add_cell nl (Cell.make Cell.And [| m; k0 |] l);
+  N.add_output nl "z" l;
+  check_fixpoints nl;
+  let ctx = Lint.make_ctx (Lint.subject nl) in
+  Alcotest.(check int) "two combinational cycles" 2
+    (List.length ctx.Lint.cycles.Dataflow.comb);
+  Alcotest.(check int) "one MUX chain" 1
+    (List.length ctx.Lint.cycles.Dataflow.mux);
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) "both drivers' keys observable" true
+        ctx.Lint.odc.Odc.observable.(k))
+    [ k0; k1 ];
+  let y = List.assoc "y" (N.outputs nl) in
+  Alcotest.(check (list int)) "y tainted by every key" [ 0; 1; 2 ]
+    (Taint.net_taint ctx.Lint.taint y)
+
+(* Lint's analyses are built once per subject with flat arrays: the
+   whole registry over the locked FIR allocates a bounded number of
+   minor words. [Gc.minor_words] counts per domain, so one job. *)
+let test_lint_allocation () =
+  let r = Lazy.force fir_result in
+  let subj = Shell_serve.Jobs.lint_subject_of_result r in
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Lint.run ~jobs:1 ~rules:Rules.all subj));
+  let mw = (Gc.minor_words () -. w0) /. 1e6 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f Mw minor words <= 5" mw)
+    true (mw <= 5.)
+
 (* ---------------- engine ---------------- *)
 
 (* a fixture that trips rules of all three severities *)
@@ -525,6 +787,13 @@ let suite =
     Alcotest.test_case "scope-leak" `Quick test_scope_leak;
     Alcotest.test_case "odc+taint vs Simw brute force" `Quick
       test_odc_taint_vs_simw;
+    Alcotest.test_case "odc+taint fixpoints = sweeps (fuzz)" `Quick
+      test_fixpoints_fuzz;
+    Alcotest.test_case "odc+taint fixpoints = sweeps (OpenFPGA catalog)"
+      `Quick test_fixpoints_catalog_openfpga;
+    Alcotest.test_case "odc+taint fixpoints = sweeps (multi-driven)" `Quick
+      test_fixpoints_multi_driven;
+    Alcotest.test_case "lint allocation" `Quick test_lint_allocation;
     Alcotest.test_case "mux-chain-cycle" `Quick test_mux_chain_cycle;
     Alcotest.test_case "lgc-depth" `Quick test_lgc_depth;
     Alcotest.test_case "ref-mismatch" `Quick test_ref_mismatch;

@@ -2,32 +2,39 @@ module Netlist = Shell_netlist.Netlist
 module Cnf = Shell_netlist.Cnf
 module Solver = Shell_sat.Solver
 
+(* Every circuit copy is the same CNF template on its own block of
+   variables: the copy at offset [off] maps net [n] to
+   [var_of_net.(n) + off]. *)
 type t = {
   solver : Solver.t;
-  comb : Netlist.t;
-  base : Cnf.t;  (* encoding template for fresh copies *)
+  template : int array array;  (* the encoding's clauses, in order *)
+  copy_vars : int;  (* variables per copy *)
+  var_of_net : int array;  (* net -> variable in a copy at offset 0 *)
+  ins : int array;  (* input nets *)
+  outs : int array;  (* output nets *)
+  keys : int array;  (* key nets *)
   in1 : int array;  (* shared input vars (copy 1's) *)
   key1 : int array;
   key2 : int array;
   diff : int;  (* activation literal for the difference constraint *)
 }
 
-let add_copy solver base =
-  (* fresh variables for one more circuit copy *)
+(* Fresh variables for one more circuit copy; returns its offset. *)
+let add_copy solver template copy_vars =
   let off = Solver.num_vars solver in
-  let shifted = Cnf.offset base off in
-  Solver.ensure_vars solver shifted.Cnf.nvars;
-  List.iter (Solver.add_clause solver) shifted.Cnf.clauses;
-  shifted
-
-let vars_of cnf nets = Array.map (fun n -> cnf.Cnf.var_of_net.(n)) nets
+  Solver.ensure_vars solver (off + copy_vars);
+  Array.iter (Solver.add_clause_shifted solver off) template;
+  off
 
 let create ?(cycle_blocks = []) ?(seed = 0) locked =
   let comb = Netlist.comb_view locked in
   let base = Cnf.encode comb in
+  let template = Array.of_list (List.map Array.of_list base.Cnf.clauses) in
+  let copy_vars = base.Cnf.nvars and var_of_net = base.Cnf.var_of_net in
+  let vars_of off nets = Array.map (fun n -> var_of_net.(n) + off) nets in
   let solver = Solver.create ~seed () in
-  let c1 = add_copy solver base in
-  let c2 = add_copy solver base in
+  let c1 = add_copy solver template copy_vars in
+  let c2 = add_copy solver template copy_vars in
   let ins = Netlist.input_nets comb in
   let keys = Netlist.key_nets comb in
   let outs = Netlist.output_nets comb in
@@ -65,7 +72,19 @@ let create ?(cycle_blocks = []) ?(seed = 0) locked =
       block key1;
       block key2)
     cycle_blocks;
-  { solver; comb; base; in1; key1; key2; diff }
+  {
+    solver;
+    template;
+    copy_vars;
+    var_of_net;
+    ins;
+    outs;
+    keys;
+    in1;
+    key1;
+    key2;
+    diff;
+  }
 
 let num_inputs t = Array.length t.in1
 let num_keys t = Array.length t.key1
@@ -78,27 +97,27 @@ let find_dip ?max_conflicts t =
   | Solver.Unknown -> `Budget
 
 let add_dip t input output =
-  let bind cnf nets values =
+  let bind off nets values =
     Array.iteri
       (fun i net ->
-        let v = cnf.Cnf.var_of_net.(net) in
+        let v = t.var_of_net.(net) + off in
         Solver.add_clause t.solver [ (if values.(i) then v else -v) ])
       nets
   in
-  let tie cnf key_vars =
+  let tie off key_vars =
     Array.iteri
       (fun i net ->
-        let v = cnf.Cnf.var_of_net.(net) in
+        let v = t.var_of_net.(net) + off in
         List.iter (Solver.add_clause t.solver) (Cnf.equal_clauses v key_vars.(i)))
-      (Netlist.key_nets t.comb)
+      t.keys
   in
-  let copy_a = add_copy t.solver t.base in
-  bind copy_a (Netlist.input_nets t.comb) input;
-  bind copy_a (Netlist.output_nets t.comb) output;
+  let copy_a = add_copy t.solver t.template t.copy_vars in
+  bind copy_a t.ins input;
+  bind copy_a t.outs output;
   tie copy_a t.key1;
-  let copy_b = add_copy t.solver t.base in
-  bind copy_b (Netlist.input_nets t.comb) input;
-  bind copy_b (Netlist.output_nets t.comb) output;
+  let copy_b = add_copy t.solver t.template t.copy_vars in
+  bind copy_b t.ins input;
+  bind copy_b t.outs output;
   tie copy_b t.key2
 
 let extract_key ?max_conflicts t =

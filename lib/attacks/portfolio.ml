@@ -28,7 +28,8 @@ type t = { winner : int option; outcomes : (config * Attack.verdict) array }
 let run budget subject =
   Obs.incr m_races;
   Obs.with_span "portfolio" @@ fun () ->
-  (* inside a pool task the racers degrade gracefully to sequential *)
+  (* inside a pool task (a battery cell) the racers form a nested batch
+     that idle domains pick up *)
   let outcomes =
     Pool.map
       (fun cfg ->

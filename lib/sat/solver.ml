@@ -1,8 +1,15 @@
 (* MiniSat-style CDCL. Internal literal encoding: variable [v] (1-based)
    yields literals [2v] (positive) and [2v+1] (negative); negation is
-   [lxor 1]. Clause 0-and-1 slots hold the watched literals. *)
+   [lxor 1]. Clause 0-and-1 slots hold the watched literals.
 
-module Vec = Shell_util.Vec
+   The search state is flat: per-variable [int]/[bool]/[float] arrays,
+   monomorphic int vectors (empty reads as [-1], never an option) and
+   an [int array array] clause store. Scratch buffers (the learnt
+   clause under construction, the literals of a clause being added and
+   their marks) live in the solver and are reused, so a propagation
+   allocates nothing and a conflict allocates only the clause it
+   learns. *)
+
 module Rng = Shell_util.Rng
 module Obs = Shell_util.Obs
 
@@ -22,7 +29,38 @@ let m_restarts = Obs.counter ~help:"Luby restarts taken" "solver_restarts"
 let h_learned_len =
   Obs.histogram ~help:"learned clause length (literals)" "solver_learned_len"
 
-type clause = { lits : int array; learnt : bool }
+(* [arr] with room for at least [n] elements, doubling as it grows.
+   Callers storing the result into a mutable pointer field test for a
+   full array first, which keeps the write barrier off the hot path. *)
+let grow_array arr n default =
+  let old = Array.length arr in
+  if n <= old then arr
+  else begin
+    let a = Array.make (max (max 8 n) (2 * old)) default in
+    Array.blit arr 0 a 0 old;
+    a
+  end
+
+(* Growable int vector. *)
+module Ivec = struct
+  type t = { mutable data : int array; mutable len : int }
+
+  let create () = { data = [||]; len = 0 }
+
+  let push v x =
+    if v.len = Array.length v.data then
+      v.data <- grow_array v.data (v.len + 1) 0;
+    v.data.(v.len) <- x;
+    v.len <- v.len + 1
+
+  (* Remove and return the last element; -1 when empty. *)
+  let pop v =
+    if v.len = 0 then -1
+    else begin
+      v.len <- v.len - 1;
+      v.data.(v.len)
+    end
+end
 
 type result = Sat | Unsat | Unknown
 
@@ -33,11 +71,15 @@ type t = {
   mutable reason : int array;  (* var -> clause index or -1 *)
   mutable phase : bool array;  (* saved phases *)
   mutable activity : float array;
-  mutable var_inc : float;
-  clauses : clause Vec.t;
-  mutable watches : int Vec.t array;  (* lit -> clause indices *)
-  trail : int Vec.t;
-  trail_lim : int Vec.t;
+  var_inc : float array;  (* one cell: a mutable float field would box *)
+  mutable clauses : int array array;  (* clause index -> literals *)
+  mutable nclauses : int;
+  (* lit -> clause indices: the first [watch_len.(lit)] entries of
+     [watches.(lit)] *)
+  mutable watches : int array array;
+  mutable watch_len : int array;
+  trail : Ivec.t;
+  trail_lim : Ivec.t;
   mutable qhead : int;
   mutable unsat : bool;
   mutable conflicts : int;
@@ -45,11 +87,16 @@ type t = {
   mutable propagations : int;
   mutable restarts : int;
   (* binary heap over vars ordered by activity *)
-  heap : int Vec.t;
+  heap : Ivec.t;
   mutable heap_pos : int array;  (* var -> index in heap or -1 *)
   (* conflict-analysis scratch, reused across conflicts *)
   mutable seen : bool array;
-  seen_touched : int Vec.t;
+  seen_touched : Ivec.t;
+  learnt : Ivec.t;
+  (* [add_clause] scratch: the clause's literals, and a mark per
+     internal literal (all false between calls) *)
+  adding : Ivec.t;
+  mutable lit_mark : bool array;
   seed : int;  (* 0 = all-false initial phases; else per-var pseudorandom *)
 }
 
@@ -61,21 +108,26 @@ let create ?(seed = 0) () =
     reason = Array.make 1 (-1);
     phase = Array.make 1 false;
     activity = Array.make 1 0.0;
-    var_inc = 1.0;
-    clauses = Vec.create ();
-    watches = Array.init 4 (fun _ -> Vec.create ());
-    trail = Vec.create ();
-    trail_lim = Vec.create ();
+    var_inc = [| 1.0 |];
+    clauses = [||];
+    nclauses = 0;
+    watches = Array.make 4 [||];
+    watch_len = Array.make 4 0;
+    trail = Ivec.create ();
+    trail_lim = Ivec.create ();
     qhead = 0;
     unsat = false;
     conflicts = 0;
     decisions = 0;
     propagations = 0;
     restarts = 0;
-    heap = Vec.create ();
+    heap = Ivec.create ();
     heap_pos = Array.make 1 (-1);
     seen = Array.make 1 false;
-    seen_touched = Vec.create ();
+    seen_touched = Ivec.create ();
+    learnt = Ivec.create ();
+    adding = Ivec.create ();
+    lit_mark = Array.make 4 false;
     seed;
   }
 
@@ -97,67 +149,63 @@ let stats (t : t) =
     restarts = t.restarts;
   }
 
-let grow_array arr n default =
-  let old = Array.length arr in
-  if n <= old then arr
-  else begin
-    let a = Array.make (max n (2 * old)) default in
-    Array.blit arr 0 a 0 old;
-    a
-  end
-
 (* ---------------- activity heap ---------------- *)
 
 let heap_less t a b = t.activity.(a) > t.activity.(b)
 
 let heap_swap t i j =
-  let a = Vec.get t.heap i and b = Vec.get t.heap j in
-  Vec.set t.heap i b;
-  Vec.set t.heap j a;
+  let h = t.heap.Ivec.data in
+  let a = h.(i) and b = h.(j) in
+  h.(i) <- b;
+  h.(j) <- a;
   t.heap_pos.(a) <- j;
   t.heap_pos.(b) <- i
 
 let rec heap_up t i =
   if i > 0 then begin
+    let h = t.heap.Ivec.data in
     let p = (i - 1) / 2 in
-    if heap_less t (Vec.get t.heap i) (Vec.get t.heap p) then begin
+    if heap_less t h.(i) h.(p) then begin
       heap_swap t i p;
       heap_up t p
     end
   end
 
 let rec heap_down t i =
-  let n = Vec.length t.heap in
+  let h = t.heap.Ivec.data and n = t.heap.Ivec.len in
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let best = ref i in
-  if l < n && heap_less t (Vec.get t.heap l) (Vec.get t.heap !best) then best := l;
-  if r < n && heap_less t (Vec.get t.heap r) (Vec.get t.heap !best) then best := r;
-  if !best <> i then begin
-    heap_swap t i !best;
-    heap_down t !best
+  let best = if l < n && heap_less t h.(l) h.(i) then l else i in
+  let best = if r < n && heap_less t h.(r) h.(best) then r else best in
+  if best <> i then begin
+    heap_swap t i best;
+    heap_down t best
   end
 
 let heap_insert t v =
   if t.heap_pos.(v) = -1 then begin
-    Vec.push t.heap v;
-    t.heap_pos.(v) <- Vec.length t.heap - 1;
-    heap_up t (Vec.length t.heap - 1)
+    let i = t.heap.Ivec.len in
+    Ivec.push t.heap v;
+    t.heap_pos.(v) <- i;
+    heap_up t i
   end
 
+(* The most active variable, removed from the heap; -1 when empty. *)
 let heap_pop t =
-  match Vec.length t.heap with
-  | 0 -> None
-  | n ->
-      let top = Vec.get t.heap 0 in
-      let last = Vec.get t.heap (n - 1) in
-      ignore (Vec.pop t.heap);
-      t.heap_pos.(top) <- -1;
-      if n > 1 then begin
-        Vec.set t.heap 0 last;
-        t.heap_pos.(last) <- 0;
-        heap_down t 0
-      end;
-      Some top
+  let heap = t.heap in
+  let n = heap.Ivec.len in
+  if n = 0 then -1
+  else begin
+    let h = heap.Ivec.data in
+    let top = h.(0) and last = h.(n - 1) in
+    heap.Ivec.len <- n - 1;
+    t.heap_pos.(top) <- -1;
+    if n > 1 then begin
+      h.(0) <- last;
+      t.heap_pos.(last) <- 0;
+      heap_down t 0
+    end;
+    top
+  end
 
 let heap_bump t v =
   let i = t.heap_pos.(v) in
@@ -165,150 +213,161 @@ let heap_bump t v =
 
 (* ---------------- variables ---------------- *)
 
-let new_var t =
-  let v = t.nvars + 1 in
-  t.nvars <- v;
-  t.assigns <- grow_array t.assigns (v + 1) (-1);
-  t.level <- grow_array t.level (v + 1) 0;
-  t.reason <- grow_array t.reason (v + 1) (-1);
-  t.phase <- grow_array t.phase (v + 1) false;
-  t.activity <- grow_array t.activity (v + 1) 0.0;
-  t.heap_pos <- grow_array t.heap_pos (v + 1) (-1);
-  t.seen <- grow_array t.seen (v + 1) false;
-  let nlits = 2 * (v + 1) in
-  if Array.length t.watches < nlits then begin
-    let w = Array.init (max nlits (2 * Array.length t.watches)) (fun _ -> Vec.create ()) in
-    Array.blit t.watches 0 w 0 (Array.length t.watches);
-    t.watches <- w
-  end;
+(* Size every per-variable and per-literal array for variables
+   [1..n] at once. *)
+let reserve t n =
+  t.assigns <- grow_array t.assigns (n + 1) (-1);
+  t.level <- grow_array t.level (n + 1) 0;
+  t.reason <- grow_array t.reason (n + 1) (-1);
+  t.phase <- grow_array t.phase (n + 1) false;
+  t.activity <- grow_array t.activity (n + 1) 0.0;
+  t.heap_pos <- grow_array t.heap_pos (n + 1) (-1);
+  t.seen <- grow_array t.seen (n + 1) false;
+  let nlits = 2 * (n + 1) in
+  t.lit_mark <- grow_array t.lit_mark nlits false;
+  t.watches <- grow_array t.watches nlits [||];
+  t.watch_len <- grow_array t.watch_len nlits 0
+
+let init_var t v =
   t.assigns.(v) <- -1;
   t.heap_pos.(v) <- -1;
   if t.seed <> 0 then
     t.phase.(v) <- Rng.bool (Rng.create (t.seed lxor (v * 0x9E3779B9)));
-  heap_insert t v;
+  heap_insert t v
+
+let new_var t =
+  let v = t.nvars + 1 in
+  reserve t v;
+  t.nvars <- v;
+  init_var t v;
   v
 
 let ensure_vars t n =
-  while t.nvars < n do
-    ignore (new_var t)
-  done
+  if n > t.nvars then begin
+    reserve t n;
+    for v = t.nvars + 1 to n do
+      t.nvars <- v;
+      init_var t v
+    done
+  end
 
 (* ---------------- literal helpers ---------------- *)
 
 let ilit l = if l > 0 then 2 * l else (2 * -l) + 1
-let ivar l = l / 2
-let isign l = l land 1 = 0  (* true = positive literal *)
 
 (* value of internal literal: -1 unassigned / 0 false / 1 true *)
 let lit_value t l =
-  match t.assigns.(ivar l) with
+  match t.assigns.(l lsr 1) with
   | -1 -> -1
-  | v -> if isign l then v else 1 - v
+  | v -> if l land 1 = 0 then v else 1 - v
 
-let decision_level t = Vec.length t.trail_lim
+let decision_level t = t.trail_lim.Ivec.len
 
 (* ---------------- assignment ---------------- *)
 
 let enqueue t l reason =
-  let v = ivar l in
-  t.assigns.(v) <- (if isign l then 1 else 0);
+  let v = l lsr 1 in
+  let pos = l land 1 = 0 in
+  t.assigns.(v) <- (if pos then 1 else 0);
   t.level.(v) <- decision_level t;
   t.reason.(v) <- reason;
-  t.phase.(v) <- isign l;
-  Vec.push t.trail l
+  t.phase.(v) <- pos;
+  Ivec.push t.trail l
 
 let cancel_until t lvl =
   if decision_level t > lvl then begin
-    let bound = Vec.get t.trail_lim lvl in
-    let rec undo () =
-      if Vec.length t.trail > bound then begin
-        match Vec.pop t.trail with
-        | None -> ()
-        | Some l ->
-            let v = ivar l in
-            t.assigns.(v) <- -1;
-            t.reason.(v) <- -1;
-            heap_insert t v;
-            undo ()
-      end
-    in
-    undo ();
-    let rec drop () =
-      if Vec.length t.trail_lim > lvl then begin
-        ignore (Vec.pop t.trail_lim);
-        drop ()
-      end
-    in
-    drop ();
-    t.qhead <- Vec.length t.trail
+    let trail = t.trail in
+    let bound = t.trail_lim.Ivec.data.(lvl) in
+    while trail.Ivec.len > bound do
+      let v = Ivec.pop trail lsr 1 in
+      t.assigns.(v) <- -1;
+      t.reason.(v) <- -1;
+      heap_insert t v
+    done;
+    t.trail_lim.Ivec.len <- lvl;
+    t.qhead <- trail.Ivec.len
   end
 
 (* ---------------- clauses ---------------- *)
 
-let attach t ci =
-  let c = Vec.get t.clauses ci in
-  Vec.push t.watches.(c.lits.(0) lxor 1) ci;
-  Vec.push t.watches.(c.lits.(1) lxor 1) ci
+let watch t l ci =
+  let n = t.watch_len.(l) in
+  if n = Array.length t.watches.(l) then
+    t.watches.(l) <- grow_array t.watches.(l) (n + 1) 0;
+  t.watches.(l).(n) <- ci;
+  t.watch_len.(l) <- n + 1
+
+(* Store a clause of two or more literals and watch its first two;
+   returns its index. *)
+let push_clause t lits =
+  let ci = t.nclauses in
+  if ci = Array.length t.clauses then
+    t.clauses <- grow_array t.clauses (ci + 1) [||];
+  t.clauses.(ci) <- lits;
+  t.nclauses <- ci + 1;
+  watch t (lits.(0) lxor 1) ci;
+  watch t (lits.(1) lxor 1) ci;
+  ci
 
 (* Propagate all enqueued facts; returns conflicting clause id or -1. *)
 let propagate t =
+  let trail = t.trail in
   let confl = ref (-1) in
-  while !confl = -1 && t.qhead < Vec.length t.trail do
-    let p = Vec.get t.trail t.qhead in
+  while !confl = -1 && t.qhead < trail.Ivec.len do
+    let p = trail.Ivec.data.(t.qhead) in
     t.qhead <- t.qhead + 1;
     let false_lit = p lxor 1 in
-    let ws = t.watches.(p) in
     (* watches.(p): clauses watching the literal that just became
        false are registered under the *true* literal's slot; we store
-       watch entries under [lit lxor 1] in [attach], so reading the list
-       at [p] yields clauses in which [p lxor 1] is watched.
+       watch entries under [lit lxor 1] in [push_clause], so reading
+       the list at [p] yields clauses in which [p lxor 1] is watched.
 
        The list is compacted in place with read/write cursors: entries
        that keep their watch slide down past entries that moved to
        another list, with no per-propagation array allocation. A new
        watch is never this same list (the replacement literal is
        non-false, [p lxor 1] is false), so pushes cannot disturb the
-       compaction. *)
-    let n = Vec.length ws in
+       compaction, nor reallocate [ws]. *)
+    let ws = t.watches.(p) and n = t.watch_len.(p) in
     let i = ref 0 and w = ref 0 in
-    let keep ci =
-      Vec.set ws !w ci;
-      incr w
-    in
     while !i < n do
-      let ci = Vec.get ws !i in
+      let ci = ws.(!i) in
       incr i;
-      let c = (Vec.get t.clauses ci).lits in
+      let c = t.clauses.(ci) in
       (* ensure the false literal is in slot 1 *)
       if c.(0) = false_lit then begin
         c.(0) <- c.(1);
         c.(1) <- false_lit
       end;
-      if lit_value t c.(0) = 1 then
+      if lit_value t c.(0) = 1 then begin
         (* satisfied; keep watching the same literal *)
-        keep ci
+        ws.(!w) <- ci;
+        incr w
+      end
       else begin
-        (* look for a new watch *)
+        (* look for a new watch: the first non-false literal past the
+           watched pair *)
         let len = Array.length c in
-        let found = ref false in
         let j = ref 2 in
-        while (not !found) && !j < len do
-          if lit_value t c.(!j) <> 0 then begin
-            c.(1) <- c.(!j);
-            c.(!j) <- false_lit;
-            Vec.push t.watches.(c.(1) lxor 1) ci;
-            found := true
-          end;
+        while !j < len && lit_value t c.(!j) = 0 do
           incr j
         done;
-        if not !found then begin
-          keep ci;
+        if !j < len then begin
+          let l = c.(!j) in
+          c.(1) <- l;
+          c.(!j) <- false_lit;
+          watch t (l lxor 1) ci
+        end
+        else begin
+          ws.(!w) <- ci;
+          incr w;
           if lit_value t c.(0) = 0 then begin
             (* conflict: keep the unexamined rest of the watch list *)
             confl := ci;
-            t.qhead <- Vec.length t.trail;
+            t.qhead <- trail.Ivec.len;
             while !i < n do
-              keep (Vec.get ws !i);
+              ws.(!w) <- ws.(!i);
+              incr w;
               incr i
             done
           end
@@ -319,143 +378,164 @@ let propagate t =
         end
       end
     done;
-    Vec.truncate ws !w
+    t.watch_len.(p) <- !w
   done;
   !confl
 
 let var_bump t v =
-  t.activity.(v) <- t.activity.(v) +. t.var_inc;
-  if t.activity.(v) > 1e100 then begin
+  let act = t.activity in
+  act.(v) <- act.(v) +. t.var_inc.(0);
+  if act.(v) > 1e100 then begin
     for u = 1 to t.nvars do
-      t.activity.(u) <- t.activity.(u) *. 1e-100
+      act.(u) <- act.(u) *. 1e-100
     done;
-    t.var_inc <- t.var_inc *. 1e-100
+    t.var_inc.(0) <- t.var_inc.(0) *. 1e-100
   end;
   heap_bump t v
 
-let var_decay t = t.var_inc <- t.var_inc /. 0.95
+let var_decay t = t.var_inc.(0) <- t.var_inc.(0) /. 0.95
 
-(* First-UIP conflict analysis. Returns (learnt clause, backjump level);
-   learnt.(0) is the asserting literal. *)
+(* First-UIP conflict analysis into [t.learnt]: slot 0 holds the
+   asserting literal, slot 1 a literal of the backjump level, which is
+   returned. *)
 let analyze t confl =
   (* [t.seen] is all-false between conflicts: every entry set here is
      recorded in [t.seen_touched] and cleared before returning, so the
      array is reused without an O(nvars) allocation or fill. *)
-  let seen = t.seen in
-  let learnt = Vec.create () in
-  Vec.push learnt 0;  (* slot for the asserting literal *)
+  let seen = t.seen and touched = t.seen_touched and learnt = t.learnt in
+  learnt.Ivec.len <- 0;
+  Ivec.push learnt 0;  (* slot for the asserting literal *)
+  let dl = decision_level t in
   let counter = ref 0 in
   let p = ref (-1) in
   let confl = ref confl in
-  let trail_idx = ref (Vec.length t.trail - 1) in
-  let continue_loop = ref true in
-  while !continue_loop do
-    let c = (Vec.get t.clauses !confl).lits in
+  let trail_idx = ref (t.trail.Ivec.len - 1) in
+  while !p = -1 || !counter > 0 do
+    let c = t.clauses.(!confl) in
     let start = if !p = -1 then 0 else 1 in
     for j = start to Array.length c - 1 do
       let q = c.(j) in
-      let v = ivar q in
+      let v = q lsr 1 in
       if (not seen.(v)) && t.level.(v) > 0 then begin
         seen.(v) <- true;
-        Vec.push t.seen_touched v;
+        Ivec.push touched v;
         var_bump t v;
-        if t.level.(v) >= decision_level t then incr counter
-        else Vec.push learnt q
+        if t.level.(v) >= dl then incr counter else Ivec.push learnt q
       end
     done;
     (* pick next literal to expand from the trail *)
-    let rec next () =
-      let l = Vec.get t.trail !trail_idx in
-      decr trail_idx;
-      if seen.(ivar l) then l else next ()
-    in
-    let l = next () in
+    let tr = t.trail.Ivec.data in
+    while not seen.(tr.(!trail_idx) lsr 1) do
+      decr trail_idx
+    done;
+    let l = tr.(!trail_idx) in
+    decr trail_idx;
     p := l;
-    seen.(ivar l) <- false;
+    seen.(l lsr 1) <- false;
     decr counter;
-    if !counter = 0 then continue_loop := false
-    else confl := t.reason.(ivar l)
+    if !counter > 0 then confl := t.reason.(l lsr 1)
   done;
-  Vec.iter (fun v -> seen.(v) <- false) t.seen_touched;
-  Vec.clear t.seen_touched;
-  Vec.set learnt 0 (!p lxor 1);
-  let lits = Vec.to_array learnt in
+  for k = 0 to touched.Ivec.len - 1 do
+    seen.(touched.Ivec.data.(k)) <- false
+  done;
+  touched.Ivec.len <- 0;
+  let lits = learnt.Ivec.data and n = learnt.Ivec.len in
+  lits.(0) <- !p lxor 1;
   (* backjump level = max level among lits.(1..) *)
   let blevel = ref 0 in
   let swap_pos = ref 1 in
-  Array.iteri
-    (fun i l ->
-      if i > 0 then begin
-        let lv = t.level.(ivar l) in
-        if lv > !blevel then begin
-          blevel := lv;
-          swap_pos := i
-        end
-      end)
-    lits;
-  if Array.length lits > 1 then begin
+  for i = 1 to n - 1 do
+    let lv = t.level.(lits.(i) lsr 1) in
+    if lv > !blevel then begin
+      blevel := lv;
+      swap_pos := i
+    end
+  done;
+  if n > 1 then begin
     let tmp = lits.(1) in
     lits.(1) <- lits.(!swap_pos);
     lits.(!swap_pos) <- tmp
   end;
-  (lits, !blevel)
+  !blevel
 
-let record_learnt t lits =
-  if Array.length lits = 1 then begin
+let record_learnt t =
+  let n = t.learnt.Ivec.len in
+  let l0 = t.learnt.Ivec.data.(0) in
+  if n = 1 then begin
     cancel_until t 0;
-    enqueue t lits.(0) (-1)
+    enqueue t l0 (-1)
   end
   else begin
-    Vec.push t.clauses { lits; learnt = true };
-    let ci = Vec.length t.clauses - 1 in
-    attach t ci;
-    enqueue t lits.(0) ci
+    let ci = push_clause t (Array.sub t.learnt.Ivec.data 0 n) in
+    enqueue t l0 ci
   end;
-  Obs.observe h_learned_len (Array.length lits)
+  Obs.observe h_learned_len n
 
-let add_clause t lits =
+(* Add the clause staged in [t.adding] (DIMACS literals). *)
+let add_staged t =
   cancel_until t 0;
   if not t.unsat then begin
-    (* simplify against level-0 assignments; drop duplicates *)
-    let seen_pos = Hashtbl.create 8 in
-    let simplified = ref [] in
-    let satisfied = ref false in
-    List.iter
-      (fun l ->
-        if l = 0 || abs l > t.nvars then invalid_arg "Solver.add_clause: bad literal";
-        let il = ilit l in
-        match lit_value t il with
-        | 1 -> satisfied := true
-        | 0 -> ()
-        | _ ->
-            if Hashtbl.mem seen_pos (il lxor 1) then satisfied := true
-            else if not (Hashtbl.mem seen_pos il) then begin
-              Hashtbl.add seen_pos il ();
-              simplified := il :: !simplified
-            end)
-      lits;
+    let buf = t.adding.Ivec.data and n = t.adding.Ivec.len in
+    for k = 0 to n - 1 do
+      let l = buf.(k) in
+      if l = 0 || abs l > t.nvars then invalid_arg "Solver.add_clause: bad literal"
+    done;
+    (* simplify against level-0 assignments; drop duplicates. The kept
+       internal literals are compacted to the front of [buf]. *)
+    let mark = t.lit_mark in
+    let kept = ref 0 and satisfied = ref false and k = ref 0 in
+    while (not !satisfied) && !k < n do
+      let il = ilit buf.(!k) in
+      incr k;
+      match lit_value t il with
+      | 1 -> satisfied := true
+      | 0 -> ()
+      | _ ->
+          if mark.(il lxor 1) then satisfied := true
+          else if not mark.(il) then begin
+            mark.(il) <- true;
+            buf.(!kept) <- il;
+            incr kept
+          end
+    done;
+    for k = 0 to !kept - 1 do
+      mark.(buf.(k)) <- false
+    done;
     if not !satisfied then
-      match !simplified with
-      | [] -> t.unsat <- true
-      | [ l ] ->
-          enqueue t l (-1);
+      match !kept with
+      | 0 -> t.unsat <- true
+      | 1 ->
+          enqueue t buf.(0) (-1);
           if propagate t <> -1 then t.unsat <- true
-      | l1 :: l2 :: _ as ls ->
-          ignore l1;
-          ignore l2;
-          Vec.push t.clauses { lits = Array.of_list ls; learnt = false };
-          attach t (Vec.length t.clauses - 1)
+      | m ->
+          (* the kept literals, last first *)
+          let lits = Array.make m 0 in
+          for k = 0 to m - 1 do
+            lits.(k) <- buf.(m - 1 - k)
+          done;
+          ignore (push_clause t lits)
   end
+
+let add_clause t lits =
+  t.adding.Ivec.len <- 0;
+  List.iter (Ivec.push t.adding) lits;
+  add_staged t
+
+let add_clause_shifted t k lits =
+  t.adding.Ivec.len <- 0;
+  for i = 0 to Array.length lits - 1 do
+    let l = lits.(i) in
+    Ivec.push t.adding (if l > 0 then l + k else l - k)
+  done;
+  add_staged t
 
 (* ---------------- search ---------------- *)
 
-let pick_branch t =
-  let rec go () =
-    match heap_pop t with
-    | None -> None
-    | Some v -> if t.assigns.(v) = -1 then Some v else go ()
-  in
-  go ()
+(* The most active unassigned variable; -1 when every variable is
+   assigned. *)
+let rec pick_branch t =
+  let v = heap_pop t in
+  if v = -1 || t.assigns.(v) = -1 then v else pick_branch t
 
 (* Luby sequence 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ... (MiniSat's port). *)
 let luby x =
@@ -481,6 +561,7 @@ let solve_search ?(assumptions = []) ?max_conflicts t =
   end
   else begin
     let assumptions = Array.of_list (List.map ilit assumptions) in
+    let nassume = Array.length assumptions in
     let budget = match max_conflicts with Some b -> t.conflicts + b | None -> max_int in
     let restart_n = ref 0 in
     let conflicts_until_restart = ref (100 * luby !restart_n) in
@@ -490,14 +571,13 @@ let solve_search ?(assumptions = []) ?max_conflicts t =
       if confl <> -1 then begin
         t.conflicts <- t.conflicts + 1;
         decr conflicts_until_restart;
-        if decision_level t <= Array.length assumptions then begin
+        if decision_level t <= nassume then
           (* conflict inside assumption levels: unsat under assumptions *)
           result := Some Unsat
-        end
         else begin
-          let lits, blevel = analyze t confl in
+          let blevel = analyze t confl in
           cancel_until t blevel;
-          record_learnt t lits;
+          record_learnt t;
           var_decay t
         end;
         if t.conflicts >= budget && !result = None then result := Some Unknown
@@ -505,31 +585,30 @@ let solve_search ?(assumptions = []) ?max_conflicts t =
           incr restart_n;
           t.restarts <- t.restarts + 1;
           conflicts_until_restart := 100 * luby !restart_n;
-          cancel_until t (Array.length assumptions)
+          cancel_until t nassume
         end
       end
       else begin
         (* decide *)
         let dl = decision_level t in
-        if dl < Array.length assumptions then begin
+        if dl < nassume then begin
           let l = assumptions.(dl) in
           match lit_value t l with
           | 1 ->
               (* already satisfied: open an empty decision level *)
-              Vec.push t.trail_lim (Vec.length t.trail)
+              Ivec.push t.trail_lim t.trail.Ivec.len
           | 0 -> result := Some Unsat
           | _ ->
-              Vec.push t.trail_lim (Vec.length t.trail);
+              Ivec.push t.trail_lim t.trail.Ivec.len;
               enqueue t l (-1)
         end
         else
           match pick_branch t with
-          | None -> result := Some Sat
-          | Some v ->
+          | -1 -> result := Some Sat
+          | v ->
               t.decisions <- t.decisions + 1;
-              Vec.push t.trail_lim (Vec.length t.trail);
-              let l = if t.phase.(v) then 2 * v else (2 * v) + 1 in
-              enqueue t l (-1)
+              Ivec.push t.trail_lim t.trail.Ivec.len;
+              enqueue t (if t.phase.(v) then 2 * v else (2 * v) + 1) (-1)
       end
     done;
     match !result with

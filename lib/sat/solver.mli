@@ -7,7 +7,13 @@
 
     The solver is incremental in the way the SAT attack needs: clauses
     may be added between [solve] calls, and [solve] accepts assumption
-    literals that hold for that call only. *)
+    literals that hold for that call only.
+
+    The search is a pure function of the seed and the calls made: the
+    same clauses added in the same order and the same [solve] calls
+    give the same conflicts, decisions, propagations, restarts and
+    model. Its state is flat int arrays, so a propagation allocates
+    nothing and a conflict allocates only the clause it learns. *)
 
 type t
 
@@ -30,6 +36,11 @@ val num_vars : t -> int
 val add_clause : t -> int list -> unit
 (** Clauses over existing variables. Adding a clause that is already
     falsified at level 0 makes the instance permanently unsatisfiable. *)
+
+val add_clause_shifted : t -> int -> int array -> unit
+(** [add_clause_shifted t k lits] is [add_clause t] of [lits] with [k]
+    added to every variable (signs kept): how a miter adds one more
+    copy of a CNF template without building the shifted clauses. *)
 
 val solve : ?assumptions:int list -> ?max_conflicts:int -> t -> result
 (** [Unknown] only when [max_conflicts] was exhausted. *)

@@ -369,21 +369,19 @@ let context () =
     let st = Domain.DLS.get stack_key in
     match st.stack with o :: _ -> Some o | [] -> st.parent
 
-let context_active = Option.is_some
-
 let with_context ctx f =
-  match ctx with
-  | None -> f ()
-  | Some _ ->
-      let st = Domain.DLS.get stack_key in
-      let saved_stack = st.stack and saved_parent = st.parent in
-      st.stack <- [];
-      st.parent <- ctx;
-      Fun.protect
-        ~finally:(fun () ->
-          st.stack <- saved_stack;
-          st.parent <- saved_parent)
-        f
+  if not (Atomic.get on_flag) then f ()
+  else begin
+    let st = Domain.DLS.get stack_key in
+    let saved_stack = st.stack and saved_parent = st.parent in
+    st.stack <- [];
+    st.parent <- ctx;
+    Fun.protect
+      ~finally:(fun () ->
+        st.stack <- saved_stack;
+        st.parent <- saved_parent)
+      f
+  end
 
 let spans () =
   Mutex.lock roots_mutex;

@@ -139,19 +139,21 @@ val span_add : string -> int -> unit
     The submitting side captures {!context} and runs each task under
     {!with_context}; spans and counters completing at the task's top
     level then attach to the submitter's open span — same tree shape
-    at any [SHELL_JOBS]. *)
+    at any [SHELL_JOBS]. A domain may run a task while spans of its own
+    are open (a pool submitter helping a nested batch while it waits);
+    {!with_context} keeps the task's spans out of them. *)
 
 type context
 (** The innermost open span of the calling domain (possibly itself
     borrowed), or nothing. *)
 
 val context : unit -> context
-val context_active : context -> bool
 
 val with_context : context -> (unit -> 'a) -> 'a
 (** Run [f] with an empty local span stack whose overflow parent is
-    [ctx]. The caller's own stack is saved and restored; with an
-    inactive context this is exactly [f ()]. *)
+    [ctx]; with an empty [ctx], spans completing at [f]'s top level
+    become roots. The caller's own stack is saved and restored. When
+    recording is disabled this is exactly [f ()]. *)
 
 val spans : unit -> span list
 (** Completed root spans, oldest first. *)

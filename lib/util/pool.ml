@@ -1,8 +1,17 @@
-(* A process-wide pool of worker domains sharing one batch at a time.
-   Tasks are claimed from a single cursor under the pool mutex (work
-   sharing); each claimed index runs outside the lock. The submitting
-   domain participates in its own batch, so [jobs = n] means n domains
-   of compute including the caller. *)
+(* A process-wide pool of worker domains shared by every active batch.
+   Tasks are claimed one index at a time under the pool mutex (work
+   sharing); each claimed index runs outside the lock. Batches are kept
+   newest first:
+
+   - an idle worker claims from the newest batch that still has an
+     unclaimed task, so a batch submitted from inside a task (a nested
+     batch) gets the domains its siblings leave idle;
+   - the submitting domain drains its own batch, so [jobs = n] means n
+     domains of compute including the caller; then, while that batch's
+     last tasks finish elsewhere, it helps batches newer than its own.
+
+   A submitter waits only on tasks already running, and helps only newer
+   batches, so no chain of waits can close into a cycle. *)
 
 type batch = {
   run_task : int -> unit;  (* never raises: wrapper captures exceptions *)
@@ -13,9 +22,8 @@ type batch = {
 
 type t = {
   mutex : Mutex.t;
-  work : Condition.t;  (* a batch arrived / shutdown *)
-  idle : Condition.t;  (* a batch finished *)
-  mutable current : batch option;
+  changed : Condition.t;  (* a batch arrived or finished / shutdown *)
+  mutable active : batch list;  (* unfinished batches, newest first *)
   mutable workers : unit Domain.t list;
   mutable shutting_down : bool;
 }
@@ -23,15 +31,11 @@ type t = {
 let pool =
   {
     mutex = Mutex.create ();
-    work = Condition.create ();
-    idle = Condition.create ();
-    current = None;
+    changed = Condition.create ();
+    active = [];
     workers = [];
     shutting_down = false;
   }
-
-let inside_key = Domain.DLS.new_key (fun () -> false)
-let inside_task () = Domain.DLS.get inside_key
 
 (* Telemetry. Tasks and batches are counted at the [mapi] choke point
    — before the sequential/parallel path split — and callers with
@@ -83,31 +87,40 @@ let default =
 let default_jobs () = !default
 let set_default_jobs n = default := max 1 (min max_jobs n)
 
-(* Claim-and-run loop shared by workers and the submitter. Expects the
-   mutex held; returns with it held. *)
-let drain b =
-  while b.next < b.total do
-    let i = b.next in
-    b.next <- i + 1;
-    Mutex.unlock pool.mutex;
-    b.run_task i;
-    Mutex.lock pool.mutex;
-    b.unfinished <- b.unfinished - 1;
-    if b.unfinished = 0 then begin
-      pool.current <- None;
-      Condition.broadcast pool.idle
-    end
-  done
+(* Claim the next task of [b] and run it. Expects the mutex held and
+   [b.next < b.total]; returns with it held. *)
+let run_one b =
+  let i = b.next in
+  b.next <- i + 1;
+  Mutex.unlock pool.mutex;
+  b.run_task i;
+  Mutex.lock pool.mutex;
+  b.unfinished <- b.unfinished - 1;
+  if b.unfinished = 0 then begin
+    pool.active <- List.filter (fun x -> x != b) pool.active;
+    Condition.broadcast pool.changed
+  end
+
+let rec newest_open = function
+  | [] -> None
+  | b :: rest -> if b.next < b.total then Some b else newest_open rest
+
+(* The newest batch newer than [own] with an unclaimed task. *)
+let rec newer_open own = function
+  | [] -> None
+  | b :: rest ->
+      if b == own then None
+      else if b.next < b.total then Some b
+      else newer_open own rest
 
 let worker () =
-  Domain.DLS.set inside_key true;
   Mutex.lock pool.mutex;
   let rec loop () =
     if pool.shutting_down then Mutex.unlock pool.mutex
     else begin
-      (match pool.current with
-      | Some b when b.next < b.total -> drain b
-      | _ -> Condition.wait pool.work pool.mutex);
+      (match newest_open pool.active with
+      | Some b -> run_one b
+      | None -> Condition.wait pool.changed pool.mutex);
       loop ()
     end
   in
@@ -116,7 +129,7 @@ let worker () =
 let shutdown () =
   Mutex.lock pool.mutex;
   pool.shutting_down <- true;
-  Condition.broadcast pool.work;
+  Condition.broadcast pool.changed;
   let ws = pool.workers in
   pool.workers <- [];
   Mutex.unlock pool.mutex;
@@ -146,17 +159,16 @@ let run_batch ~jobs ~total run_task =
   in
   Mutex.lock pool.mutex;
   ensure_workers (jobs - 1);
-  while pool.current <> None do
-    Condition.wait pool.idle pool.mutex
-  done;
   let b = { run_task; total; next = 0; unfinished = total } in
-  pool.current <- Some b;
-  Condition.broadcast pool.work;
-  Domain.DLS.set inside_key true;
-  drain b;
-  Domain.DLS.set inside_key false;
+  pool.active <- b :: pool.active;
+  Condition.broadcast pool.changed;
+  while b.next < b.total do
+    run_one b
+  done;
   while b.unfinished > 0 do
-    Condition.wait pool.idle pool.mutex
+    match newer_open b pool.active with
+    | Some nb -> run_one nb
+    | None -> Condition.wait pool.changed pool.mutex
   done;
   Mutex.unlock pool.mutex
 
@@ -176,8 +188,8 @@ let seq_mapi f arr =
     out
   end
 
-(* Counted on every path (sequential, parallel, nested) so the totals
-   match at any job count. *)
+(* Counted on every path (sequential or parallel) so the totals match
+   at any job count. *)
 let count_batch n =
   if n > 0 then begin
     Obs.incr m_batches;
@@ -188,16 +200,19 @@ let mapi ?jobs f arr =
   let n = Array.length arr in
   count_batch n;
   let jobs = resolve jobs in
-  (* Lend the caller's open span to every task — wrapped before the
-     path split so the span tree has the same shape on the sequential
-     bypass as across worker domains. *)
+  (* Lend the caller's span context (its open span, or none) to every
+     task — wrapped before the path split so the span tree has the same
+     shape on the sequential bypass as across worker domains, and so a
+     task that a waiting submitter runs for a newer batch stays out of
+     that submitter's own open spans. *)
   let f =
-    let ctx = Obs.context () in
-    if Obs.context_active ctx then
+    if Obs.enabled () then begin
+      let ctx = Obs.context () in
       fun i x -> Obs.with_context ctx (fun () -> f i x)
+    end
     else f
   in
-  if n <= 1 || jobs <= 1 || inside_task () then seq_mapi f arr
+  if n <= 1 || jobs <= 1 then seq_mapi f arr
   else begin
     let out = Array.make n None in
     let exns = Array.make n None in

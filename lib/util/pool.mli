@@ -19,9 +19,20 @@
     reproducible.
 
     The pool is a process-wide singleton of long-lived worker domains
-    (created lazily, grown on demand, joined at exit). Tasks submitted
-    from inside a pool task run sequentially in the submitting domain —
-    nested parallelism degrades gracefully instead of deadlocking. *)
+    (created lazily, grown on demand, joined at exit), shared by every
+    batch in flight. A batch submitted from inside a pool task (a
+    nested batch) runs in parallel too: idle workers claim from the
+    newest batch that still has unclaimed tasks, so an inner batch gets
+    the domains its outer batch leaves idle. The submitter of a batch
+    runs its own tasks first; while the last of them finish elsewhere
+    it helps batches {e newer} than its own, running their tasks on its
+    stack. Waits therefore only point at newer batches and cannot form
+    a cycle, at any nesting depth.
+
+    Because a waiting submitter may run a newer batch's task before it
+    returns, code that holds a resource across a batch (a lock, a
+    claimed cache entry) must not let a task of another batch block on
+    that resource. *)
 
 val default_jobs : unit -> int
 (** Job count used when [?jobs] is omitted: the [SHELL_JOBS]
@@ -53,8 +64,3 @@ val task_rng : seed:int -> int -> Rng.t
 (** [task_rng ~seed i] is the RNG for task [i] of a batch: a splitmix
     stream derived from [(seed, i)] only, independent of job count and
     scheduling. *)
-
-val inside_task : unit -> bool
-(** True while executing on a pool worker (or inside the caller's share
-    of a batch); parallel entry points use this to fall back to their
-    sequential path. *)

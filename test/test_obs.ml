@@ -285,6 +285,27 @@ let test_stable_only_filter_round_trip () =
         "stable names survive the round trip" [ "keep_me"; "also_keep" ]
         names
 
+(* A task run under an empty borrowed context starts on an empty span
+   stack even when the running domain has spans of its own open (a pool
+   submitter helping another batch): its spans become roots. *)
+let test_empty_context_isolates () =
+  with_obs @@ fun () ->
+  ignore (Obs.take_spans ());
+  let ctx = Obs.context () in
+  let (), outer =
+    Obs.with_root_span "helper" (fun () ->
+        Obs.with_context ctx (fun () -> Obs.with_span "task" ignore))
+  in
+  let kids =
+    match outer with
+    | Some sp -> List.map (fun c -> c.Obs.name) sp.Obs.children
+    | None -> []
+  in
+  Alcotest.(check (list string)) "nothing under the helper's span" [] kids;
+  Alcotest.(check (list string))
+    "the task's span is a root" [ "task" ]
+    (List.map (fun sp -> sp.Obs.name) (Obs.take_spans ()))
+
 let suite =
   [
     ("bucket edges at powers of two", `Quick, test_bucket_edges);
@@ -305,4 +326,7 @@ let suite =
     ( "stable_only filter json round trip",
       `Quick,
       test_stable_only_filter_round_trip );
+    ( "empty context isolates a task's spans",
+      `Quick,
+      test_empty_context_isolates );
   ]

@@ -183,6 +183,119 @@ let test_conflicts_counter () =
   ignore (Solver.solve s);
   Alcotest.(check bool) "conflicts non-negative" true (Solver.num_conflicts s >= 0)
 
+(* Pinned search trajectories. Random 3-SAT at the phase transition
+   (clause ratio 4.26), drawn from [Rng.create seed], at the default
+   solver seed and at portfolio racer 1's. Each entry pins the result
+   and the whole effort breakdown, plus the model's MD5: a change to
+   the watch scan, the heap order, the restart schedule, the learnt
+   literal order or [add_clause]'s simplification moves at least one
+   of them. *)
+let random_3sat seed nv =
+  let rng = Rng.create seed in
+  let lit () =
+    let v = 1 + Rng.int rng nv in
+    if Rng.bool rng then v else -v
+  in
+  List.init (int_of_float (4.26 *. float_of_int nv)) (fun _ ->
+      let a = lit () in
+      let b = lit () in
+      let c = lit () in
+      [ a; b; c ])
+
+let racer1 = 0x5eed + 0x9e37
+
+let show_result = function
+  | Solver.Sat -> "Sat"
+  | Solver.Unsat -> "Unsat"
+  | Solver.Unknown -> "Unknown"
+
+(* result, conflicts, decisions, propagations, restarts, model MD5 *)
+let trajectory s r =
+  let st = Solver.stats s in
+  let model =
+    String.init
+      (Solver.num_vars s + 1)
+      (fun v -> if v > 0 && Solver.value s v then '1' else '0')
+  in
+  Printf.sprintf "%s c=%d d=%d p=%d r=%d %s" (show_result r) st.Solver.conflicts
+    st.Solver.decisions st.Solver.propagations st.Solver.restarts
+    (Digest.to_hex (Digest.string model))
+
+let pinned_instances =
+  [
+    (1, 120, 0, "Sat c=538 d=674 p=18397 r=4 c978cb9a44b7b5931d2c88d6369d52f3");
+    ( 1, 120, racer1,
+      "Sat c=46 d=73 p=1459 r=0 f9c1153d4dc7756e35e304c8420605ed" );
+    ( 2, 150, 0,
+      "Sat c=1199 d=1543 p=47134 r=6 d944246b231d2a825efeb62ff0c146d3" );
+    ( 2, 150, racer1,
+      "Sat c=3198 d=3951 p=129192 r=14 3ec409d36eed9b2cb2526d1c274a5757" );
+    ( 3, 175, 0,
+      "Sat c=2466 d=3029 p=108995 r=14 af30013368a8507e31db242cc17f454a" );
+    ( 3, 175, racer1,
+      "Sat c=470 d=585 p=20068 r=3 3746e981d9403f2f1cb6876d1c077957" );
+    ( 4, 160, 0,
+      "Unsat c=1384 d=1698 p=53714 r=8 63a538ae9d55f2628df82f3d947b8eba" );
+    ( 4, 160, racer1,
+      "Unsat c=1509 d=1839 p=60716 r=9 6d3c136c7397363492534381b0b8a5f7" );
+  ]
+
+let fresh_instance seed nv solver_seed =
+  let s = Solver.create ~seed:solver_seed () in
+  Solver.ensure_vars s nv;
+  List.iter (Solver.add_clause s) (random_3sat seed nv);
+  s
+
+(* Assumptions and a conflict budget cut the first call short; the
+   second resumes from the learnt state (with two more clauses, one
+   carrying a duplicate literal), the third drops the assumptions. *)
+let incremental_run () =
+  let s = fresh_instance 5 140 0 in
+  let assumptions = [ 7; -11; 23 ] in
+  let r1 = Solver.solve ~assumptions ~max_conflicts:300 s in
+  let t1 = trajectory s r1 in
+  Solver.add_clause s [ -7; 11; 40 ];
+  Solver.add_clause s [ 12; -13; 7; 12 ];
+  let r2 = Solver.solve ~assumptions s in
+  let t2 = trajectory s r2 in
+  let r3 = Solver.solve s in
+  [ t1; t2; trajectory s r3 ]
+
+let test_pinned_trajectory () =
+  List.iter
+    (fun (seed, nv, solver_seed, expect) ->
+      let s = fresh_instance seed nv solver_seed in
+      Alcotest.(check string)
+        (Printf.sprintf "seed=%d vars=%d solver_seed=%#x" seed nv solver_seed)
+        expect
+        (trajectory s (Solver.solve s)))
+    pinned_instances;
+  Alcotest.(check (list string))
+    "incremental with assumptions and a budget"
+    [
+      "Unknown c=300 d=378 p=10056 r=2 c74283dec1869219cd3e3cfeb9ac05cc";
+      "Unsat c=512 d=626 p=18011 r=4 c74283dec1869219cd3e3cfeb9ac05cc";
+      "Sat c=695 d=875 p=24367 r=5 f06c65788385775ba310407378f987e1";
+    ]
+    (incremental_run ())
+
+(* The search itself allocates only the clauses it learns: at most 2
+   minor words per propagation over the pinned instances. *)
+let test_solve_allocation () =
+  List.iter
+    (fun (seed, nv, solver_seed, _) ->
+      let s = fresh_instance seed nv solver_seed in
+      let w0 = Gc.minor_words () in
+      ignore (Solver.solve s);
+      let words = Gc.minor_words () -. w0 in
+      let props = (Solver.stats s).Solver.propagations in
+      let per_prop = words /. float_of_int props in
+      if per_prop > 2.0 then
+        Alcotest.failf
+          "seed=%d solver_seed=%#x: %.2f minor words per propagation" seed
+          solver_seed per_prop)
+    pinned_instances
+
 let suite =
   [
     ("trivial sat", `Quick, test_trivial_sat);
@@ -197,4 +310,6 @@ let suite =
     ("dimacs errors", `Quick, test_dimacs_errors);
     QCheck_alcotest.to_alcotest test_fuzz_vs_brute;
     ("conflicts counter", `Quick, test_conflicts_counter);
+    ("pinned search trajectory", `Quick, test_pinned_trajectory);
+    ("solve allocation", `Quick, test_solve_allocation);
   ]

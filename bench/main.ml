@@ -20,8 +20,8 @@
    rows to a string off to the side and the strings are printed in grid
    order, so stdout is byte-identical at every job count; the wall-time
    footer goes to stderr for the same reason. Each task builds its own
-   netlist: Netlist.t carries lazily-populated fanout/driver caches and
-   must not be shared across domains. *)
+   netlist; sharing one would be safe too, since Netlist.t publishes its
+   driver, fanout and order memos only once they are fully built. *)
 
 module N = Shell_netlist
 module F = Shell_fabric

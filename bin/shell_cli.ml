@@ -677,8 +677,7 @@ let lint_cmd =
 
 module BH = Shell_bench_history
 
-let bench_run targets history record check report commit against
-    list_targets =
+let bench_run targets history record check report commit list_targets =
   if list_targets then
     List.iter
       (fun (t : BH.Targets.t) ->
@@ -693,7 +692,6 @@ let bench_run targets history record check report commit against
         check;
         report;
         commit;
-        against;
       }
     in
     match BH.Runner.execute opts with
@@ -751,17 +749,6 @@ let bench_cmd =
             "Commit id stamped into records (default: SHELL_BENCH_COMMIT or \
              the git HEAD read from .git).")
   in
-  let against =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "against" ] ~docv:"COMMIT"
-          ~doc:
-            "--check baseline selector: a commit id (prefixes ok) or \
-             $(b,merge-base) to use SHELL_BENCH_MERGE_BASE / the origin \
-             default-branch tip read from .git. Falls back to the last \
-             record per target, with a warning, when no record matches.")
-  in
   let list_targets =
     Arg.(
       value & flag
@@ -775,7 +762,7 @@ let bench_cmd =
           --report renders the HTML trend page.")
     Term.(
       const bench_run $ targets $ history $ record $ check $ report $ commit
-      $ against $ list_targets)
+      $ list_targets)
 
 (* ---------------- serve ---------------- *)
 

@@ -33,8 +33,8 @@ let live_cells nl values (odc : Odc.t) =
       else acc)
     0 (N.cells nl)
 
-let pinned_live ~order nl pins =
-  let values = Dataflow.const_values ~pins ~config_through:true ~order nl in
+let pinned_live nl pins =
+  let values = Dataflow.const_values ~pins ~config_through:true nl in
   live_cells nl values (Odc.analyze ~values nl)
 
 let attack =
@@ -50,9 +50,7 @@ let attack =
         if k = 0 then Attack.Inapplicable "no key bits"
         else begin
           let start = Shell_util.Clock.now () in
-          (* one topological order for all 2k+1 propagations *)
-          let order = Dataflow.order nl in
-          let base = pinned_live ~order nl [] in
+          let base = pinned_live nl [] in
           let guess = Array.make k false in
           let decided = ref 0 in
           let examined = ref 0 in
@@ -61,8 +59,8 @@ let attack =
           while (not !stop) && !i < k do
             let _, net = keys.(!i) in
             if net >= 0 then begin
-              let against0 = pinned_live ~order nl [ (net, false) ] < base in
-              let against1 = pinned_live ~order nl [ (net, true) ] < base in
+              let against0 = pinned_live nl [ (net, false) ] < base in
+              let against1 = pinned_live nl [ (net, true) ] < base in
               (match (against0, against1) with
               | true, false ->
                   guess.(!i) <- true;

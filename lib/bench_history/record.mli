@@ -13,6 +13,12 @@
 type t = {
   version : int;  (** record-format version, {!version} when written *)
   commit : string;
+      (** the commit checked out when the record was made (git HEAD,
+          unless overridden). A record that a change appends is made
+          before the change is committed, so it carries the change's
+          parent. The stamp labels the record; [--check] never selects
+          a baseline by it (the baseline is the last record of the
+          history file it reads). *)
   target : string;
   jobs : int;
   times : (string * float) list;  (** per-benchmark wall seconds *)

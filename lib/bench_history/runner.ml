@@ -64,42 +64,6 @@ let commit_id () =
           | None -> "unknown")
       | None -> "unknown")
 
-let rec resolve_ref git_dir depth refname =
-  if depth > 8 then None
-  else
-    match Option.map String.trim (read_file (Filename.concat git_dir refname)) with
-    | Some s when s <> "" -> (
-        match String.index_opt s ' ' with
-        | Some i when String.sub s 0 i = "ref:" ->
-            resolve_ref git_dir (depth + 1)
-              (String.trim (String.sub s (i + 1) (String.length s - i - 1)))
-        | _ -> Some s)
-    | _ -> packed_ref git_dir refname
-
-let merge_base_commit () =
-  match Sys.getenv_opt "SHELL_BENCH_MERGE_BASE" with
-  | Some c when String.trim c <> "" -> Some (String.trim c)
-  | _ -> (
-      match find_git_dir (Sys.getcwd ()) 0 with
-      | None -> None
-      | Some git_dir ->
-          List.find_map
-            (resolve_ref git_dir 0)
-            [
-              "refs/remotes/origin/HEAD";
-              "refs/remotes/origin/main";
-              "refs/remotes/origin/master";
-              "refs/heads/main";
-              "refs/heads/master";
-            ])
-
-let commit_matches ~spec commit =
-  spec <> "" && commit <> ""
-  &&
-  let ls = String.length spec and lc = String.length commit in
-  if ls <= lc then String.sub commit 0 ls = spec
-  else String.sub spec 0 lc = commit
-
 (* -------- one record -------- *)
 
 let run_target ?commit ~jobs (t : Targets.t) =
@@ -135,7 +99,6 @@ type opts = {
   check : bool;
   report : string option;
   commit : string option;
-  against : string option;
 }
 
 let default_opts =
@@ -146,7 +109,6 @@ let default_opts =
     check = false;
     report = None;
     commit = None;
-    against = None;
   }
 
 let ( let* ) = Result.bind
@@ -198,47 +160,12 @@ let execute ?(out = print_endline) opts =
         r)
       targets
   in
-  let against_sha =
-    if not opts.check then None
-    else
-      match opts.against with
-      | None -> None
-      | Some "merge-base" -> (
-          match merge_base_commit () with
-          | Some sha -> Some sha
-          | None ->
-              out
-                "check: --against merge-base unresolvable (no origin default \
-                 branch under .git); falling back to last record";
-              None)
-      | Some spec -> Some spec
-  in
-  let baseline_for (r : Record.t) =
-    let fallback () = History.last ~target:r.Record.target committed in
-    match against_sha with
-    | None -> fallback ()
-    | Some sha -> (
-        match
-          History.last ~target:r.Record.target
-            (List.filter
-               (fun (c : Record.t) -> commit_matches ~spec:sha c.Record.commit)
-               committed)
-        with
-        | Some b -> Some b
-        | None ->
-            out
-              (Printf.sprintf
-                 "check %s: no record for commit %s in history; falling back \
-                  to last record"
-                 r.Record.target sha);
-            fallback ())
-  in
   let drifts =
     if not opts.check then []
     else
       List.filter_map
         (fun (r : Record.t) ->
-          match baseline_for r with
+          match History.last ~target:r.Record.target committed with
           | None ->
               out
                 (Printf.sprintf "check %s: no baseline in %s, skipped"

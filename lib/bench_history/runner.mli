@@ -12,22 +12,6 @@ val commit_id : unit -> string
     working directory, following [HEAD] refs through loose and packed
     refs — no subprocess); ["unknown"] when neither works. *)
 
-val merge_base_commit : unit -> string option
-(** The commit [--against merge-base] compares to:
-    [SHELL_BENCH_MERGE_BASE] when set, otherwise the tip of the
-    origin default branch read from [.git] (the
-    [refs/remotes/origin/HEAD] symref, then [origin/main],
-    [origin/master], and the local [main]/[master] heads). This is the
-    merge-base approximation available without walking the object
-    graph: on a just-forked feature branch the default-branch tip {e
-    is} the merge base, and CI pipelines that know better inject the
-    exact sha via the env var. [None] when no candidate resolves. *)
-
-val commit_matches : spec:string -> string -> bool
-(** Prefix-tolerant commit comparison (either side may be abbreviated,
-    as [SHELL_BENCH_COMMIT] often is in CI). Empty strings never
-    match. *)
-
 val run_target : ?commit:string -> jobs:int -> Targets.t -> Record.t
 (** Execute one target under freshly-reset, enabled Obs (pass cache
     cleared; prior enablement restored afterwards) and package the
@@ -43,13 +27,6 @@ type opts = {
   check : bool;  (** diff against the last committed record per target *)
   report : string option;  (** write the HTML trend page here *)
   commit : string option;  (** override {!commit_id} *)
-  against : string option;
-      (** [--check] baseline selector: [Some "merge-base"] diffs
-          against the last history record whose commit prefix-matches
-          {!merge_base_commit}; any other string is taken as a commit
-          (prefix) directly. When the spec cannot be resolved or no
-          record matches it, a warning goes to [out] and the last
-          record per target is used, as with [None]. *)
 }
 
 val default_opts : opts

@@ -60,9 +60,6 @@ let of_outcome (o : Pipeline.outcome) =
     lint = the "lint" a.Pipeline.lint;
   }
 
-let run_staged ?use_cache ?strict_fit ?fabric config original =
-  Pipeline.execute ?use_cache ?strict_fit ?fabric config original
-
 let run config original = of_outcome (Pipeline.execute config original)
 
 let locked_sub r =

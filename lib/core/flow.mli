@@ -49,20 +49,9 @@ val run : config -> Shell_netlist.Netlist.t -> result
     staged artifacts into a [result]. Raises {!Shell_util.Diag.Error}
     (naming the failing pass) if any pass aborts. *)
 
-val run_staged :
-  ?use_cache:bool ->
-  ?strict_fit:bool ->
-  ?fabric:Shell_fabric.Fabric.t ->
-  config ->
-  Shell_netlist.Netlist.t ->
-  Pipeline.outcome
-(** {!Pipeline.execute}: never raises on pass failure, returns
-    whatever artifacts were produced (per-pass spans go to
-    {!Shell_util.Obs}). *)
-
 val of_outcome : Pipeline.outcome -> result
-(** Pack a completed outcome into a [result]; raises
-    {!Shell_util.Diag.Error} if the outcome failed. *)
+(** Pack a completed {!Pipeline.execute} outcome into a [result];
+    raises {!Shell_util.Diag.Error} if the outcome failed. *)
 
 val locked_sub : result -> Shell_locking.Locked.t
 (** The attack surface: the redacted block as a locked netlist whose

@@ -83,6 +83,8 @@ let pass_names =
    inside pass bodies (pool tasks, emitted bitstream bits) stay
    byte-identical across SHELL_JOBS settings. *)
 
+(* Spilled products are unmarshalled at this type, so any change to a
+   product type (Netlist.t included) must bump [store_format] below. *)
 type product =
   | P_analysis of Connectivity.t
   | P_choice of Selection.choice
@@ -128,7 +130,7 @@ let m_cache_disk_hits =
     "pipeline_cache_disk_hits"
 
 (* Optional content-addressed spill store (the serve daemon attaches
-   one so warm hits survive restarts). Blobs are opaque here: this
+   one so cache hits survive restarts). Blobs are opaque here: this
    module marshals [(key, product)] pairs and the store only moves
    bytes. Both directions swallow store failures — a broken disk
    cache must degrade to a cold cache, never break the pipeline. *)
@@ -139,6 +141,12 @@ type store = {
 
 let store_ref : store option ref = ref None
 let set_store s = store_ref := s
+
+(* Format tag prefixed to every key handed to the store (format 1 keys
+   were untagged). A blob written by a binary with other product types
+   then sits under another key, so it is never read back at the wrong
+   type. *)
+let store_format = "p2|"
 
 let env_cache_enabled () =
   match Sys.getenv_opt "SHELL_PASS_CACHE" with
@@ -161,27 +169,6 @@ let cache_abort key =
   Condition.broadcast cache_landed;
   Mutex.unlock cache_lock
 
-(* Lazy driver/fanout tables must be materialized before a netlist is
-   published to other domains through the cache. *)
-let warm nl =
-  if Netlist.num_nets nl > 0 then begin
-    ignore (Netlist.driver nl 0);
-    ignore (Netlist.fanout nl 0)
-  end
-
-let warm_product = function
-  | P_analysis a -> warm a.Connectivity.netlist
-  | P_choice _ -> ()
-  | P_cut c -> warm c.Extraction.sub
-  | P_mapped m -> warm m.Synthesize.netlist
-  | P_pnr _ -> ()
-  | P_emit (e, timing) ->
-      warm e.Emit.locked;
-      warm timing
-  | P_shrink _ -> ()
-  | P_overhead (_, locked_full) -> warm locked_full
-  | P_lint _ -> ()
-
 (* Disk probe for a freshly claimed key, run OUTSIDE [cache_lock] so
    store I/O never blocks other domains' cache traffic. The blob
    carries its own key so a store collision/corruption can only
@@ -190,6 +177,7 @@ let store_load key =
   match !store_ref with
   | None -> None
   | Some st -> (
+      let key = store_format ^ key in
       match st.load key with
       | None | (exception _) -> None
       | Some blob -> (
@@ -201,6 +189,7 @@ let store_save key product =
   match !store_ref with
   | None -> ()
   | Some st -> (
+      let key = store_format ^ key in
       match Marshal.to_string (key, product) [] with
       | exception _ -> ()
       | blob -> (
@@ -220,7 +209,7 @@ let evict_ready_if_full () =
       cache
 
 (* [Some p] on a hit (including waiting out another domain's in-flight
-   computation of the same key, and including a warm entry loaded from
+   computation of the same key, and including an entry loaded from
    the spill store); [None] claims the key — the caller must follow up
    with [cache_add] or [cache_abort]. *)
 let cache_find key =
@@ -244,7 +233,6 @@ let cache_find key =
   | `Claimed -> (
       match store_load key with
       | Some p ->
-          warm_product p;
           Mutex.lock cache_lock;
           evict_ready_if_full ();
           Hashtbl.replace cache key (Ready p);
@@ -258,7 +246,6 @@ let cache_find key =
           None)
 
 let cache_add key product =
-  warm_product product;
   if Obs.enabled () then
     Obs.add m_cache_bytes (8 * Obj.reachable_words (Obj.repr product));
   Mutex.lock cache_lock;
@@ -718,7 +705,6 @@ let apply a = function
   | P_lint r -> { a with lint = Some r }
 
 let execute ?(use_cache = true) ?(strict_fit = false) ?fabric config original =
-  warm original;
   let ctx = { strict_fit; fabric; use_cache = use_cache && env_cache_enabled () } in
   let init =
     {

@@ -121,7 +121,10 @@ type product =
   | P_overhead of Overhead.t * Shell_netlist.Netlist.t
   | P_lint of Shell_lint.Lint.report
       (** one cached pass output, keyed by [pass_name ^ "|" ^
-          input_fingerprint] *)
+          input_fingerprint]. The spill store reads products back at
+          this type, so any change to a product type
+          ({!Shell_netlist.Netlist.t} included) bumps the store's
+          format tag (see {!store}). *)
 
 val cache_cap : int
 (** Entry ceiling; reaching it evicts all [Ready] entries (never
@@ -149,9 +152,12 @@ type store = {
   save : string -> string -> unit;
   load : string -> string option;
 }
-(** Blob store for cache spill: [save key blob] / [load key]. Blobs
-    are opaque marshalled pairs; failures on either side degrade to a
-    cold cache and are never raised. *)
+(** Blob store for cache spill: [save key blob] / [load key]. Every
+    key handed to the store is a cache key prefixed with a format tag,
+    bumped whenever a {!product} type changes, so a blob an older
+    binary wrote is never looked up. Blobs are opaque marshalled
+    pairs; failures on either side degrade to a cold cache and are
+    never raised. *)
 
 val set_store : store option -> unit
 (** Attach (or detach, with [None]) the spill store. The serve daemon

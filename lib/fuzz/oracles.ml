@@ -314,7 +314,7 @@ let pipeline_cfg rng =
 let pipeline =
   let run_locked rng nl =
     let cfg = pipeline_cfg rng in
-    let o = Flow.run_staged ~use_cache:false cfg nl in
+    let o = Pipeline.execute ~use_cache:false cfg nl in
     match o.Pipeline.failed with
     | Some d -> Error (Diag.to_string d)
     | None -> Ok (Flow.of_outcome o)

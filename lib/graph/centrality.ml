@@ -20,10 +20,7 @@ let closeness g ~sources ~sinks =
 
 (* Brandes (2001), restricted: shortest-path counting from each source,
    dependency accumulation seeded only at sink nodes, so the score
-   counts occurrences on source->sink geodesics.
-
-   Per-source scratch buffers, reused across the sources a single
-   domain processes. *)
+   counts occurrences on source->sink geodesics. *)
 type brandes_scratch = {
   sigma : float array;
   dist : int array;
@@ -86,47 +83,26 @@ let betweenness ?jobs g ~sources ~sinks =
   let n = Digraph.n g in
   let is_sink = Array.make n false in
   List.iter (fun v -> is_sink.(v) <- true) sinks;
-  let srcs = Array.of_list sources in
-  let nsrc = Array.length srcs in
-  let jobs =
-    match jobs with Some j -> j | None -> Shell_util.Pool.default_jobs ()
+  (* Each pass writes a private accumulator; the accumulators are
+     folded elementwise in source order. Every bc.(w) then receives
+     exactly the sequence of additions one shared accumulator would —
+     float addition is not associative, so chunk-level partial sums
+     would NOT reproduce it; per-source arrays do, bit for bit. *)
+  let parts =
+    Shell_util.Pool.map ?jobs
+      (fun s ->
+        let bc = Array.make n 0.0 in
+        brandes_pass g ~is_sink (make_scratch n) bc s;
+        bc)
+      (Array.of_list sources)
   in
-  let bc =
-    if jobs <= 1 || nsrc < 4 then begin
-      (* sequential: one scratch, one accumulator, sources in order.
-         Still reported as a batch so the stable pool task totals
-         don't depend on which path ran. *)
-      Shell_util.Pool.count_batch nsrc;
-      let bc = Array.make n 0.0 in
-      let sc = make_scratch n in
-      Array.iter (fun s -> brandes_pass g ~is_sink sc bc s) srcs;
-      bc
-    end
-    else begin
-      (* Parallel passes write per-source private accumulators, folded
-         elementwise on the caller in source order. Every bc.(w) then
-         receives exactly the sequential sequence of additions — float
-         addition is not associative, so chunk-level partial sums would
-         NOT reproduce the sequential result; per-source arrays do,
-         bit for bit. *)
-      let parts =
-        Shell_util.Pool.map ~jobs
-          (fun s ->
-            let bc = Array.make n 0.0 in
-            brandes_pass g ~is_sink (make_scratch n) bc s;
-            bc)
-          srcs
-      in
-      let bc = parts.(0) in
-      for k = 1 to nsrc - 1 do
-        let part = parts.(k) in
-        for w = 0 to n - 1 do
-          bc.(w) <- bc.(w) +. part.(w)
-        done
-      done;
-      bc
-    end
-  in
+  let bc = Array.make n 0.0 in
+  Array.iter
+    (fun part ->
+      for w = 0 to n - 1 do
+        bc.(w) <- bc.(w) +. part.(w)
+      done)
+    parts;
   rescale bc
 
 let eigenvector ?(iters = 50) ?(weight = fun _ -> 1.0) g =

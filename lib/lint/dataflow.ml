@@ -79,16 +79,13 @@ let eval_cell ?(config_through = false) values (c : Cell.t) =
       let r = residual_table tt vals in
       (match Truthtab.is_const r with Some b -> of_bool b | None -> Unknown)
 
-type order = { cells : int array; acyclic : bool }
+(* The netlist's topological order, or index order when its
+   combinational part is cyclic. *)
+let sweep_order nl =
+  if N.has_comb_cycle nl then Array.init (N.num_cells nl) Fun.id
+  else N.topo_order nl
 
-let order nl =
-  match N.topo_order nl with
-  | o -> { cells = o; acyclic = true }
-  | exception Failure _ ->
-      { cells = Array.init (N.num_cells nl) Fun.id; acyclic = false }
-
-let const_values ?(pins = []) ?(config_through = false) ?order:o nl =
-  let o = match o with Some o -> o | None -> order nl in
+let const_values ?(pins = []) ?(config_through = false) nl =
   let n = N.num_nets nl in
   let values = Array.make (max n 1) Unknown in
   List.iter
@@ -106,11 +103,12 @@ let const_values ?(pins = []) ?(config_through = false) ?order:o nl =
         end
         else false
   in
-  if o.acyclic && not config_through then
+  let order = sweep_order nl in
+  if not (config_through || N.has_comb_cycle nl) then
     (* one sweep suffices when the combinational part is acyclic:
        sequential cells come last in the order, and their outputs stay
        Unknown anyway *)
-    Array.iter (fun ci -> ignore (eval_into ci)) o.cells
+    Array.iter (fun ci -> ignore (eval_into ci)) order
   else begin
     (* cyclic, or facts flowing through Config_latch (which the topo
        order places after its readers): bounded monotone fixpoint —
@@ -121,7 +119,7 @@ let const_values ?(pins = []) ?(config_through = false) ?order:o nl =
     while !changed && !rounds < 64 do
       changed := false;
       incr rounds;
-      Array.iter (fun ci -> if eval_into ci then changed := true) o.cells
+      Array.iter (fun ci -> if eval_into ci then changed := true) order
     done
   end;
   values
@@ -188,8 +186,8 @@ let fanin_nets ?values nl targets =
 
 type cones = { values : value array; reach : bool array; live : bool array }
 
-let output_cones ?order nl =
-  let values = const_values ?order nl in
+let output_cones nl =
+  let values = const_values nl in
   let outs = Array.to_list (N.output_nets nl) in
   { values; reach = fanin_nets nl outs; live = fanin_nets ~values nl outs }
 
@@ -222,8 +220,8 @@ let rec first_read ins p k =
 let is_mux (c : Cell.t) =
   match c.Cell.kind with Cell.Mux2 | Cell.Mux4 -> true | _ -> false
 
-let cycles ~order nl =
-  if order.acyclic then { comb = []; mux = [] }
+let cycles nl =
+  if not (N.has_comb_cycle nl) then { comb = []; mux = [] }
   else begin
     let cells = N.cells nl in
     let ncells = Array.length cells in

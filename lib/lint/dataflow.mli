@@ -18,8 +18,10 @@
       both the full combinational part and the MUX-only subgraph (the
       paper's non-cyclic ROUTE-chain invariant).
 
-    Each takes the netlist's one {!order} (its [N.topo_order]) so that a
-    caller running several analyses computes it once. *)
+    Each reads the netlist's memoized evaluation order
+    ({!Shell_netlist.Netlist.topo_order}, or index order when the
+    combinational part is cyclic), so several analyses of one netlist
+    sort it once. *)
 
 type value = Zero | One | Unknown
 
@@ -33,22 +35,9 @@ val residual_table :
     functional cone walk, the ODC masking rules and the taint
     propagation. *)
 
-(** The evaluation order of a netlist's cells. *)
-type order = {
-  cells : int array;
-      (** {!Shell_netlist.Netlist.topo_order}, or index order when the
-          combinational part is cyclic *)
-  acyclic : bool;  (** the topological order exists *)
-}
-
-val order : Shell_netlist.Netlist.t -> order
-(** One [N.topo_order] call. Every function below taking an optional
-    [?order] computes it when absent. *)
-
 val const_values :
   ?pins:(int * bool) list ->
   ?config_through:bool ->
-  ?order:order ->
   Shell_netlist.Netlist.t ->
   value array
 (** Per-net constant facts, indexed by net id. Ports are [Unknown].
@@ -96,7 +85,7 @@ type cones = {
   live : bool array;  (** nets in the {e functional} cone (constant cuts) *)
 }
 
-val output_cones : ?order:order -> Shell_netlist.Netlist.t -> cones
+val output_cones : Shell_netlist.Netlist.t -> cones
 (** {!const_values} plus {!fanin_nets} (structural and functional) over
     the primary outputs. *)
 
@@ -133,9 +122,10 @@ type cycles = {
 (** Nodes are cell indices; each SCC is sorted ascending, and the lists
     are in ascending order of their smallest member. *)
 
-val cycles : order:order -> Shell_netlist.Netlist.t -> cycles
-(** Both SCC lists, given the netlist's {!order}. An acyclic [order]
-    proves both empty, and no graph is built. Otherwise the
+val cycles : Shell_netlist.Netlist.t -> cycles
+(** Both SCC lists. An acyclic netlist
+    ({!Shell_netlist.Netlist.has_comb_cycle} false, read from the
+    order memo) has both empty, and no graph is built. Otherwise the
     combinational graph is built once from the driver table (the last
     driver of a multi-driven net, as in [N.topo_order]) and handed to
     {!Shell_graph.Digraph.sccs}; the MUX-only graph is its restriction

@@ -69,7 +69,6 @@ type finding = {
 
 type ctx = {
   subj : subject;
-  order : Dataflow.order;
   invalid : (N.invalid * string) list;
   values : Dataflow.value array;
   reach : bool array;
@@ -84,7 +83,6 @@ type ctx = {
    lazy field forced from two domains at once would raise. *)
 let make_ctx subj =
   let nl = subj.netlist in
-  let order = Dataflow.order nl in
   let invalid =
     List.filter_map
       (fun d ->
@@ -93,20 +91,19 @@ let make_ctx subj =
         | _ -> None)
       (N.validate_all nl)
   in
-  let c = Dataflow.output_cones ~order nl in
+  let c = Dataflow.output_cones nl in
   let values = c.Dataflow.values in
   let masked = Odc.masks values nl in
   {
     subj;
-    order;
     invalid;
     values;
     reach = c.Dataflow.reach;
     live = c.Dataflow.live;
     masked;
     odc = Odc.analyze ~values ~masked nl;
-    taint = Taint.analyze ~order ~values ~masked nl;
-    cycles = Dataflow.cycles ~order nl;
+    taint = Taint.analyze ~values ~masked nl;
+    cycles = Dataflow.cycles nl;
   }
 
 type rule = {

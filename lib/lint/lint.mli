@@ -80,9 +80,6 @@ type finding = {
     analysis below runs once, however many rules read it. *)
 type ctx = {
   subj : subject;
-  order : Dataflow.order;
-      (** the netlist's one [N.topo_order], shared by the constant
-          facts, taint and the [scope-leak] rule's SCOPE scores *)
   invalid : (Shell_netlist.Netlist.invalid * string) list;
       (** the one [N.validate_all], with each defect's message; read by
           [port-invalid], [net-multi-driven] and [net-undriven] *)
@@ -100,8 +97,8 @@ type ctx = {
       (** forward key influence: which key bits reach which nets *)
   cycles : Dataflow.cycles;
       (** combinational and MUX-chain SCCs, read by [comb-cycle] and
-          [mux-chain-cycle]; empty without a graph when [order] is
-          acyclic *)
+          [mux-chain-cycle]; empty without a graph when the netlist
+          is acyclic *)
 }
 
 val make_ctx : subject -> ctx

@@ -225,7 +225,7 @@ let scope_leak =
     (fun r ctx ->
       if N.keys ctx.subj.netlist = [] then []
       else
-        Scope.scores ~order:ctx.order ctx.subj.netlist
+        Scope.scores ctx.subj.netlist
         |> List.filter_map (fun (b : Scope.bit_score) ->
                match Scope.guess b with
                | Some g ->

@@ -63,8 +63,8 @@ let pinned_moves nl ~config_through base (net, b) =
     count
   end
 
-let scores ?(config_through = true) ?order nl =
-  let base = Dataflow.const_values ~config_through ?order nl in
+let scores ?(config_through = true) nl =
+  let base = Dataflow.const_values ~config_through nl in
   List.map
     (fun (name, net) ->
       {

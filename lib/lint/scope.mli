@@ -36,9 +36,5 @@ val guess : bit_score -> bool option
 (** The less-collapsing value, or [None] on a tie (undecided). *)
 
 val scores :
-  ?config_through:bool ->
-  ?order:Dataflow.order ->
-  Shell_netlist.Netlist.t ->
-  bit_score list
-(** Per-bit scores in {!Shell_netlist.Netlist.keys} order; [~order] as
-    in {!Dataflow.const_values}. *)
+  ?config_through:bool -> Shell_netlist.Netlist.t -> bit_score list
+(** Per-bit scores in {!Shell_netlist.Netlist.keys} order. *)

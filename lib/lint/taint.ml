@@ -49,12 +49,9 @@ let net_taint t net =
 
 let count t net = List.length (net_taint t net)
 
-let analyze ?order ?values ?masked nl =
-  let order = match order with Some o -> o | None -> Dataflow.order nl in
+let analyze ?values ?masked nl =
   let values =
-    match values with
-    | Some v -> v
-    | None -> Dataflow.const_values ~order nl
+    match values with Some v -> v | None -> Dataflow.const_values nl
   in
   let masked =
     match masked with Some m -> m | None -> Odc.masks values nl
@@ -114,6 +111,11 @@ let analyze ?order ?values ?masked nl =
       if !ticked then seen.(ci) <- !clock;
       !changed
     in
+    (* the order [Dataflow.const_values] sweeps in *)
+    let order =
+      if N.has_comb_cycle nl then Array.init (Array.length cells) Fun.id
+      else N.topo_order nl
+    in
     let sweep () =
       let changed = ref false in
       Array.iter
@@ -122,7 +124,7 @@ let analyze ?order ?values ?masked nl =
           match values.(cells.(ci).Cell.out) with
           | Dataflow.Unknown -> if visit ci then changed := true
           | Dataflow.Zero | Dataflow.One -> ())
-        order.Dataflow.cells;
+        order;
       !changed
     in
     (* each sweep that reports a change set at least one new bit, so

@@ -31,14 +31,14 @@ type t = {
 }
 
 val analyze :
-  ?order:Dataflow.order ->
   ?values:Dataflow.value array ->
   ?masked:int array ->
   Shell_netlist.Netlist.t ->
   t
-(** [~order] defaults to {!Dataflow.order}, [~values] to
-    {!Dataflow.const_values} and [~masked] to {!Odc.masks} (pass the
-    context's to avoid recomputing them). *)
+(** [~values] defaults to {!Dataflow.const_values} and [~masked] to
+    {!Odc.masks} (pass the context's to avoid recomputing them). The
+    sweeps follow the netlist's memoized topological order, or index
+    order when it is cyclic. *)
 
 val tainted : t -> net:int -> bit:int -> bool
 (** Key bit [bit] can still reach [net]. *)

@@ -9,9 +9,14 @@ type t = {
   mutable outputs : (string * int) list;
   mutable keys : (string * int) list;
   cells : Cell.t Vec.t;
-  (* caches, invalidated on mutation *)
-  mutable driver_cache : int array option;  (* net -> cell index or -1 *)
-  mutable fanout_cache : int list array option;
+  (* Memos over the nets and cells above, cleared by every mutation that
+     changes them. Each is built in full before it is published, so a
+     domain reading one sees either [None] or a finished value; domains
+     racing on an empty memo each build the same value. *)
+  driver_memo : int array option Atomic.t;  (* net -> cell index or -1 *)
+  fanout_memo : int list array option Atomic.t;
+  order_memo : int array option option Atomic.t;
+      (* [Some None]: the combinational part is cyclic *)
 }
 
 let create name =
@@ -22,19 +27,35 @@ let create name =
     outputs = [];
     keys = [];
     cells = Vec.create ();
-    driver_cache = None;
-    fanout_cache = None;
+    driver_memo = Atomic.make None;
+    fanout_memo = Atomic.make None;
+    order_memo = Atomic.make None;
   }
 
 let name t = t.name
 
+(* [build] is a closed function of [t], so a hit allocates nothing. *)
+let memo cell build t =
+  match Atomic.get cell with
+  | Some v -> v
+  | None ->
+      let v = build t in
+      Atomic.set cell (Some v);
+      v
+
+(* Netlists are built one net and one cell at a time, so test before
+   paying for an atomic write. *)
+let clear cell = if Option.is_some (Atomic.get cell) then Atomic.set cell None
+
 let invalidate t =
-  t.driver_cache <- None;
-  t.fanout_cache <- None
+  clear t.driver_memo;
+  clear t.fanout_memo;
+  clear t.order_memo
 
 let new_net t =
   let id = t.n_nets in
   t.n_nets <- id + 1;
+  invalidate t;
   id
 
 type invalid =
@@ -123,30 +144,26 @@ let input_nets t = Array.of_list (List.map snd (inputs t))
 let output_nets t = Array.of_list (List.map snd (outputs t))
 let key_nets t = Array.of_list (List.map snd (keys t))
 
-let driver_table t =
-  match t.driver_cache with
-  | Some d -> d
-  | None ->
-      let d = Array.make (max t.n_nets 1) (-1) in
-      Vec.iteri (fun i c -> d.(c.Cell.out) <- i) t.cells;
-      t.driver_cache <- Some d;
-      d
+let build_driver_table t =
+  let d = Array.make (max t.n_nets 1) (-1) in
+  Vec.iteri (fun i c -> d.(c.Cell.out) <- i) t.cells;
+  d
+
+let driver_table t = memo t.driver_memo build_driver_table t
 
 let driver t net =
   let d = driver_table t in
   if net < 0 || net >= t.n_nets then None
   else match d.(net) with -1 -> None | i -> Some i
 
-let fanout_table t =
-  match t.fanout_cache with
-  | Some f -> f
-  | None ->
-      let f = Array.make (max t.n_nets 1) [] in
-      Vec.iteri
-        (fun i c -> Array.iter (fun n -> f.(n) <- i :: f.(n)) c.Cell.ins)
-        t.cells;
-      t.fanout_cache <- Some f;
-      f
+let build_fanout_table t =
+  let f = Array.make (max t.n_nets 1) [] in
+  Vec.iteri
+    (fun i c -> Array.iter (fun n -> f.(n) <- i :: f.(n)) c.Cell.ins)
+    t.cells;
+  f
+
+let fanout_table t = memo t.fanout_memo build_fanout_table t
 
 let fanout t net =
   let f = fanout_table t in
@@ -156,8 +173,9 @@ let copy t =
   {
     t with
     cells = Vec.of_array (Vec.to_array t.cells);
-    driver_cache = None;
-    fanout_cache = None;
+    driver_memo = Atomic.make None;
+    fanout_memo = Atomic.make None;
+    order_memo = Atomic.make None;
   }
 
 let map_cells t f =
@@ -286,8 +304,9 @@ let fingerprint t =
    from the driver of each input net of a combinational cell to that
    cell. Sequential cells are sources (their output depends on the past
    only) but their inputs still have to be produced, so they appear in
-   the order too, after their input cone. *)
-let topo_order t =
+   the order too, after their input cone. [None] when the combinational
+   part is cyclic. *)
+let sort t =
   let n = num_cells t in
   let d = driver_table t in
   let indeg = Array.make n 0 in
@@ -329,15 +348,22 @@ let topo_order t =
   for i = 0 to n - 1 do
     if not (Cell.is_sequential (Vec.get t.cells i).Cell.kind) then incr n_comb
   done;
-  if Vec.length order <> !n_comb then
-    failwith "Netlist.topo_order: combinational cycle";
-  for i = 0 to n - 1 do
-    if Cell.is_sequential (Vec.get t.cells i).Cell.kind then Vec.push order i
-  done;
-  Vec.to_array order
+  if Vec.length order <> !n_comb then None
+  else begin
+    for i = 0 to n - 1 do
+      if Cell.is_sequential (Vec.get t.cells i).Cell.kind then Vec.push order i
+    done;
+    Some (Vec.to_array order)
+  end
 
-let has_comb_cycle t =
-  match topo_order t with _ -> false | exception Failure _ -> true
+let order t = memo t.order_memo sort t
+
+let topo_order t =
+  match order t with
+  | Some o -> o
+  | None -> failwith "Netlist.topo_order: combinational cycle"
+
+let has_comb_cycle t = Option.is_none (order t)
 
 let comb_view t =
   let v = create (t.name ^ "_scan") in

@@ -10,7 +10,21 @@
 
     Invariant (checked by {!validate}): every net is driven by exactly
     one source (a port of class input/key, or a cell output), and every
-    primary output names an existing net. *)
+    primary output names an existing net.
+
+    A netlist memoizes three indexes over its nets and cells: the
+    driver table ({!driver}), the fanout table ({!fanout}) and the
+    evaluation order ({!topo_order}, which also remembers a cyclic
+    result for {!has_comb_cycle}). Each is built on first use and
+    cleared by {!new_net} (hence {!add_input}, {!add_key} and the
+    builders) and by {!add_cell}; ports and origins do not touch them.
+    A memo is published only once it is fully built, so one netlist may
+    be read from several domains at once (pool tasks, pass-cache hits)
+    without any warming; a domain that loses the race to fill a memo
+    builds the same value again. Mutating a netlist while another
+    domain reads it is not supported. {!copy}, {!map_cells},
+    {!filter_outputs} and {!comb_view} start with empty memos of their
+    own. *)
 
 type t
 
@@ -75,13 +89,18 @@ val output_nets : t -> int array
 val key_nets : t -> int array
 
 val driver : t -> int -> int option
-(** [driver t net] is the index of the cell driving [net], or [None]
-    for port-driven / floating nets. Built lazily; O(1) amortized. *)
+(** [driver t net] is the index of the cell driving [net] (the last
+    one, when several drive it), or [None] for port-driven / floating
+    nets and ids outside [0, num_nets). O(1) once the memoized driver
+    table is built. *)
 
 val fanout : t -> int -> int list
-(** Indices of cells reading [net]. *)
+(** Indices of cells reading [net], in cell order; [[]] for ids
+    outside [0, num_nets). Read from the memoized fanout table. *)
 
 val copy : t -> t
+(** Independent netlist with the same nets, ports and cells, and empty
+    memos. *)
 
 val map_cells : t -> (int -> Cell.t -> Cell.t) -> t
 (** Fresh netlist with cell [i] replaced by [f i cell]; nets, ports and
@@ -133,9 +152,13 @@ val fingerprint : t -> string
 val topo_order : t -> int array
 (** Indices of all cells in topological order, where sequential cell
     outputs count as sources. Raises [Failure] if the combinational
-    part is cyclic. *)
+    part is cyclic. Sorted once per netlist state and memoized: the
+    returned array is shared by every caller (and every domain) and
+    must be treated as read-only. *)
 
 val has_comb_cycle : t -> bool
+(** The combinational part is cyclic: {!topo_order} would raise.
+    Answered from the same memo. *)
 
 val comb_view : t -> t
 (** Full-scan view per the threat model: every [Dff] is removed, its

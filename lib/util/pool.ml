@@ -38,13 +38,11 @@ let pool =
   }
 
 (* Telemetry. Tasks and batches are counted at the [mapi] choke point
-   — before the sequential/parallel path split — and callers with
-   their own sequential fallback (e.g. Centrality.betweenness below
-   nsrc=4 or at jobs=1) report the batches they run inline through
-   [count_batch], so the totals are a pure function of the work
-   submitted and register as stable. The queue-wait / latency
-   histograms and the busy-time counter only see the parallel path
-   and carry wall-clock values, so they stay unstable. *)
+   — before the sequential/parallel path split — so the totals are a
+   pure function of the work submitted and register as stable. The
+   queue-wait / latency histograms and the busy-time counter only see
+   the parallel path and carry wall-clock values, so they stay
+   unstable. *)
 let m_tasks =
   Obs.counter ~stable:true ~help:"tasks submitted to the domain pool"
     "pool_tasks"
@@ -188,17 +186,13 @@ let seq_mapi f arr =
     out
   end
 
-(* Counted on every path (sequential or parallel) so the totals match
-   at any job count. *)
-let count_batch n =
+let mapi ?jobs f arr =
+  let n = Array.length arr in
+  (* counted on both paths, so the totals match at any job count *)
   if n > 0 then begin
     Obs.incr m_batches;
     Obs.add m_tasks n
-  end
-
-let mapi ?jobs f arr =
-  let n = Array.length arr in
-  count_batch n;
+  end;
   let jobs = resolve jobs in
   (* Lend the caller's span context (its open span, or none) to every
      task — wrapped before the path split so the span tree has the same

@@ -52,14 +52,6 @@ val mapi : ?jobs:int -> (int -> 'a -> 'b) -> 'a array -> 'b array
 val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** List counterpart of [map] (input order preserved). *)
 
-val count_batch : int -> unit
-(** Record [n] tasks (one batch, when [n > 0]) in the pool's stable
-    [pool_tasks]/[pool_batches] telemetry without running anything.
-    Callers that keep a private sequential fallback (rather than
-    letting [map]'s own [jobs = 1] bypass run) call this on that path
-    so the totals stay a pure function of the work submitted —
-    identical at any job count. *)
-
 val task_rng : seed:int -> int -> Rng.t
 (** [task_rng ~seed i] is the RNG for task [i] of a batch: a splitmix
     stream derived from [(seed, i)] only, independent of job count and

@@ -254,24 +254,27 @@ let test_execute_record_check () =
   (match Runner.execute ~out:quiet (opts false) with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "clean re-check failed");
-  (* perturb the committed record: the check must now fail *)
+  (* an older commit's history file, whose last record carries other
+     counters (as `git show BASE:BENCH_HISTORY.jsonl` gives after a
+     change re-records): checking against it reports the drift *)
+  let older = temp_path ".jsonl" in
   (match History.load history with
   | Ok [ r ] ->
-      let r' =
+      History.append older
         {
           r with
-          Record.counters =
+          Record.commit = "base";
+          counters =
             List.map
               (fun (k, v) ->
                 if k = "sim_vectors" then (k, v + 1) else (k, v))
               r.Record.counters;
         }
-      in
-      Sys.remove history;
-      History.append history r'
   | _ -> Alcotest.fail "expected exactly one record");
-  (match Runner.execute ~out:quiet (opts false) with
-  | Ok () -> Alcotest.fail "perturbed baseline must fail the check"
+  (match
+     Runner.execute ~out:quiet { (opts false) with Runner.history = Some older }
+   with
+  | Ok () -> Alcotest.fail "older baseline must fail the check"
   | Error [ d ] ->
       Alcotest.(check bool) "Perf_drift diagnostic" true
         (match d.Shell_util.Diag.payload with
@@ -281,6 +284,7 @@ let test_execute_record_check () =
               rep.Check.counters
         | _ -> false)
   | Error _ -> Alcotest.fail "expected one diagnostic");
+  Sys.remove older;
   (* report over the history *)
   let report = temp_path ".html" in
   (match
@@ -291,83 +295,6 @@ let test_execute_record_check () =
   | Error _ -> Alcotest.fail "report run failed");
   Alcotest.(check bool) "report written" true (Sys.file_exists report);
   Sys.remove report;
-  Sys.remove history
-
-let test_check_against () =
-  let history = temp_path ".jsonl" in
-  let quiet _ = () in
-  let opts =
-    {
-      Runner.default_opts with
-      Runner.targets = [ "simulate" ];
-      history = Some history;
-      check = true;
-    }
-  in
-  (* record a good baseline at the "merge base" commit... *)
-  (match
-     Runner.execute ~out:quiet
-       { opts with Runner.check = false; record = true; commit = Some "mbase123" }
-   with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "baseline record failed");
-  (* ...then append a perturbed record as the latest entry *)
-  (match History.load history with
-  | Ok [ r ] ->
-      History.append history
-        {
-          r with
-          Record.commit = "head999";
-          counters =
-            List.map
-              (fun (k, v) ->
-                if k = "sim_vectors" then (k, v + 1) else (k, v))
-              r.Record.counters;
-        }
-  | _ -> Alcotest.fail "expected exactly one record");
-  (* default baseline = last record = the perturbed one: drift *)
-  (match Runner.execute ~out:quiet { opts with Runner.commit = Some "c" } with
-  | Ok () -> Alcotest.fail "check vs perturbed last record must fail"
-  | Error _ -> ());
-  (* --against a commit prefix picks the merge-base record: clean *)
-  (match
-     Runner.execute ~out:quiet
-       { opts with Runner.commit = Some "c"; against = Some "mbase" }
-   with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "check --against mbase must pass");
-  (* --against merge-base resolves via SHELL_BENCH_MERGE_BASE *)
-  Unix.putenv "SHELL_BENCH_MERGE_BASE" "mbase123";
-  Alcotest.(check (option string))
-    "merge-base resolves from the env override" (Some "mbase123")
-    (Runner.merge_base_commit ());
-  (match
-     Runner.execute ~out:quiet
-       { opts with Runner.commit = Some "c"; against = Some "merge-base" }
-   with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "check --against merge-base must pass");
-  Unix.putenv "SHELL_BENCH_MERGE_BASE" "";
-  (* an unmatched spec warns and falls back to the last record *)
-  let warned = ref false in
-  (match
-     Runner.execute
-       ~out:(fun s -> if contains s "falling back" then warned := true)
-       { opts with Runner.commit = Some "c"; against = Some "nomatch" }
-   with
-  | Ok () -> Alcotest.fail "fallback baseline is the perturbed record"
-  | Error _ -> ());
-  Alcotest.(check bool) "fallback warned" true !warned;
-  (* prefix matching is symmetric and rejects empties *)
-  Alcotest.(check bool) "spec prefix" true
-    (Runner.commit_matches ~spec:"ab" "abcdef");
-  Alcotest.(check bool) "commit prefix" true
-    (Runner.commit_matches ~spec:"abcdef" "abc");
-  Alcotest.(check bool) "mismatch" false
-    (Runner.commit_matches ~spec:"ab" "ba");
-  Alcotest.(check bool) "empty spec" false (Runner.commit_matches ~spec:"" "a");
-  Alcotest.(check bool) "empty commit" false
-    (Runner.commit_matches ~spec:"a" "");
   Sys.remove history
 
 let test_unknown_target () =
@@ -397,6 +324,5 @@ let suite =
     Alcotest.test_case "report html" `Quick test_report_html;
     Alcotest.test_case "execute record+check+report" `Quick
       test_execute_record_check;
-    Alcotest.test_case "check --against merge-base" `Quick test_check_against;
     Alcotest.test_case "unknown target" `Quick test_unknown_target;
   ]

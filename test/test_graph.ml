@@ -107,6 +107,54 @@ let test_betweenness_bypass () =
   let b = C.betweenness g ~sources:[ 0 ] ~sinks:[ 4 ] in
   Alcotest.(check bool) "short path node wins" true (b.(1) > b.(2))
 
+(* The exact result bits of seeded random digraphs, as the code that
+   ran one shared accumulator below four sources or at one job computed
+   them (the first case has three sources). Folding the per-source
+   passes in any other order than source order changes some of them. *)
+let random_digraph seed ~n ~m =
+  let rng = Shell_util.Rng.create seed in
+  let edge _ = (Shell_util.Rng.int rng n, Shell_util.Rng.int rng n) in
+  D.make ~n ~edges:(List.init m edge)
+
+let pinned_betweenness =
+  [
+    ( (5, 12, 36, [ 0; 1; 2 ], [ 11; 10; 9; 8 ]),
+      [| 0x0p+0; 0x0p+0; 0x0p+0; 0x0p+0; 0x1.5e50d79435e51p-1; 0x1p+0;
+         0x1.286bca1af286cp-1; 0x1.ca1af286bca1ap-2; 0x1.9435e50d79436p-2;
+         0x1.e50d79435e50ep-3; 0x1.286bca1af286cp-2; 0x0p+0 |] );
+    ( (1, 16, 48, [ 0; 1; 2; 3; 4; 5 ], [ 15; 14; 13; 12 ]),
+      [| 0x1.5555555555555p-2; 0x0p+0; 0x0p+0; 0x0p+0; 0x0p+0;
+         0x1.d89d89d89d89ep-3; 0x0p+0; 0x1.3b13b13b13b14p-3;
+         0x1.d89d89d89d89ep-2; 0x1.3b13b13b13b14p-4; 0x1.4834834834834p-1;
+         0x1.13b13b13b13b1p-1; 0x1.a41a41a41a41ap-4; 0x0p+0; 0x1p+0;
+         0x0p+0 |] );
+    ( (2, 20, 70, [ 0; 1; 2; 3; 4; 5; 6; 7 ], [ 19; 18; 17; 16 ]),
+      [| 0x1.a5294a5294a53p-2; 0x1.0842108421084p-4; 0x0p+0;
+         0x1.0842108421084p-5; 0x1.46318c6318c63p-1; 0x1.294a5294a5294p-3;
+         0x0p+0; 0x1.39ce739ce739ep-1; 0x1p+0; 0x0p+0; 0x1.8c6318c6318c6p-1;
+         0x1.0842108421084p-3; 0x1.def7bdef7bdfp-3; 0x1p-2;
+         0x1.8c6318c6318c7p-6; 0x1.0c6318c6318c6p-1; 0x0p+0;
+         0x1.8c6318c6318c7p-4; 0x0p+0; 0x0p+0 |] );
+  ]
+
+let test_betweenness_pinned_bits () =
+  let bits a = Array.map Int64.bits_of_float a in
+  List.iter
+    (fun ((seed, n, m, sources, sinks), want) ->
+      let g = random_digraph seed ~n ~m in
+      List.iter
+        (fun jobs ->
+          Alcotest.(check (array int64))
+            (Printf.sprintf "seed %d at jobs %d" seed jobs)
+            (bits want)
+            (bits (C.betweenness ~jobs g ~sources ~sinks)))
+        [ 1; 2; 4 ])
+    pinned_betweenness
+
+let test_betweenness_no_sources () =
+  let b = C.betweenness (diamond ()) ~sources:[] ~sinks:[ 3 ] in
+  Alcotest.(check (array (float 0.0))) "all zero" [| 0.; 0.; 0.; 0. |] b
+
 let test_eigenvector () =
   (* star: center connected to all leaves *)
   let g = D.make ~n:5 ~edges:[ (0, 1); (0, 2); (0, 3); (0, 4) ] in
@@ -131,5 +179,7 @@ let suite =
     ("closeness", `Quick, test_closeness);
     ("betweenness chain", `Quick, test_betweenness_chain);
     ("betweenness bypass", `Quick, test_betweenness_bypass);
+    ("betweenness pinned bits", `Quick, test_betweenness_pinned_bits);
+    ("betweenness no sources", `Quick, test_betweenness_no_sources);
     ("eigenvector", `Quick, test_eigenvector);
   ]

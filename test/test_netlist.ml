@@ -176,6 +176,115 @@ let test_cycle_detection () =
   Alcotest.(check bool) "cycle found" true (N.has_comb_cycle nl);
   Alcotest.(check bool) "fixture acyclic" false (N.has_comb_cycle (fixture ()))
 
+(* ---- the driver, fanout and order memos ---- *)
+
+(* A net added after a driver/fanout query must be answerable: a table
+   sized before it would raise on its id. *)
+let test_memo_new_net_after_query () =
+  let nl = N.create "grow" in
+  let a = N.add_input nl "a" in
+  let y = N.not_ nl a in
+  Alcotest.(check (option int)) "driver y" (Some 0) (N.driver nl y);
+  Alcotest.(check (list int)) "fanout a" [ 0 ] (N.fanout nl a);
+  let b = N.add_input nl "b" in
+  Alcotest.(check (option int)) "driver b" None (N.driver nl b);
+  Alcotest.(check (list int)) "fanout b" [] (N.fanout nl b);
+  let k = N.add_key nl "k" in
+  Alcotest.(check (option int)) "driver k" None (N.driver nl k)
+
+let test_memo_order_shared () =
+  let nl = random_nl 5 6 80 in
+  let o = N.topo_order nl in
+  Alcotest.(check bool) "same array" true (o == N.topo_order nl)
+
+let test_memo_mutations_clear () =
+  let nl = fixture () in
+  let o = N.topo_order nl in
+  let x = (N.cell nl 0).Cell.out in
+  ignore (N.driver nl x);
+  ignore (N.fanout nl x);
+  (* new_net: the memos cover the new id *)
+  let z = N.new_net nl in
+  Alcotest.(check (option int)) "driver of a fresh net" None (N.driver nl z);
+  Alcotest.(check (list int)) "fanout of a fresh net" [] (N.fanout nl z);
+  let o' = N.topo_order nl in
+  Alcotest.(check bool) "new_net clears the order" false (o == o');
+  (* add_cell: a new reader of x, a new driver, a longer order *)
+  N.add_cell nl (Cell.make Cell.Buf [| x |] z);
+  let ci = N.num_cells nl - 1 in
+  Alcotest.(check (option int)) "driver of the new net" (Some ci)
+    (N.driver nl z);
+  Alcotest.(check (list int)) "fanout grew" [ 1; ci ] (N.fanout nl x);
+  let o'' = N.topo_order nl in
+  Alcotest.(check bool) "add_cell clears the order" false (o' == o'');
+  Alcotest.(check int) "order covers the new cell" (N.num_cells nl)
+    (Array.length o'')
+
+let test_memo_fresh_on_copy () =
+  let nl = fixture () in
+  let o = N.topo_order nl in
+  let c = N.copy nl in
+  let v = N.comb_view nl in
+  let co = N.topo_order c and vo = N.topo_order v in
+  Alcotest.(check bool) "copy sorts afresh" false (o == co);
+  Alcotest.(check bool) "comb_view sorts afresh" false (o == vo);
+  (* a mutation of either side leaves the others' memos alone *)
+  let x = (N.cell c 0).Cell.out in
+  N.add_cell c (Cell.make Cell.Buf [| x |] (N.new_net c));
+  Alcotest.(check bool) "original order kept" true (o == N.topo_order nl);
+  Alcotest.(check int) "copy order grew" (N.num_cells nl + 1)
+    (Array.length (N.topo_order c));
+  N.add_cell nl (Cell.make Cell.Buf [| x |] (N.new_net nl));
+  Alcotest.(check bool) "comb_view order kept" true (vo == N.topo_order v)
+
+let test_memo_cyclic () =
+  let nl = N.create "cyc" in
+  let a = N.add_input nl "a" in
+  let loop_net = N.new_net nl in
+  let x = N.and_ nl a loop_net in
+  N.add_cell nl (Cell.make Cell.Buf [| x |] loop_net);
+  for _ = 1 to 200 do
+    ignore (N.xor_ nl x a)
+  done;
+  let alloc f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let sorted = alloc (fun () -> ignore (N.has_comb_cycle nl)) in
+  let again = alloc (fun () -> ignore (N.has_comb_cycle nl)) in
+  let nothing = alloc (fun () -> ()) in
+  Alcotest.(check bool) "cyclic" true (N.has_comb_cycle nl);
+  Alcotest.(check bool) "the first call sorts" true (sorted > 1000.);
+  Alcotest.(check (float 0.)) "the second answers from the memo" nothing
+    again;
+  Alcotest.check_raises "topo_order still raises"
+    (Failure "Netlist.topo_order: combinational cycle") (fun () ->
+      ignore (N.topo_order nl))
+
+(* One netlist nobody has queried, read by four pool tasks at once:
+   every task sees the answers a sequential reader of a copy gets. *)
+let test_memo_shared_across_domains () =
+  let nl = random_nl 23 16 3000 in
+  let answers nl =
+    let n = N.num_nets nl in
+    ( Array.init n (N.driver nl),
+      Array.init n (N.fanout nl),
+      Array.copy (N.topo_order nl) )
+  in
+  let want = answers (N.copy nl) in
+  let got =
+    Shell_util.Pool.map ~jobs:4 (fun _ -> answers nl) (Array.make 4 ())
+  in
+  Array.iteri
+    (fun i (d, f, o) ->
+      let wd, wf, wo = want in
+      let name what = Printf.sprintf "task %d %s" i what in
+      Alcotest.(check (array (option int))) (name "driver") wd d;
+      Alcotest.(check (array (list int))) (name "fanout") wf f;
+      Alcotest.(check (array int)) (name "order") wo o)
+    got
+
 let test_sim_comb () =
   let nl = fixture () in
   let sim = Sim.create nl in
@@ -769,6 +878,12 @@ let suite =
     ("driver/fanout", `Quick, test_driver_fanout);
     ("topo order valid", `Quick, test_topo_order_valid);
     ("cycle detection", `Quick, test_cycle_detection);
+    ("memo: new net after a query", `Quick, test_memo_new_net_after_query);
+    ("memo: order shared", `Quick, test_memo_order_shared);
+    ("memo: mutations clear", `Quick, test_memo_mutations_clear);
+    ("memo: copy and comb_view fresh", `Quick, test_memo_fresh_on_copy);
+    ("memo: cyclic answer", `Quick, test_memo_cyclic);
+    ("memo: shared across domains", `Quick, test_memo_shared_across_domains);
     ("sim comb", `Quick, test_sim_comb);
     ("sim sequential", `Quick, test_sim_sequential);
     ("comb view ports", `Quick, test_comb_view_ports);

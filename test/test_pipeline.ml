@@ -36,7 +36,7 @@ let traced_run cfg nl =
   Obs.set_enabled true;
   Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
   ignore (Obs.take_spans ());
-  let o = C.Flow.run_staged cfg nl in
+  let o = C.Pipeline.execute cfg nl in
   match Obs.take_spans () with
   | [ root ] when root.Obs.name = "pipeline" -> (o, root.Obs.children)
   | roots ->
@@ -107,7 +107,7 @@ let test_forced_pnr_failure () =
     { F.Fabric.style = F.Style.Fabulous_muxchain; cols = 1; rows = 1; chain_slots = 0 }
   in
   let o =
-    C.Flow.run_staged ~strict_fit:true ~fabric:tiny (fir_cfg ())
+    C.Pipeline.execute ~strict_fit:true ~fabric:tiny (fir_cfg ())
       (Lazy.force fir)
   in
   (match o.C.Pipeline.failed with
@@ -134,15 +134,15 @@ let test_cache_reuse_identical () =
   let cfg = fir_cfg () in
   C.Pipeline.clear_cache ();
   let cold, h0, m0 =
-    cache_delta (fun () -> C.Flow.of_outcome (C.Flow.run_staged cfg nl))
+    cache_delta (fun () -> C.Flow.of_outcome (C.Pipeline.execute cfg nl))
   in
   Alcotest.(check int) "cold run misses every pass" 0 h0;
   Alcotest.(check bool) "cold run fills the cache" true (m0 > 0);
   let warm, h1, _ =
-    cache_delta (fun () -> C.Flow.of_outcome (C.Flow.run_staged cfg nl))
+    cache_delta (fun () -> C.Flow.of_outcome (C.Pipeline.execute cfg nl))
   in
   Alcotest.(check bool) "warm run hits the cache" true (h1 > 0);
-  let uncached = C.Flow.of_outcome (C.Flow.run_staged ~use_cache:false cfg nl) in
+  let uncached = C.Flow.of_outcome (C.Pipeline.execute ~use_cache:false cfg nl) in
   Alcotest.(check string)
     "cached byte-identical to uncached" (summary uncached) (summary warm);
   Alcotest.(check string)
@@ -154,7 +154,7 @@ let test_downstream_change_reuses_upstream () =
   let nl = Lazy.force fir in
   let cfg = fir_cfg () in
   C.Pipeline.clear_cache ();
-  let _ = C.Flow.run_staged cfg nl in
+  let _ = C.Pipeline.execute cfg nl in
   let _, passes = traced_run { cfg with C.Flow.seed = 7 } nl in
   let hit name = pass_counter passes name "cache_hit" = 1 in
   List.iter
@@ -264,7 +264,7 @@ let test_store_round_trip () =
   let key = "testpass|spill" in
   Alcotest.(check bool) "cold claim" true (C.Pipeline.cache_find key = None);
   C.Pipeline.cache_add key (dummy_product 7);
-  Alcotest.(check bool) "spilled" true (Hashtbl.mem blobs key);
+  Alcotest.(check int) "spilled" 1 (Hashtbl.length blobs);
   C.Pipeline.clear_cache ();
   let restored, h, m = cache_delta (fun () -> C.Pipeline.cache_find key) in
   (match restored with
@@ -278,7 +278,7 @@ let test_store_round_trip () =
   Alcotest.(check int) "disk load counts as a hit" 1 h;
   Alcotest.(check int) "no miss" 0 m;
   (* corrupt blob degrades to a miss (claim), never an error *)
-  Hashtbl.replace blobs key "corrupt";
+  Hashtbl.filter_map_inplace (fun _ _ -> Some "corrupt") blobs;
   C.Pipeline.clear_cache ();
   Alcotest.(check bool)
     "corrupt blob -> claim" true
@@ -303,16 +303,68 @@ let test_store_warm_flow () =
   let nl = Lazy.force fir in
   let cfg = fir_cfg () in
   let summary r = Format.asprintf "%a" C.Flow.pp_summary r in
-  let cold = summary (C.Flow.of_outcome (C.Flow.run_staged cfg nl)) in
+  let cold = summary (C.Flow.of_outcome (C.Pipeline.execute cfg nl)) in
   Alcotest.(check bool) "products spilled" true (Hashtbl.length blobs > 0);
   C.Pipeline.clear_cache ();
   let warm, h, m =
     cache_delta (fun () ->
-        summary (C.Flow.of_outcome (C.Flow.run_staged cfg nl)))
+        summary (C.Flow.of_outcome (C.Pipeline.execute cfg nl)))
   in
   Alcotest.(check string) "store-warm run byte-identical" cold warm;
   Alcotest.(check bool) "served from store" true (h > 0);
   Alcotest.(check int) "no recompute" 0 m
+
+(* A blob in the untagged key layout (format 1: [Marshal (key, product)]
+   under the bare cache key) is never read: the pass recomputes and the
+   disk-hit counter stays put. *)
+let test_store_ignores_untagged_keys () =
+  let nl = Lazy.force fir in
+  let key = "connectivity|" ^ N.fingerprint nl in
+  let old_blob =
+    Marshal.to_string
+      (key, C.Pipeline.P_analysis (C.Connectivity.analyze nl))
+      []
+  in
+  let blobs : (string, string) Hashtbl.t = Hashtbl.create 64 in
+  Hashtbl.replace blobs key old_blob;
+  let asked = ref [] in
+  C.Pipeline.set_store
+    (Some
+       {
+         C.Pipeline.save = (fun k b -> Hashtbl.replace blobs k b);
+         load =
+           (fun k ->
+             asked := k :: !asked;
+             Hashtbl.find_opt blobs k);
+       });
+  Fun.protect ~finally:(fun () ->
+      C.Pipeline.set_store None;
+      C.Pipeline.clear_cache ())
+  @@ fun () ->
+  C.Pipeline.clear_cache ();
+  let disk_hits () =
+    List.find_map
+      (fun (s : Obs.sample) ->
+        match s.Obs.value with
+        | Obs.Counter n when s.Obs.name = "pipeline_cache_disk_hits" -> Some n
+        | _ -> None)
+      (Obs.snapshot ())
+    |> Option.value ~default:0
+  in
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  let d0 = disk_hits () in
+  let o, passes =
+    Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
+    let o, passes = traced_run (fir_cfg ()) nl in
+    Alcotest.(check int) "no disk hit" d0 (disk_hits ());
+    (o, passes)
+  in
+  Alcotest.(check bool) "flow succeeds" true (o.C.Pipeline.failed = None);
+  Alcotest.(check int) "connectivity recomputed" 0
+    (pass_counter passes "connectivity" "cache_hit");
+  Alcotest.(check bool) "the untagged key is never asked for" false
+    (List.mem key !asked)
 
 let suite =
   [
@@ -326,4 +378,5 @@ let suite =
     ("abort reopens claim", `Quick, test_abort_reopens);
     ("spill store round trip", `Quick, test_store_round_trip);
     ("spill store warm flow", `Quick, test_store_warm_flow);
+    ("spill store ignores untagged keys", `Quick, test_store_ignores_untagged_keys);
   ]

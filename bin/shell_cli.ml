@@ -95,18 +95,21 @@ let list_cmd =
     Printf.printf "%-9s %-38s %6s  %s\n" "name" "description" "cells"
       "SheLL TfR";
     List.iter
-      (fun (e : Circ.Catalog.entry) ->
-        let nl = e.Circ.Catalog.netlist () in
-        Printf.printf "%-9s %-38s %6d  %s\n" e.Circ.Catalog.name
-          e.Circ.Catalog.description (N.Netlist.num_cells nl)
-          e.Circ.Catalog.tfr_shell.Circ.Catalog.label)
-      Circ.Catalog.all;
-    Printf.printf "%-9s %-38s %6d  %s\n" "SoC" "Fig. 3 platform (4 cores + Xbar)"
-      (N.Netlist.num_cells (Circ.Soc.netlist ()))
-      "Xbar + wrappers";
-    Printf.printf "%-9s %-38s %6d  %s\n" "Xbar" "8-channel AXI crossbar (Table I)"
-      (N.Netlist.num_cells (Circ.Axi_xbar.netlist ()))
-      "whole Xbar"
+      (fun (name, description) ->
+        let nl = match SJ.netlist_of_bench name with Ok nl -> nl | Error d -> die d in
+        let label =
+          match SJ.default_tfr name with Some (_, _, label) -> label | None -> "-"
+        in
+        Printf.printf "%-9s %-38s %6d  %s\n" name description
+          (N.Netlist.num_cells nl) label)
+      (List.map
+         (fun (e : Circ.Catalog.entry) ->
+           (e.Circ.Catalog.name, e.Circ.Catalog.description))
+         Circ.Catalog.all
+      @ [
+          ("SoC", "Fig. 3 platform (4 cores + Xbar)");
+          ("Xbar", "8-channel AXI crossbar (Table I)");
+        ])
   in
   Cmd.v (Cmd.info "list" ~doc:"List the bundled benchmark circuits.")
     Term.(const run $ const ())

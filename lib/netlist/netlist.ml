@@ -250,29 +250,40 @@ let validate t =
 (* Structural fingerprint (FNV-1a over the whole construction) for the
    pass pipeline's input keys: two netlists with equal fingerprints are
    treated as the same pass input. Cheap — one linear scan, no
-   allocation beyond the fold state. *)
+   allocation beyond the fold state. That state is an 8-byte buffer
+   rather than an [int64 ref]: each step reads, mixes and stores the
+   hash unboxed, where a ref would box a fresh [Int64] per value. *)
+let fnv_prime = 0x100000001b3L
+
 let fingerprint t =
-  let h = ref 0xcbf29ce484222325L in
-  let prime = 0x100000001b3L in
-  let mix i = h := Int64.mul (Int64.logxor !h (Int64.of_int i)) prime in
+  let h = Bytes.create 8 in
+  Bytes.set_int64_ne h 0 0xcbf29ce484222325L;
+  let[@inline] mix64 v =
+    Bytes.set_int64_ne h 0
+      (Int64.mul (Int64.logxor (Bytes.get_int64_ne h 0) v) fnv_prime)
+  in
+  let mix i = mix64 (Int64.of_int i) in
   let mix_str s =
-    String.iter (fun c -> mix (Char.code c)) s;
+    for i = 0 to String.length s - 1 do
+      mix (Char.code (String.unsafe_get s i))
+    done;
     mix 0x11f
   in
-  let mix_ports l =
-    List.iter
-      (fun (nm, net) ->
+  (* ports are stored newest first: mix the tail, then the head *)
+  let rec mix_ports = function
+    | [] -> ()
+    | (nm, net) :: rest ->
+        mix_ports rest;
         mix_str nm;
-        mix net)
-      l
+        mix net
   in
   mix_str t.name;
   mix t.n_nets;
-  mix_ports (List.rev t.inputs);
+  mix_ports t.inputs;
   mix 0x21;
-  mix_ports (List.rev t.keys);
+  mix_ports t.keys;
   mix 0x22;
-  mix_ports (List.rev t.outputs);
+  mix_ports t.outputs;
   mix 0x23;
   Vec.iter
     (fun c ->
@@ -290,7 +301,7 @@ let fingerprint t =
       | Cell.Lut tt ->
           mix 11;
           mix (Truthtab.arity tt);
-          h := Int64.mul (Int64.logxor !h (Truthtab.bits tt)) prime
+          mix64 (Truthtab.bits tt)
       | Cell.Const b -> mix (if b then 12 else 13)
       | Cell.Dff -> mix 14
       | Cell.Config_latch -> mix 15);
@@ -298,7 +309,7 @@ let fingerprint t =
       mix c.Cell.out;
       mix_str c.Cell.origin)
     t.cells;
-  Printf.sprintf "%016Lx" !h
+  Printf.sprintf "%016Lx" (Bytes.get_int64_ne h 0)
 
 (* Kahn's algorithm on the combinational dependency graph: an edge goes
    from the driver of each input net of a combinational cell to that

@@ -147,7 +147,10 @@ val fingerprint : t -> string
 (** 64-bit structural hash (hex) over nets, ports and cells — the pass
     pipeline's cache key ingredient. Equal netlists (same construction
     order) have equal fingerprints; the hash covers cell kinds, LUT
-    truth tables, connectivity, origins and port names. *)
+    truth tables, connectivity, origins and port names. FNV-1a folded
+    in place: one linear scan that allocates only its 8-byte state and
+    the result. The digests are part of the spill store's keys, so a
+    change to them orphans every stored product. *)
 
 val topo_order : t -> int array
 (** Indices of all cells in topological order, where sequential cell

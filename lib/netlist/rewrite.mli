@@ -4,9 +4,10 @@
     Net ids are renumbered compactly. *)
 
 val sweep_buffers : Netlist.t -> Netlist.t
-(** Remove [Buf] cells by reconnecting their readers to the buffer
-    input. Buffers driving primary outputs whose input is a port net are
-    kept (they implement output aliasing). *)
+(** Remove every [Buf] cell, reconnecting its readers (cells and
+    primary outputs) to the buffer's input. A buffer that only aliased
+    an output to an input port goes too: the output then names the
+    port's net. *)
 
 val dead_cell_elim : Netlist.t -> Netlist.t
 (** Drop cells whose output cone reaches no primary output and no

@@ -11,4 +11,14 @@
 val bind_keys : Netlist.t -> bool array -> Netlist.t
 (** [bind_keys locked key] — [key] in {!Netlist.keys} order. The result
     has the same primary inputs/outputs and no keys. Raises
-    [Invalid_argument] on a length mismatch. *)
+    [Invalid_argument] on a length mismatch.
+
+    Folding sweeps the cells in index order until a sweep learns
+    nothing; it allocates nothing per cell. Liveness is then computed
+    on the folded view (a cell lives when a primary output or a
+    sequential cell depends on it), and the result is built once, from
+    the live cells only: net for net the netlist that rebuilding without
+    the folded cells and then {!Rewrite.dead_cell_elim} would give. It
+    has at most one constant cell per polarity, placed just before the
+    first unfolded cell with a net of that constant, or after every
+    cell when only outputs read it. *)

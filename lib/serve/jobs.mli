@@ -13,10 +13,23 @@ module A = Shell_attacks
 
 val netlist_of_bench :
   string -> (Shell_netlist.Netlist.t, Shell_util.Diag.t) result
-(** Bundled benchmarks: the catalog plus soc/xbar/desx. *)
+(** Bundled benchmarks: the catalog (any case) plus soc/xbar/desx. Each
+    is elaborated once per process, on the first request for any
+    spelling of its name, and every later request gets that same
+    design; each elaboration counts in the unstable Obs counter
+    [designs_elaborated]. The design is shared by every job and domain
+    of the process and must be treated as read-only: no flow, attack,
+    scheme or lint mutates its input. Two domains asking at once may
+    both elaborate, but both get the design published first, and only
+    ever a finished one. *)
+
+val clear_designs : unit -> unit
+(** Forget every memoized design, so the next request elaborates
+    afresh (for comparing a shared design against a fresh one). *)
 
 val default_tfr : string -> (string list * string list * string) option
-(** Per-benchmark SheLL TfR defaults: (route, lgc, label). *)
+(** Per-benchmark SheLL TfR defaults: (route, lgc, label); [None] for
+    desx and unknown names. *)
 
 val style_id : F.Style.t -> string
 (** Wire spelling ("openfpga" | "fabulous" | "muxchain") — the same

@@ -74,6 +74,7 @@ type status_info = {
   jobs_rejected : int;
   cache_hits : int;
   cache_misses : int;
+  designs_elaborated : int;
   uptime_s : float;
   job_spans : job_span list;
 }
@@ -173,6 +174,7 @@ let status_info_json (i : status_info) =
       ("jobs_rejected", J.Int i.jobs_rejected);
       ("cache_hits", J.Int i.cache_hits);
       ("cache_misses", J.Int i.cache_misses);
+      ("designs_elaborated", J.Int i.designs_elaborated);
       ("uptime_s", J.float ~dec:3 i.uptime_s);
       ( "job_spans",
         J.Arr
@@ -337,6 +339,7 @@ let status_info_of_json j =
   let* jobs_rejected = int_field "jobs_rejected" j in
   let* cache_hits = int_field "cache_hits" j in
   let* cache_misses = int_field "cache_misses" j in
+  let* designs_elaborated = int_field "designs_elaborated" j in
   let* uptime_s = float_field "uptime_s" j in
   let* spans = field "job_spans" j in
   let* job_spans =
@@ -363,6 +366,7 @@ let status_info_of_json j =
       jobs_rejected;
       cache_hits;
       cache_misses;
+      designs_elaborated;
       uptime_s;
       job_spans;
     }

@@ -159,6 +159,7 @@ let status_info t =
     jobs_rejected = count "serve_jobs_rejected";
     cache_hits = count "pipeline_cache_hits";
     cache_misses = count "pipeline_cache_misses";
+    designs_elaborated = count "designs_elaborated";
     uptime_s = Clock.now () -. t.t0;
     job_spans;
   }

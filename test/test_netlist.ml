@@ -399,6 +399,8 @@ let test_cnf_agrees_with_sim =
           Shell_sat.Solver.value solver (Cnf.var_of net cnf) = expect)
         (N.output_nets nl) outs)
 
+(* Every buffer goes, including one that only aliases an output to an
+   input port: the output then names the port's own net. *)
 let test_rewrite_sweep_buffers () =
   let nl = N.create "bufs" in
   let a = N.add_input nl "a" in
@@ -406,8 +408,12 @@ let test_rewrite_sweep_buffers () =
   let b2 = N.buf nl b1 in
   let y = N.not_ nl b2 in
   N.add_output nl "y" y;
+  N.add_output nl "alias" (N.buf nl a);
   let swept = Rewrite.sweep_buffers nl in
   Alcotest.(check int) "buffers gone" 1 (N.num_cells swept);
+  Alcotest.(check int) "alias reads port a"
+    (List.assoc "a" (N.inputs swept))
+    (List.assoc "alias" (N.outputs swept));
   Alcotest.(check bool) "equivalent" true (equivalent nl swept)
 
 let test_rewrite_dead_cells () =
@@ -450,6 +456,205 @@ let test_specialize_breaks_cycles () =
   Alcotest.(check bool) "acyclic after" false (N.has_comb_cycle bound);
   let sim = Sim.create bound in
   Alcotest.(check bool) "wires a" true (Sim.eval_comb sim [| true |]).(0)
+
+(* The two-step key binding [Specialize.bind_keys] replaced, kept as its
+   oracle: the same fold rules and sweeps, then a rebuild without the
+   folded cells and key ports, then [Rewrite.dead_cell_elim]. The one
+   build must give the same netlist, fingerprint for fingerprint. *)
+module Two_step = struct
+  type fact = Unknown | Const of bool | Alias of int
+
+  let bind_keys nl key =
+    let key_nets = N.key_nets nl in
+    let n_nets = max (N.num_nets nl) 1 in
+    let facts = Array.make n_nets Unknown in
+    Array.iteri (fun i net -> facts.(net) <- Const key.(i)) key_nets;
+    let rec resolve net =
+      match facts.(net) with
+      | Alias net' ->
+          let root = resolve net' in
+          if root <> net' then facts.(net) <- Alias root;
+          root
+      | Unknown | Const _ -> net
+    in
+    let value net =
+      match facts.(resolve net) with
+      | Const b -> Some b
+      | Unknown | Alias _ -> None
+    in
+    let cells = N.cells nl in
+    let folded = Array.make (Array.length cells) false in
+    let try_fold i (c : Cell.t) =
+      if folded.(i) || Cell.is_sequential c.Cell.kind then false
+      else begin
+        let ins = c.Cell.ins in
+        let learn fact =
+          folded.(i) <- true;
+          (match fact with
+          | Alias net -> facts.(c.Cell.out) <- Alias (resolve net)
+          | other -> facts.(c.Cell.out) <- other);
+          true
+        in
+        let vals = Array.init (Array.length ins) (fun j -> value ins.(j)) in
+        if Array.for_all Option.is_some vals && Array.length ins > 0 then
+          learn (Const (Cell.eval c.Cell.kind (Array.map Option.get vals)))
+        else
+          match (c.Cell.kind, vals) with
+          | Cell.Const b, _ -> learn (Const b)
+          | Cell.Buf, _ -> learn (Alias ins.(0))
+          | Cell.And, [| Some false; _ |] | Cell.And, [| _; Some false |] ->
+              learn (Const false)
+          | Cell.And, [| Some true; _ |] -> learn (Alias ins.(1))
+          | Cell.And, [| _; Some true |] -> learn (Alias ins.(0))
+          | Cell.Or, [| Some true; _ |] | Cell.Or, [| _; Some true |] ->
+              learn (Const true)
+          | Cell.Or, [| Some false; _ |] -> learn (Alias ins.(1))
+          | Cell.Or, [| _; Some false |] -> learn (Alias ins.(0))
+          | Cell.Nand, [| Some false; _ |] | Cell.Nand, [| _; Some false |] ->
+              learn (Const true)
+          | Cell.Nor, [| Some true; _ |] | Cell.Nor, [| _; Some true |] ->
+              learn (Const false)
+          | Cell.Xor, [| Some false; _ |] -> learn (Alias ins.(1))
+          | Cell.Xor, [| _; Some false |] -> learn (Alias ins.(0))
+          | Cell.Xnor, [| Some true; _ |] -> learn (Alias ins.(1))
+          | Cell.Xnor, [| _; Some true |] -> learn (Alias ins.(0))
+          | Cell.Mux2, [| Some s; _; _ |] ->
+              learn (Alias ins.(if s then 2 else 1))
+          | Cell.Mux2, _ when resolve ins.(1) = resolve ins.(2) ->
+              learn (Alias ins.(1))
+          | Cell.Mux4, [| Some s0; Some s1; _; _; _; _ |] ->
+              let idx = 2 + ((if s0 then 1 else 0) lor if s1 then 2 else 0) in
+              learn (Alias ins.(idx))
+          | _ -> false
+      end
+    in
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      Array.iteri (fun i c -> if try_fold i c then changed := true) cells
+    done;
+    let out = N.create (N.name nl) in
+    let mapping = Array.make n_nets (-1) in
+    let const_net = [| -1; -1 |] in
+    List.iter (fun (nm, net) -> mapping.(net) <- N.add_input out nm) (N.inputs nl);
+    let rec map_net net =
+      let net = resolve net in
+      match facts.(net) with
+      | Const b ->
+          let i = Bool.to_int b in
+          if const_net.(i) = -1 then const_net.(i) <- N.const out b;
+          const_net.(i)
+      | Alias _ -> map_net net
+      | Unknown ->
+          if mapping.(net) = -1 then mapping.(net) <- N.new_net out;
+          mapping.(net)
+    in
+    Array.iteri
+      (fun i c ->
+        if not folded.(i) then
+          N.add_cell out
+            (Cell.make ~origin:c.Cell.origin c.Cell.kind
+               (Array.map map_net c.Cell.ins)
+               (map_net c.Cell.out)))
+      cells;
+    List.iter (fun (nm, net) -> N.add_output out nm (map_net net)) (N.outputs nl);
+    Rewrite.dead_cell_elim out
+end
+
+let same_binding nl key =
+  N.fingerprint (Specialize.bind_keys nl key)
+  = N.fingerprint (Two_step.bind_keys nl key)
+
+(* `shell lock` of every catalog design under every style at two flow
+   seeds, each bound three ways: the bitstream, its complement (which
+   leaves decoy routing and cycles in place), and the emitted fabric
+   alone under the bitstream. *)
+let test_bind_keys_matches_two_step_catalog () =
+  let module Jobs = Shell_serve.Jobs in
+  let module Flow = Shell_core.Flow in
+  let module Emit = Shell_fabric.Emit in
+  List.iter
+    (fun (e : Shell_circuits.Catalog.entry) ->
+      List.iter
+        (fun style ->
+          List.iter
+            (fun seed ->
+              let spec =
+                {
+                  Shell_serve.Protocol.bench = e.Shell_circuits.Catalog.name;
+                  style;
+                  route = [];
+                  lgc = [];
+                  seed;
+                }
+              in
+              let what = Printf.sprintf "%s/%s/%d" spec.bench style seed in
+              match Jobs.lock_flow spec with
+              | Error d ->
+                  Alcotest.failf "%s: %s" what (Shell_util.Diag.to_string d)
+              | Ok r ->
+                  let key =
+                    Shell_fabric.Bitstream.bits
+                      r.Flow.emitted.Emit.bitstream
+                  in
+                  let check how nl key =
+                    Alcotest.(check bool) (what ^ " " ^ how) true
+                      (same_binding nl key)
+                  in
+                  check "bitstream" r.Flow.locked_full key;
+                  check "complement" r.Flow.locked_full (Array.map not key);
+                  check "emitted" r.Flow.emitted.Emit.locked key)
+            [ 0x51e11; 7 ])
+        [ "openfpga"; "fabulous"; "muxchain" ])
+    Shell_circuits.Catalog.all
+
+(* generated designs, with their own key ports or locked by a scheme,
+   bound under random keys *)
+let test_bind_keys_matches_two_step_gen =
+  QCheck.Test.make ~name:"bind_keys matches the two-step build on fuzz designs"
+    ~count:60
+    QCheck.(pair (int_bound 100_000) (int_bound 100_000))
+    (fun (seed, key_seed) ->
+      let module Gen = Shell_fuzz.Gen in
+      let module Schemes = Shell_locking.Schemes in
+      let rng = Rng.create seed in
+      let nl = Gen.netlist rng (Gen.random_shape rng) in
+      let nl =
+        match seed mod 3 with
+        | 0 -> nl
+        | 1 -> (Schemes.xor_keys ~seed ~bits:6 nl).Shell_locking.Locked.locked
+        | _ -> (Schemes.mux_routing ~seed ~width:4 nl).Shell_locking.Locked.locked
+      in
+      let krng = Rng.create key_seed in
+      let key = Array.init (List.length (N.keys nl)) (fun _ -> Rng.bool krng) in
+      same_binding nl key)
+
+(* A digest change would orphan every spill-store key made from it, so
+   the catalog's digests are pinned. *)
+let test_fingerprint_pinned () =
+  List.iter
+    (fun (name, digest) ->
+      match Shell_circuits.Catalog.find name with
+      | None -> Alcotest.failf "no catalog design %s" name
+      | Some e ->
+          Alcotest.(check string) name digest
+            (N.fingerprint (e.Shell_circuits.Catalog.netlist ())))
+    [
+      ("PicoSoC", "65eac457c7516325");
+      ("AES", "f8d12a6d4e277131");
+      ("FIR", "c5cd849fbd38602e");
+      ("SPMV", "ef794e74329d93b7");
+      ("DLA", "83fe339593e69e0d");
+    ]
+
+(* The digest is folded in place: no word per mixed value. *)
+let test_fingerprint_allocation () =
+  let nl = Shell_circuits.Fir.netlist () in
+  let w0 = Gc.minor_words () in
+  ignore (N.fingerprint nl);
+  let words = Gc.minor_words () -. w0 in
+  if words >= 1000. then
+    Alcotest.failf "fingerprint of FIR allocated %.0f minor words" words
 
 let test_splice_replace () =
   (* replace the xor in the fixture with an equivalent xnor+not *)
@@ -902,6 +1107,11 @@ let suite =
     ("rewrite dead cells", `Quick, test_rewrite_dead_cells);
     ("specialize keys", `Quick, test_specialize_keys);
     ("specialize breaks cycles", `Quick, test_specialize_breaks_cycles);
+    ("bind_keys matches two-step on the catalog", `Quick,
+      test_bind_keys_matches_two_step_catalog);
+    QCheck_alcotest.to_alcotest test_bind_keys_matches_two_step_gen;
+    ("fingerprint pinned", `Quick, test_fingerprint_pinned);
+    ("fingerprint allocation", `Quick, test_fingerprint_allocation);
     ("splice replace", `Quick, test_splice_replace);
     ("equiv detects difference", `Quick, test_equiv_detects_difference);
     ("simw pack/lane roundtrip", `Quick, test_simw_pack_lane_roundtrip);

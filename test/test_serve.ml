@@ -155,6 +155,7 @@ let sample_responses =
             jobs_rejected = 2;
             cache_hits = 9;
             cache_misses = 9;
+            designs_elaborated = 2;
             uptime_s = 1.25;
             job_spans = [ { P.kind = "lock"; runs = 2; total_s = 0.5 } ];
           };
@@ -287,6 +288,120 @@ let test_lint_subject_of_bench () =
             (contains (Diag.to_string d) "NoSuchBench")
       | Ok _ -> Alcotest.fail "unknown benchmark must be an error")
     [ false; true ]
+
+(* The elapsed seconds ("1.23s") of an attack report, masked. *)
+let mask_seconds s =
+  let b = Buffer.create (String.length s) and n = String.length s in
+  let is_digit i = i < n && s.[i] >= '0' && s.[i] <= '9' in
+  let rec digits i = if is_digit i then digits (i + 1) else i in
+  let rec go i =
+    if i >= n then ()
+    else if is_digit i then begin
+      let j = digits i in
+      let k = if j < n && s.[j] = '.' then digits (j + 1) else j in
+      if k > j + 1 && k < n && s.[k] = 's' then begin
+        Buffer.add_string b "Xs";
+        go (k + 1)
+      end
+      else begin
+        Buffer.add_string b (String.sub s i (j - i));
+        go j
+      end
+    end
+    else begin
+      Buffer.add_char b s.[i];
+      go (i + 1)
+    end
+  in
+  go 0;
+  Buffer.contents b
+
+let designs_elaborated () =
+  List.fold_left
+    (fun acc (s : Obs.sample) ->
+      match s.Obs.value with
+      | Obs.Counter n when s.Obs.name = "designs_elaborated" -> n
+      | _ -> acc)
+    0 (Obs.snapshot ())
+
+(* Every job of a process reads the one memoized design and none
+   mutates it. Over lock, attack, battery and lint (plain and locked)
+   on one bench, the design is elaborated once, keeps its fingerprint,
+   and each job's output is the one it gives alone on a design
+   elaborated for it, with a cold pass cache. *)
+let test_jobs_share_design () =
+  let bench = "FIR" in
+  let lock = { P.bench; style = "muxchain"; route = []; lgc = []; seed = 3 } in
+  let lint locked =
+    P.Lint { P.lint_benches = [ bench ]; locked; lint_style = "fabulous"; lint_seed = 5 }
+  in
+  let jobs =
+    [
+      P.Lock lock;
+      P.Attack
+        {
+          P.target = lock;
+          attack = "sat";
+          dips = 2;
+          conflicts = 1000;
+          seconds = 120.;
+          vectors = 64;
+        };
+      P.Battery
+        {
+          P.benches = [ bench ];
+          schemes = [ "xor:8"; "mux:8" ];
+          attacks = [ "sat"; "structural"; "redundancy" ];
+          bt_seed = 11;
+          bt_dips = 8;
+          bt_conflicts = 5000;
+          bt_seconds = 120.;
+          bt_vectors = 64;
+        };
+      lint false;
+      lint true;
+    ]
+  in
+  let run job =
+    match Jobs.run job with
+    | Ok out -> mask_seconds out
+    | Error d -> Alcotest.failf "%s: %s" (P.job_kind job) (Diag.to_string d)
+  in
+  let alone =
+    List.map
+      (fun job ->
+        Jobs.clear_designs ();
+        Pipeline.clear_cache ();
+        run job)
+      jobs
+  in
+  Jobs.clear_designs ();
+  Pipeline.clear_cache ();
+  let was_enabled = Obs.enabled () in
+  Obs.set_enabled true;
+  let before = designs_elaborated () in
+  let design () =
+    match Jobs.netlist_of_bench bench with
+    | Ok nl -> nl
+    | Error d -> Alcotest.fail (Diag.to_string d)
+  in
+  let nl = design () in
+  let digest = Shell_netlist.Netlist.fingerprint nl in
+  let shared = List.map run jobs in
+  let elaborated = designs_elaborated () - before in
+  Obs.set_enabled was_enabled;
+  Alcotest.(check int) "elaborated once" 1 elaborated;
+  Alcotest.(check bool) "one design" true (design () == nl);
+  Alcotest.(check bool) "any spelling" true
+    (match Jobs.netlist_of_bench (String.lowercase_ascii bench) with
+    | Ok nl' -> nl' == nl
+    | Error _ -> false);
+  Alcotest.(check string) "fingerprint unchanged" digest
+    (Shell_netlist.Netlist.fingerprint nl);
+  List.iter2
+    (fun (job, alone) shared ->
+      Alcotest.(check string) (P.job_kind job ^ " output") alone shared)
+    (List.combine jobs alone) shared
 
 (* ---- server integration (in-process, real Unix socket) ---- *)
 
@@ -622,9 +737,11 @@ let test_store_gc () =
 (* Job accounting rides the one Obs registry: the status counts, the
    per-kind spans and the Prometheus page move together, and no job
    leaves a root span behind for the daemon's lifetime. Counts are
-   process-wide, so compare deltas. *)
+   process-wide, so compare deltas. Five locks of one bench elaborate
+   it once. *)
 let test_server_job_telemetry () =
   Pipeline.clear_cache ();
+  Jobs.clear_designs ();
   ignore (Obs.take_spans ());
   let jobs = 5 in
   let addr, d = start_server Server.default_config in
@@ -637,29 +754,34 @@ let test_server_job_telemetry () =
                 (fun acc s -> if s.P.kind = "lock" then s.P.runs else acc)
                 0 i.P.job_spans
             in
-            (i.P.jobs_done, lock_runs)
+            (i.P.jobs_done, lock_runs, i.P.designs_elaborated)
         | Error e -> Alcotest.failf "status failed: %s" e
       in
       let metrics () =
         match Client.metrics t with
         | Ok m ->
             ( metric_value m "shell_serve_jobs_done",
-              metric_value m "shell_serve_job_us_lock_count" )
+              metric_value m "shell_serve_job_us_lock_count",
+              metric_value m "shell_designs_elaborated" )
         | Error e -> Alcotest.failf "metrics failed: %s" e
       in
-      let done0, runs0 = status () and mdone0, mruns0 = metrics () in
+      let done0, runs0, elab0 = status ()
+      and mdone0, mruns0, melab0 = metrics () in
       for _ = 1 to jobs do
         ignore (submit_ok t (P.Lock fir_spec))
       done;
       Alcotest.(check (list string))
         "no span roots retained" []
         (List.map (fun (s : Obs.span) -> s.Obs.name) (Obs.spans ()));
-      let done1, runs1 = status () and mdone1, mruns1 = metrics () in
+      let done1, runs1, elab1 = status ()
+      and mdone1, mruns1, melab1 = metrics () in
       Alcotest.(check int) "status jobs done" jobs (done1 - done0);
       Alcotest.(check int) "status lock runs" jobs (runs1 - runs0);
+      Alcotest.(check int) "status designs elaborated" 1 (elab1 - elab0);
       Alcotest.(check int) "metrics jobs done" jobs (mdone1 - mdone0);
       Alcotest.(check int) "metrics lock histogram count" jobs
-        (mruns1 - mruns0));
+        (mruns1 - mruns0);
+      Alcotest.(check int) "metrics designs elaborated" 1 (melab1 - melab0));
   stop_server addr d;
   Alcotest.(check int) "no span roots after shutdown" 0
     (List.length (Obs.spans ()))
@@ -713,6 +835,7 @@ let suite =
     ("address parsing", `Quick, test_address_parsing);
     ("jobs lint subject matches the pass", `Quick, test_lint_subject_of_result);
     ("jobs lint subject of unknown bench", `Quick, test_lint_subject_of_bench);
+    ("jobs share one design", `Quick, test_jobs_share_design);
     ("store gc size cap", `Quick, test_store_gc);
     ("server lock byte-identical", `Quick, test_server_lock_byte_identical);
     ("server concurrent clients", `Quick, test_server_concurrent_clients);

@@ -7,6 +7,7 @@ module Bitstream = Shell_fabric.Bitstream
 module Pnr = Shell_pnr.Pnr
 module Locked = Shell_locking.Locked
 module Diag = Shell_util.Diag
+module Obs = Shell_util.Obs
 
 type target = Pipeline.target =
   | Fixed of { route : string list; lgc : string list; label : string }
@@ -36,6 +37,7 @@ type result = {
   overhead : Overhead.t;
   locked_full : Shell_netlist.Netlist.t;
   lint : Shell_lint.Lint.report;
+  verdicts : Pipeline.verdict_slot;
 }
 
 let of_outcome (o : Pipeline.outcome) =
@@ -58,6 +60,7 @@ let of_outcome (o : Pipeline.outcome) =
     overhead = the "overhead" a.Pipeline.overhead;
     locked_full = the "locked_full" a.Pipeline.locked_full;
     lint = the "lint" a.Pipeline.lint;
+    verdicts = a.Pipeline.verdicts;
   }
 
 let run config original = of_outcome (Pipeline.execute config original)
@@ -69,7 +72,15 @@ let locked_sub r =
     scheme = "efpga-redaction";
   }
 
+let m_verifications =
+  Obs.counter ~help:"Flow.verify calls that simulated (reused verdicts excluded)"
+    "flow_verifications"
+
 let verify ?(runs = 8) ?(cycles = 24) r =
+  Pipeline.verdict r.verdicts ~original:r.original ~locked_full:r.locked_full
+    ~emitted:r.emitted ~runs ~cycles
+  @@ fun () ->
+  Obs.incr m_verifications;
   (* bind the bitstream first: cyclic-style emissions cannot be
      simulated until the configuration collapses the decoy routing *)
   let key = Bitstream.bits r.emitted.Emit.bitstream in

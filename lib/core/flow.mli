@@ -42,6 +42,8 @@ type result = {
   locked_full : Shell_netlist.Netlist.t;
   lint : Shell_lint.Lint.report;
       (** static-analysis report over the locked result *)
+  verdicts : Pipeline.verdict_slot;
+      (** where {!verify} keeps its verdicts for this run's products *)
 }
 
 val run : config -> Shell_netlist.Netlist.t -> result
@@ -59,6 +61,20 @@ val locked_sub : result -> Shell_locking.Locked.t
 
 val verify : ?runs:int -> ?cycles:int -> result -> bool
 (** End-to-end check: the reassembled design under the correct
-    bitstream sequentially matches the original. *)
+    bitstream sequentially matches the original ([runs] random runs of
+    [cycles] cycles each).
+
+    A verdict is reused, without simulating, when an earlier call
+    checked the very same [original], [locked_full] and [emitted]
+    (physical equality) at the same [runs] and [cycles], and the
+    in-memory pass-cache slot of the [overhead] product holding that
+    [locked_full] is still there: two runs of one config on one design
+    that hit the memory cache verify once. Every other call simulates:
+    a copy of the result with another [emitted] (an inverted bitstream,
+    say), [original] or [locked_full], even an equal one, another
+    depth, a run with the cache off, products loaded from the spill
+    store (verdicts are never spilled), and anything after
+    {!Pipeline.clear_cache} or the cache's cap wipe. Each call that
+    simulates counts in the unstable Obs counter [flow_verifications]. *)
 
 val pp_summary : Format.formatter -> result -> unit

@@ -34,6 +34,11 @@ let shell_config ?target () =
     max_luts = 96.0;
   }
 
+(* the cache key of the run's overhead product, where [Flow.verify]
+   keeps its verdicts (see [verdict]); [None] when the run bypassed the
+   cache or has not reached that pass *)
+type verdict_slot = string option
+
 type artifacts = {
   config : config;
   original : Netlist.t;
@@ -50,6 +55,7 @@ type artifacts = {
   overhead : Overhead.t option;
   locked_full : Netlist.t option;
   lint : Lint.report option;
+  verdicts : verdict_slot;
 }
 
 type outcome = { artifacts : artifacts; failed : Diag.t option }
@@ -96,7 +102,23 @@ type product =
   | P_overhead of Overhead.t * Netlist.t
   | P_lint of Lint.report
 
-type slot = Ready of product | Pending
+(* A [Flow.verify] verdict, tagged with what it checked: the three
+   products by identity, the simulation depth by value. *)
+type verdict = {
+  checked_original : Netlist.t;
+  checked_locked_full : Netlist.t;
+  checked_emitted : Emit.t;
+  runs : int;
+  cycles : int;
+  equivalent : bool;
+}
+
+(* [verdicts] is non-empty only on an overhead slot, the one holding
+   [locked_full]; it is never spilled (see [verdict] below). *)
+type entry = { product : product; mutable verdicts : verdict list }
+type slot = Ready of entry | Pending
+
+let ready product = Ready { product; verdicts = [] }
 
 let cache : (string, slot) Hashtbl.t = Hashtbl.create 251
 let cache_lock = Mutex.create ()
@@ -143,10 +165,11 @@ let store_ref : store option ref = ref None
 let set_store s = store_ref := s
 
 (* Format tag prefixed to every key handed to the store (format 1 keys
-   were untagged). A blob written by a binary with other product types
+   were untagged; format 3 is the [Netlist.t] that memoizes its
+   fingerprint). A blob written by a binary with other product types
    then sits under another key, so it is never read back at the wrong
    type. *)
-let store_format = "p2|"
+let store_format = "p3|"
 
 let env_cache_enabled () =
   match Sys.getenv_opt "SHELL_PASS_CACHE" with
@@ -216,9 +239,9 @@ let cache_find key =
   Mutex.lock cache_lock;
   let rec look () =
     match Hashtbl.find_opt cache key with
-    | Some (Ready p) ->
+    | Some (Ready { product; _ }) ->
         Obs.incr m_cache_hits;
-        `Hit p
+        `Hit product
     | Some Pending ->
         Condition.wait cache_landed cache_lock;
         look ()
@@ -235,7 +258,7 @@ let cache_find key =
       | Some p ->
           Mutex.lock cache_lock;
           evict_ready_if_full ();
-          Hashtbl.replace cache key (Ready p);
+          Hashtbl.replace cache key (ready p);
           Obs.incr m_cache_hits;
           Obs.incr m_cache_disk_hits;
           Condition.broadcast cache_landed;
@@ -250,7 +273,7 @@ let cache_add key product =
     Obs.add m_cache_bytes (8 * Obj.reachable_words (Obj.repr product));
   Mutex.lock cache_lock;
   evict_ready_if_full ();
-  Hashtbl.replace cache key (Ready product);
+  Hashtbl.replace cache key (ready product);
   Condition.broadcast cache_landed;
   Mutex.unlock cache_lock;
   store_save key product
@@ -265,6 +288,67 @@ let cache_slot key =
   in
   Mutex.unlock cache_lock;
   r
+
+(* ------------------------------------------------------------------ *)
+(* Verify verdicts. [Flow.verify] keeps each verdict on the memory slot
+   of the overhead product whose [locked_full] it checked, so a warm
+   request whose products all come from memory answers from the slot
+   instead of simulating again. The verdicts live and die with the slot:
+   never spilled (a disk hit lands on a fresh slot and verifies once),
+   dropped with it by [clear_cache] and by the cap wipe, and never
+   counted by the pipeline_cache_* counters. A verdict is returned only
+   for the very products it checked, so a result copied with another
+   bitstream or original verifies afresh. *)
+
+(* bounds what one slot holds when the same design keeps arriving as a
+   fresh netlist (parsed Verilog is never memoized): each such request
+   misses on [checked_original] *)
+let verdicts_cap = 4
+
+let verdict (slot : verdict_slot) ~original ~locked_full ~emitted ~runs
+    ~cycles check =
+  let matches v =
+    v.checked_original == original
+    && v.checked_locked_full == locked_full
+    && v.checked_emitted == emitted && v.runs = runs && v.cycles = cycles
+  in
+  (* [Some] only while the slot holds the product [locked_full] came
+     from *)
+  let with_slot f =
+    match slot with
+    | None -> None
+    | Some key ->
+        Mutex.lock cache_lock;
+        let r =
+          match Hashtbl.find_opt cache key with
+          | Some (Ready ({ product = P_overhead (_, l); _ } as r))
+            when l == locked_full ->
+              Some (f r)
+          | Some (Ready _ | Pending) | None -> None
+        in
+        Mutex.unlock cache_lock;
+        r
+  in
+  match with_slot (fun r -> List.find_opt matches r.verdicts) with
+  | Some (Some v) -> v.equivalent
+  | Some None | None ->
+      let equivalent = check () in
+      let v =
+        {
+          checked_original = original;
+          checked_locked_full = locked_full;
+          checked_emitted = emitted;
+          runs;
+          cycles;
+          equivalent;
+        }
+      in
+      ignore
+        (with_slot (fun r ->
+             if not (List.exists matches r.verdicts) then
+               r.verdicts <-
+                 List.filteri (fun i _ -> i < verdicts_cap) (v :: r.verdicts)));
+      equivalent
 
 (* ------------------------------------------------------------------ *)
 (* Input fingerprints *)
@@ -723,6 +807,7 @@ let execute ?(use_cache = true) ?(strict_fit = false) ?fabric config original =
       overhead = None;
       locked_full = None;
       lint = None;
+      verdicts = None;
     }
   in
   let art = ref init and failed = ref None in
@@ -755,6 +840,9 @@ let execute ?(use_cache = true) ?(strict_fit = false) ?fabric config original =
                   raise e))
     in
     art := apply !art product;
+    (match product with
+    | P_overhead _ -> art := { !art with verdicts = key }
+    | _ -> ());
     if Obs.enabled () then begin
       Obs.span_add "cache_hit" (if !hit then 1 else 0);
       List.iter (fun (k, v) -> Obs.span_add k v) (p.counters !art)

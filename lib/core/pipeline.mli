@@ -41,6 +41,12 @@ val shell_config : ?target:target -> unit -> config
 (** SheLL defaults: FABulous + MUX chains, auto (c5) selection at
     depth 0, shrinking on. *)
 
+type verdict_slot
+(** Where {!Flow.verify} keeps the verdicts of one run: the in-memory
+    pass-cache slot of the run's [overhead] product (the one holding
+    [locked_full]), or nowhere when the run bypassed the cache. See
+    {!verdict}. *)
+
 type artifacts = {
   config : config;
   original : Shell_netlist.Netlist.t;
@@ -60,6 +66,7 @@ type artifacts = {
   lint : Shell_lint.Lint.report option;
       (** static-analysis report over the locked result (never aborts
           the flow; see {!Shell_lint.Rules}) *)
+  verdicts : verdict_slot;  (** set by the [overhead] pass *)
 }
 (** Staged record: a pass fills its fields and leaves the rest. After
     an aborted execution the fields of every completed pass are still
@@ -103,6 +110,27 @@ val lint_subject :
     result. *)
 
 val clear_cache : unit -> unit
+(** Empty the in-memory pass cache, verify verdicts included. An
+    attached spill store keeps its blobs. *)
+
+val verdict :
+  verdict_slot ->
+  original:Shell_netlist.Netlist.t ->
+  locked_full:Shell_netlist.Netlist.t ->
+  emitted:Shell_fabric.Emit.t ->
+  runs:int ->
+  cycles:int ->
+  (unit -> bool) ->
+  bool
+(** [verdict slot ~original ~locked_full ~emitted ~runs ~cycles check]
+    answers {!Flow.verify}: a verdict [check] already gave for these
+    very products ([==] on [original], [locked_full] and [emitted])
+    at this [runs] and [cycles], while [slot] still holds the product
+    [locked_full] came from; otherwise [check ()], kept on the slot
+    for the next call. Verdicts are memory-only: never spilled,
+    dropped with their slot by {!clear_cache} and by the cap wipe,
+    not counted by the [pipeline_cache_*] counters, and at most four
+    per slot. *)
 
 (** {1 Cache internals}
 

@@ -9,14 +9,17 @@ type t = {
   mutable outputs : (string * int) list;
   mutable keys : (string * int) list;
   cells : Cell.t Vec.t;
-  (* Memos over the nets and cells above, cleared by every mutation that
-     changes them. Each is built in full before it is published, so a
+  (* Memos over the fields above, cleared by every mutation of what they
+     read. Each is built in full before it is published, so a
      domain reading one sees either [None] or a finished value; domains
      racing on an empty memo each build the same value. *)
   driver_memo : int array option Atomic.t;  (* net -> cell index or -1 *)
   fanout_memo : int list array option Atomic.t;
   order_memo : int array option option Atomic.t;
       (* [Some None]: the combinational part is cyclic *)
+  fingerprint_memo : string option Atomic.t;
+      (* reads ports and origins too: [add_output] and [set_origin]
+         clear it as well *)
 }
 
 let create name =
@@ -30,6 +33,7 @@ let create name =
     driver_memo = Atomic.make None;
     fanout_memo = Atomic.make None;
     order_memo = Atomic.make None;
+    fingerprint_memo = Atomic.make None;
   }
 
 let name t = t.name
@@ -50,7 +54,8 @@ let clear cell = if Option.is_some (Atomic.get cell) then Atomic.set cell None
 let invalidate t =
   clear t.driver_memo;
   clear t.fanout_memo;
-  clear t.order_memo
+  clear t.order_memo;
+  clear t.fingerprint_memo
 
 let new_net t =
   let id = t.n_nets in
@@ -97,7 +102,8 @@ let add_output t nm net =
       ~payload:(Invalid (Bad_net_id { port = nm; net }))
       "Netlist.add_output: port %s names net %d outside [0, %d)" nm net
       t.n_nets;
-  t.outputs <- (nm, net) :: t.outputs
+  t.outputs <- (nm, net) :: t.outputs;
+  clear t.fingerprint_memo
 
 let add_cell t c =
   let check n = if n < 0 || n >= t.n_nets then invalid_arg "Netlist.add_cell: bad net" in
@@ -108,7 +114,8 @@ let add_cell t c =
 
 let set_origin t i origin =
   let c = Vec.get t.cells i in
-  Vec.set t.cells i { c with Cell.origin }
+  Vec.set t.cells i { c with Cell.origin };
+  clear t.fingerprint_memo
 
 let gate ?(origin = "") t kind ins =
   let out = new_net t in
@@ -176,6 +183,7 @@ let copy t =
     driver_memo = Atomic.make None;
     fanout_memo = Atomic.make None;
     order_memo = Atomic.make None;
+    fingerprint_memo = Atomic.make None;
   }
 
 let map_cells t f =
@@ -255,7 +263,7 @@ let validate t =
    hash unboxed, where a ref would box a fresh [Int64] per value. *)
 let fnv_prime = 0x100000001b3L
 
-let fingerprint t =
+let digest t =
   let h = Bytes.create 8 in
   Bytes.set_int64_ne h 0 0xcbf29ce484222325L;
   let[@inline] mix64 v =
@@ -310,6 +318,8 @@ let fingerprint t =
       mix_str c.Cell.origin)
     t.cells;
   Printf.sprintf "%016Lx" (Bytes.get_int64_ne h 0)
+
+let fingerprint t = memo t.fingerprint_memo digest t
 
 (* Kahn's algorithm on the combinational dependency graph: an edge goes
    from the driver of each input net of a combinational cell to that

@@ -15,13 +15,14 @@
     A netlist memoizes three indexes over its nets and cells: the
     driver table ({!driver}), the fanout table ({!fanout}) and the
     evaluation order ({!topo_order}, which also remembers a cyclic
-    result for {!has_comb_cycle}). Each is built on first use and
-    cleared by {!new_net} (hence {!add_input}, {!add_key} and the
-    builders) and by {!add_cell}; ports and origins do not touch them.
-    A memo is published only once it is fully built, so one netlist may
-    be read from several domains at once (pool tasks, pass-cache hits)
-    without any warming; a domain that loses the race to fill a memo
-    builds the same value again. Mutating a netlist while another
+    result for {!has_comb_cycle}), plus its {!fingerprint}. Each is
+    built on first use and cleared by {!new_net} (hence {!add_input},
+    {!add_key} and the builders) and by {!add_cell}; {!add_output} and
+    {!set_origin} clear only the fingerprint, the one memo that reads
+    ports and origins. A memo is published only once it is fully
+    built, so one netlist may be read from several domains at once
+    (pool tasks, pass-cache hits) without any warming; a domain that
+    loses the race to fill a memo builds the same value again. Mutating a netlist while another
     domain reads it is not supported. {!copy}, {!map_cells},
     {!filter_outputs} and {!comb_view} start with empty memos of their
     own. *)
@@ -149,8 +150,10 @@ val fingerprint : t -> string
     order) have equal fingerprints; the hash covers cell kinds, LUT
     truth tables, connectivity, origins and port names. FNV-1a folded
     in place: one linear scan that allocates only its 8-byte state and
-    the result. The digests are part of the spill store's keys, so a
-    change to them orphans every stored product. *)
+    the result, done once per netlist state (memoized like the indexes
+    above; a later call returns the same string). The digests are part
+    of the spill store's keys, so a change to them orphans every
+    stored product. *)
 
 val topo_order : t -> int array
 (** Indices of all cells in topological order, where sequential cell

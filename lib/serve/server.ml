@@ -70,7 +70,12 @@ let pending c = Buffer.length c.out - c.written
 let send c resp =
   if c.alive then Buffer.add_string c.out (P.response_frame resp)
 
-type pending_job = { pconn : conn; pid : int; pjob : P.job }
+type pending_job = {
+  pconn : conn;
+  pid : int;
+  pjob : P.job;
+  admitted : float;  (* Clock.now () at admission *)
+}
 
 (* Job accounting lives in the one Obs registry, registered unstable so
    bench-history records never see it. A kind's job-time histogram is
@@ -84,6 +89,16 @@ let m_jobs_failed =
 let m_jobs_rejected =
   Obs.counter ~help:"serve submissions rejected at admission"
     "serve_jobs_rejected"
+
+(* The queue: its depth, set on every admission and every pop, and each
+   job's wait from admission to the start of its run. *)
+let m_queue_depth =
+  Obs.gauge ~help:"serve jobs waiting in the admission queue"
+    "serve_queue_depth"
+
+let m_queue_wait_us =
+  Obs.histogram ~help:"microseconds a serve job waited from admission to run"
+    "serve_queue_wait_us"
 
 let job_us_name kind = "serve_job_us_" ^ kind
 
@@ -175,9 +190,12 @@ let handle_request t c = function
       send c (P.Result { id; output = "shutting down\n" })
   | P.Submit { id; priority; job } -> (
       let job = clamp_job t.cfg.max_seconds job in
-      match Admission.push t.queue ~priority { pconn = c; pid = id; pjob = job }
-      with
+      let queued =
+        { pconn = c; pid = id; pjob = job; admitted = Clock.now () }
+      in
+      match Admission.push t.queue ~priority queued with
       | Ok () ->
+          Obs.set m_queue_depth (Admission.depth t.queue);
           logf t "serve: admitted %s job #%d (priority %d, depth %d)"
             (P.job_kind job) id priority (Admission.depth t.queue)
       | Error d ->
@@ -268,10 +286,12 @@ let accept_conn t =
 let run_one_job t =
   match Admission.pop t.queue with
   | None -> ()
-  | Some { pconn; pid; pjob } ->
+  | Some { pconn; pid; pjob; admitted } ->
       let kind = P.job_kind pjob in
       logf t "serve: running %s job #%d" kind pid;
       let t0 = Clock.now () in
+      Obs.set m_queue_depth (Admission.depth t.queue);
+      Obs.observe_us m_queue_wait_us (t0 -. admitted);
       (* the job's span tree comes back to us instead of joining the
          process-wide roots: dropped here rather than kept for the
          daemon's lifetime (a per-request trace would return it) *)

@@ -8,7 +8,10 @@
     serializing jobs is what keeps outputs and cache-counter
     observations deterministic. Attaching a {!Store} spills the pass
     cache to disk so warm hits survive restarts. The metrics request
-    answers with the Prometheus rendering of the live Obs registry. *)
+    answers with the Prometheus rendering of the live Obs registry,
+    where the daemon keeps its job counters, per-kind job times, the
+    queue depth gauge [serve_queue_depth] and the admission-to-run
+    wait histogram [serve_queue_wait_us]. *)
 
 type address = Unix_sock of string | Tcp of string * int
 

@@ -6,7 +6,9 @@
    marshals [(key, product)] and verifies the key on load, so a hash
    collision or a corrupt file degrades to a cache miss there. Writes
    are tmp + rename: a concurrent reader (or a crash mid-write) sees
-   either the old blob or the new one, never a torn file. *)
+   either the old blob or the new one, never a torn file. A write or
+   rename that fails removes its tmp file before raising, so a failed
+   save leaves nothing that [entries] or [gc] would count. *)
 
 type t = { root : string }
 
@@ -35,11 +37,25 @@ let save t key blob =
     Printf.sprintf "%s.tmp.%d.%d" p (Unix.getpid ())
       (Hashtbl.hash (key, String.length blob))
   in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc blob);
-  Sys.rename tmp p
+  let write () =
+    let oc = open_out_bin tmp in
+    match
+      output_string oc blob;
+      close_out oc
+    with
+    | () -> ()
+    | exception e ->
+        close_out_noerr oc;
+        raise e
+  in
+  match
+    write ();
+    Sys.rename tmp p
+  with
+  | () -> ()
+  | exception e ->
+      (try Sys.remove tmp with Sys_error _ -> ());
+      raise e
 
 let load t key =
   let p = path t key in

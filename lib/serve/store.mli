@@ -12,6 +12,10 @@ val create : root:string -> t
 
 val root : t -> string
 val save : t -> string -> string -> unit
+(** [save t key blob] writes [blob] under [key], atomically (tmp file
+    + rename). Raises [Sys_error] when the write or the rename fails,
+    after removing its tmp file. *)
+
 val load : t -> string -> string option
 
 val entries : t -> int

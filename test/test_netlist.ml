@@ -647,6 +647,53 @@ let test_fingerprint_pinned () =
       ("DLA", "83fe339593e69e0d");
     ]
 
+(* The fingerprint is memoized: every mutator clears the memo, so the
+   digest always equals a fresh copy's (which computes it afresh). *)
+let test_fingerprint_memo_mutators () =
+  let nl = fixture () in
+  let step what mutate =
+    let before = N.fingerprint nl in
+    Alcotest.(check bool) (what ^ ": memo hit") true
+      (before == N.fingerprint nl);
+    mutate ();
+    let after = N.fingerprint nl in
+    Alcotest.(check string) (what ^ ": digest of a fresh copy")
+      (N.fingerprint (N.copy nl)) after;
+    Alcotest.(check bool) (what ^ ": digest moved") false
+      (String.equal before after)
+  in
+  step "add_input" (fun () -> ignore (N.add_input nl "d"));
+  step "add_key" (fun () -> ignore (N.add_key nl "k"));
+  step "new_net" (fun () -> ignore (N.new_net nl));
+  step "add_cell" (fun () ->
+      N.add_cell nl (Cell.make Cell.Not [| 0 |] (N.num_nets nl - 1)));
+  step "gate builder" (fun () -> ignore (N.and_ nl 0 1));
+  step "add_output" (fun () -> N.add_output nl "z" 2);
+  step "set_origin" (fun () -> N.set_origin nl 0 "fix/xor")
+
+(* [copy], [map_cells], [filter_outputs] and [comb_view] compute their
+   own digest: a memo hit returns the same string, a fresh digest a new
+   one. *)
+let test_fingerprint_memo_fresh_on_copy () =
+  let nl = fixture () in
+  let fp = N.fingerprint nl in
+  List.iter
+    (fun (what, t, same) ->
+      let fp' = N.fingerprint t in
+      Alcotest.(check bool) (what ^ " computes its own") false (fp' == fp);
+      Alcotest.(check bool) (what ^ " digest") same (String.equal fp' fp))
+    [
+      ("copy", N.copy nl, true);
+      ("map_cells", N.map_cells nl (fun _ c -> c), true);
+      ("filter_outputs", N.filter_outputs nl (fun _ -> true), true);
+      ( "map_cells retagging",
+        N.map_cells nl (fun _ c -> { c with Cell.origin = "x" }),
+        false );
+      ("filter_outputs dropping", N.filter_outputs nl (fun nm -> nm = "y"), false);
+      ("comb_view", N.comb_view nl, false);
+    ];
+  Alcotest.(check bool) "the source keeps its memo" true (N.fingerprint nl == fp)
+
 (* The digest is folded in place: no word per mixed value. *)
 let test_fingerprint_allocation () =
   let nl = Shell_circuits.Fir.netlist () in
@@ -1112,6 +1159,9 @@ let suite =
     QCheck_alcotest.to_alcotest test_bind_keys_matches_two_step_gen;
     ("fingerprint pinned", `Quick, test_fingerprint_pinned);
     ("fingerprint allocation", `Quick, test_fingerprint_allocation);
+    ("fingerprint memo mutators", `Quick, test_fingerprint_memo_mutators);
+    ("fingerprint memo fresh on copy", `Quick,
+     test_fingerprint_memo_fresh_on_copy);
     ("splice replace", `Quick, test_splice_replace);
     ("equiv detects difference", `Quick, test_equiv_detects_difference);
     ("simw pack/lane roundtrip", `Quick, test_simw_pack_lane_roundtrip);

@@ -43,27 +43,42 @@ let traced_run cfg nl =
       Alcotest.failf "expected one pipeline root span, got %d"
         (List.length roots)
 
-(* Run [f] with Obs on; returns its result and the pass-cache hits and
-   misses it added to the registry's counters. *)
-let cache_delta f =
-  let count name =
-    List.find_map
-      (fun (s : Obs.sample) ->
-        match s.Obs.value with
-        | Obs.Counter n when s.Obs.name = name -> Some n
-        | _ -> None)
-      (Obs.snapshot ())
-    |> Option.value ~default:0
-  in
+let counter name =
+  List.find_map
+    (fun (s : Obs.sample) ->
+      match s.Obs.value with
+      | Obs.Counter n when s.Obs.name = name -> Some n
+      | _ -> None)
+    (Obs.snapshot ())
+  |> Option.value ~default:0
+
+let watched =
+  [
+    "flow_verifications";
+    "sim_words";
+    "pipeline_cache_hits";
+    "pipeline_cache_misses";
+    "pipeline_cache_disk_hits";
+    "pipeline_cache_disk_writes";
+  ]
+
+(* Run [f] with Obs on; returns its result and how far it moved each
+   [watched] counter, by name. *)
+let moved f =
   let was = Obs.enabled () in
   Obs.set_enabled true;
   Fun.protect ~finally:(fun () ->
       ignore (Obs.take_spans ());
       Obs.set_enabled was)
   @@ fun () ->
-  let h0 = count "pipeline_cache_hits" and m0 = count "pipeline_cache_misses" in
+  let before = List.map counter watched in
   let r = f () in
-  (r, count "pipeline_cache_hits" - h0, count "pipeline_cache_misses" - m0)
+  (r, List.map2 (fun name b -> (name, counter name - b)) watched before)
+
+(* the pass-cache hits and misses [f] added *)
+let cache_delta f =
+  let r, d = moved f in
+  (r, List.assoc "pipeline_cache_hits" d, List.assoc "pipeline_cache_misses" d)
 
 let pass_counter passes pass name =
   let s = List.find (fun (s : Obs.span) -> s.Obs.name = pass) passes in
@@ -314,12 +329,13 @@ let test_store_warm_flow () =
   Alcotest.(check bool) "served from store" true (h > 0);
   Alcotest.(check int) "no recompute" 0 m
 
-(* A blob in the untagged key layout (format 1: [Marshal (key, product)]
-   under the bare cache key) is never read: the pass recomputes and the
-   disk-hit counter stays put. *)
-let test_store_ignores_untagged_keys () =
+(* A blob stored under an older key layout is never read: the pass
+   recomputes and the disk-hit counter stays put. [tag] is the old
+   format's key prefix: format 1 keys were untagged, format 2 keys start
+   with [p2|] (its [Netlist.t] had no fingerprint memo). *)
+let store_ignores_old_format ~tag () =
   let nl = Lazy.force fir in
-  let key = "connectivity|" ^ N.fingerprint nl in
+  let key = tag ^ "connectivity|" ^ N.fingerprint nl in
   let old_blob =
     Marshal.to_string
       (key, C.Pipeline.P_analysis (C.Connectivity.analyze nl))
@@ -342,15 +358,7 @@ let test_store_ignores_untagged_keys () =
       C.Pipeline.clear_cache ())
   @@ fun () ->
   C.Pipeline.clear_cache ();
-  let disk_hits () =
-    List.find_map
-      (fun (s : Obs.sample) ->
-        match s.Obs.value with
-        | Obs.Counter n when s.Obs.name = "pipeline_cache_disk_hits" -> Some n
-        | _ -> None)
-      (Obs.snapshot ())
-    |> Option.value ~default:0
-  in
+  let disk_hits () = counter "pipeline_cache_disk_hits" in
   let was = Obs.enabled () in
   Obs.set_enabled true;
   let d0 = disk_hits () in
@@ -363,8 +371,180 @@ let test_store_ignores_untagged_keys () =
   Alcotest.(check bool) "flow succeeds" true (o.C.Pipeline.failed = None);
   Alcotest.(check int) "connectivity recomputed" 0
     (pass_counter passes "connectivity" "cache_hit");
-  Alcotest.(check bool) "the untagged key is never asked for" false
+  Alcotest.(check bool) "the old key is never asked for" false
     (List.mem key !asked)
+
+(* ---- verify verdicts ride with the overhead slot ---- *)
+
+let check_moved what expected deltas =
+  List.iter
+    (fun name ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s: %s" what name)
+        (Option.value (List.assoc_opt name expected) ~default:0)
+        (List.assoc name deltas))
+    watched
+
+(* [verify] simulated: one verification, word simulation ran, and no
+   pass-cache counter moved *)
+let check_simulated what deltas =
+  Alcotest.(check int) (what ^ ": one verification") 1
+    (List.assoc "flow_verifications" deltas);
+  Alcotest.(check bool) (what ^ ": words simulated") true
+    (List.assoc "sim_words" deltas > 0);
+  check_moved what
+    [ ("flow_verifications", 1); ("sim_words", List.assoc "sim_words" deltas) ]
+    deltas
+
+let run_flow ?use_cache () =
+  C.Flow.of_outcome
+    (C.Pipeline.execute ?use_cache (fir_cfg ()) (Lazy.force fir))
+
+(* Two runs of one config on one design share every product through the
+   memory cache, so the second verify answers from the overhead slot:
+   the same verdict, no simulation, no cache counter moved. *)
+let test_verdict_reused () =
+  C.Pipeline.clear_cache ();
+  let r1, cold = moved (fun () -> run_flow ()) in
+  let r2, warm = moved (fun () -> run_flow ()) in
+  let passes = List.length C.Pipeline.pass_names in
+  check_moved "cold run" [ ("pipeline_cache_misses", passes) ] cold;
+  check_moved "warm run" [ ("pipeline_cache_hits", passes) ] warm;
+  Alcotest.(check bool) "products shared" true
+    (r1.C.Flow.locked_full == r2.C.Flow.locked_full
+    && r1.C.Flow.emitted == r2.C.Flow.emitted);
+  let v1, first = moved (fun () -> C.Flow.verify r1) in
+  check_simulated "first verify" first;
+  let v2, second = moved (fun () -> C.Flow.verify r2) in
+  check_moved "second verify" [] second;
+  Alcotest.(check bool) "PASS" true v1;
+  Alcotest.(check bool) "same verdict" v1 v2;
+  C.Pipeline.clear_cache ()
+
+(* A verdict is returned only for the very products and depth it
+   checked. *)
+let test_verdict_tags () =
+  C.Pipeline.clear_cache ();
+  let r = run_flow () in
+  ignore (C.Flow.verify r);
+  let e = r.C.Flow.emitted in
+  let inverted =
+    let b = F.Bitstream.builder () in
+    F.Bitstream.append b "inverted"
+      (Array.map not (F.Bitstream.bits e.F.Emit.bitstream));
+    { r with C.Flow.emitted = { e with F.Emit.bitstream = b } }
+  in
+  let v, d = moved (fun () -> C.Flow.verify inverted) in
+  check_simulated "inverted bitstream" d;
+  Alcotest.(check bool) "inverted bitstream FAILs" false v;
+  let v, d = moved (fun () -> C.Flow.verify inverted) in
+  check_moved "inverted bitstream again" [] d;
+  Alcotest.(check bool) "its own verdict kept" false v;
+  let v, d = moved (fun () -> C.Flow.verify r) in
+  check_moved "the result itself again" [] d;
+  Alcotest.(check bool) "still PASS" true v;
+  let same_emitted =
+    { r with C.Flow.emitted = { e with F.Emit.locked = e.F.Emit.locked } }
+  in
+  let v, d = moved (fun () -> C.Flow.verify same_emitted) in
+  check_simulated "an equal copy of emitted" d;
+  Alcotest.(check bool) "equal copy PASSes" true v;
+  let other_original = { r with C.Flow.original = N.copy r.C.Flow.original } in
+  let v, d = moved (fun () -> C.Flow.verify other_original) in
+  check_simulated "another original" d;
+  Alcotest.(check bool) "another original PASSes" true v;
+  C.Pipeline.clear_cache ()
+
+(* Another depth is another verdict; a slot keeps the four newest. *)
+let test_verdict_depth () =
+  C.Pipeline.clear_cache ();
+  let r = run_flow () in
+  let _, d = moved (fun () -> C.Flow.verify r) in
+  check_simulated "default depth" d;
+  let _, d = moved (fun () -> C.Flow.verify ~runs:4 r) in
+  check_simulated "other runs" d;
+  let _, d = moved (fun () -> C.Flow.verify ~cycles:12 r) in
+  check_simulated "other cycles" d;
+  let _, d = moved (fun () -> C.Flow.verify ~runs:4 r) in
+  check_moved "other runs again" [] d;
+  let _, d = moved (fun () -> C.Flow.verify r) in
+  check_moved "default depth again" [] d;
+  List.iter (fun runs -> ignore (C.Flow.verify ~runs r)) [ 2; 3 ];
+  let _, d = moved (fun () -> C.Flow.verify r) in
+  check_simulated "the oldest of five verdicts was dropped" d;
+  let _, d = moved (fun () -> C.Flow.verify ~runs:3 r) in
+  check_moved "a newer one was kept" [] d;
+  C.Pipeline.clear_cache ()
+
+(* With the cache off there is no slot: every verify simulates. *)
+let test_verdict_uncached () =
+  C.Pipeline.clear_cache ();
+  let r1 = run_flow ~use_cache:false () and r2 = run_flow ~use_cache:false () in
+  List.iter
+    (fun (what, r) ->
+      let v, d = moved (fun () -> C.Flow.verify r) in
+      check_simulated what d;
+      Alcotest.(check bool) (what ^ " PASSes") true v)
+    [ ("first run", r1); ("second run", r2); ("first run again", r1) ]
+
+(* The verdicts go with their slot: after clear_cache, and on products
+   reloaded from the spill store, the next verify simulates. *)
+let test_verdict_cleared () =
+  C.Pipeline.clear_cache ();
+  let r = run_flow () in
+  ignore (C.Flow.verify r);
+  C.Pipeline.clear_cache ();
+  let _, d = moved (fun () -> C.Flow.verify r) in
+  check_simulated "after clear_cache" d;
+  let _, d = moved (fun () -> C.Flow.verify r) in
+  check_simulated "slot still gone" d;
+  let blobs : (string, string) Hashtbl.t = Hashtbl.create 64 in
+  C.Pipeline.set_store
+    (Some
+       {
+         C.Pipeline.save = (fun k b -> Hashtbl.replace blobs k b);
+         load = (fun k -> Hashtbl.find_opt blobs k);
+       });
+  Fun.protect ~finally:(fun () ->
+      C.Pipeline.set_store None;
+      C.Pipeline.clear_cache ())
+  @@ fun () ->
+  C.Pipeline.clear_cache ();
+  let passes = List.length C.Pipeline.pass_names in
+  let cold, d = moved (fun () -> run_flow ()) in
+  check_moved "spilling run"
+    [ ("pipeline_cache_misses", passes); ("pipeline_cache_disk_writes", passes) ]
+    d;
+  let _, d = moved (fun () -> C.Flow.verify cold) in
+  check_simulated "spilling run's verify" d;
+  C.Pipeline.clear_cache ();
+  let warm, d = moved (fun () -> run_flow ()) in
+  check_moved "reload"
+    [ ("pipeline_cache_hits", passes); ("pipeline_cache_disk_hits", passes) ]
+    d;
+  let v, d = moved (fun () -> C.Flow.verify warm) in
+  check_simulated "verify after a reload" d;
+  Alcotest.(check bool) "reloaded products PASS" true v;
+  let _, d = moved (fun () -> C.Flow.verify warm) in
+  check_moved "reloaded verdict reused" [] d
+
+(* The slot holds the verdicts, nothing else does: once the cache is
+   cleared and the result dropped, its products can be collected. *)
+let test_verdict_retention () =
+  C.Pipeline.clear_cache ();
+  let w = Weak.create 1 in
+  let verify_and_drop () =
+    let r = run_flow () in
+    ignore (C.Flow.verify r);
+    ignore (C.Flow.verify r);
+    Weak.set w 0 (Some r.C.Flow.locked_full)
+  in
+  verify_and_drop ();
+  Gc.full_major ();
+  Alcotest.(check bool) "the cache keeps locked_full" true (Weak.check w 0);
+  C.Pipeline.clear_cache ();
+  Gc.full_major ();
+  Alcotest.(check bool) "collected after clear_cache" false (Weak.check w 0)
 
 let suite =
   [
@@ -378,5 +558,14 @@ let suite =
     ("abort reopens claim", `Quick, test_abort_reopens);
     ("spill store round trip", `Quick, test_store_round_trip);
     ("spill store warm flow", `Quick, test_store_warm_flow);
-    ("spill store ignores untagged keys", `Quick, test_store_ignores_untagged_keys);
+    ("spill store ignores untagged keys", `Quick,
+     store_ignores_old_format ~tag:"");
+    ("spill store ignores format 2 keys", `Quick,
+     store_ignores_old_format ~tag:"p2|");
+    ("verify verdict reused", `Quick, test_verdict_reused);
+    ("verify verdict tags", `Quick, test_verdict_tags);
+    ("verify verdict depth", `Quick, test_verdict_depth);
+    ("verify verdict uncached", `Quick, test_verdict_uncached);
+    ("verify verdict cleared", `Quick, test_verdict_cleared);
+    ("verify verdict retention", `Quick, test_verdict_retention);
   ]

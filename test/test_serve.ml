@@ -386,7 +386,10 @@ let test_jobs_share_design () =
     | Error d -> Alcotest.fail (Diag.to_string d)
   in
   let nl = design () in
-  let digest = Shell_netlist.Netlist.fingerprint nl in
+  (* hash a fresh copy: the design's own fingerprint is a memo, which an
+     in-place change to the shared design would not clear *)
+  let digest () = Shell_netlist.Netlist.(fingerprint (copy nl)) in
+  let digest0 = digest () in
   let shared = List.map run jobs in
   let elaborated = designs_elaborated () - before in
   Obs.set_enabled was_enabled;
@@ -396,8 +399,7 @@ let test_jobs_share_design () =
     (match Jobs.netlist_of_bench (String.lowercase_ascii bench) with
     | Ok nl' -> nl' == nl
     | Error _ -> false);
-  Alcotest.(check string) "fingerprint unchanged" digest
-    (Shell_netlist.Netlist.fingerprint nl);
+  Alcotest.(check string) "fingerprint unchanged" digest0 (digest ());
   List.iter2
     (fun (job, alone) shared ->
       Alcotest.(check string) (P.job_kind job ^ " output") alone shared)
@@ -624,7 +626,7 @@ let test_server_restart_warm_from_disk () =
   Pipeline.clear_cache ();
   (* first daemon: cold run spills every pass product to disk *)
   let addr, d = start_server with_store in
-  let out1, disk_hits0, misses0 =
+  let out1, disk_hits0, misses0, verified0 =
     Client.with_connection addr (fun t ->
         let out = submit_ok t (P.Lock fir_spec) in
         match Client.metrics t with
@@ -633,7 +635,8 @@ let test_server_restart_warm_from_disk () =
               (metric_value m "shell_pipeline_cache_disk_writes" > 0);
             ( out,
               metric_value m "shell_pipeline_cache_disk_hits",
-              metric_value m "shell_pipeline_cache_misses" )
+              metric_value m "shell_pipeline_cache_misses",
+              metric_value m "shell_flow_verifications" )
         | Error e -> Alcotest.failf "metrics failed: %s" e)
   in
   stop_server addr d;
@@ -650,7 +653,11 @@ let test_server_restart_warm_from_disk () =
           let misses = metric_value m "shell_pipeline_cache_misses" in
           Alcotest.(check bool) "warm hits came from the disk store" true
             (disk_hits > disk_hits0);
-          Alcotest.(check int) "no pass recomputed after restart" misses0 misses
+          Alcotest.(check int) "no pass recomputed after restart" misses0 misses;
+          (* verdicts are never spilled: products loaded from disk are
+             verified once more *)
+          Alcotest.(check int) "disk-warm lock verified" 1
+            (metric_value m "shell_flow_verifications" - verified0)
       | Error e -> Alcotest.failf "metrics failed: %s" e);
   stop_server addr d;
   (* eviction contract: deleting the directory is the reset story *)
@@ -673,6 +680,13 @@ let rm_rf p =
   in
   if Sys.file_exists p then rm p
 
+(* the store's documented sharded-MD5 addressing *)
+let blob_path dir key =
+  let h = Digest.to_hex (Digest.string key) in
+  Filename.concat
+    (Filename.concat dir (String.sub h 0 2))
+    (String.sub h 2 (String.length h - 2))
+
 let test_store_gc () =
   let dir = temp_path ".gcstore" in
   let store = Store.create ~root:dir in
@@ -687,12 +701,7 @@ let test_store_gc () =
   Alcotest.(check int) "nothing reclaimed under cap" 0 rep.Store.reclaimed_bytes;
   (* stagger access times (the documented sharded-MD5 addressing gives
      us each blob's path) so the LRU order is fully determined *)
-  let path_of k =
-    let h = Digest.to_hex (Digest.string k) in
-    Filename.concat
-      (Filename.concat dir (String.sub h 0 2))
-      (String.sub h 2 (String.length h - 2))
-  in
+  let path_of = blob_path dir in
   let ordered = List.sort (fun a b -> compare (path_of a) (path_of b)) keys in
   let now = Unix.time () in
   List.iteri
@@ -734,11 +743,33 @@ let test_store_gc () =
     (Store.entries store);
   rm_rf dir
 
+(* A save whose rename fails raises and leaves no tmp file behind for
+   [entries] or [gc] to count: here the blob's path is a non-empty
+   directory. *)
+let test_store_save_failure () =
+  let dir = temp_path ".failstore" in
+  let store = Store.create ~root:dir in
+  let key = "key" in
+  Store.save store key "blob";
+  Alcotest.(check int) "one blob" 1 (Store.entries store);
+  let p = blob_path dir key in
+  Sys.remove p;
+  Sys.mkdir p 0o755;
+  close_out (open_out (Filename.concat p "occupant"));
+  (match Store.save store key "blob" with
+  | () -> Alcotest.fail "save over a directory succeeded"
+  | exception Sys_error _ -> ());
+  Alcotest.(check int) "no tmp file left" 1 (Store.entries store);
+  Alcotest.(check int) "gc sees no blob" 0
+    (Store.gc store ~max_bytes:max_int).Store.scanned;
+  rm_rf dir
+
 (* Job accounting rides the one Obs registry: the status counts, the
    per-kind spans and the Prometheus page move together, and no job
    leaves a root span behind for the daemon's lifetime. Counts are
    process-wide, so compare deltas. Five locks of one bench elaborate
-   it once. *)
+   it once and verify once (the other four reuse the verdict); each job
+   waited in the queue once, and an idle daemon's queue is empty. *)
 let test_server_job_telemetry () =
   Pipeline.clear_cache ();
   Jobs.clear_designs ();
@@ -765,8 +796,17 @@ let test_server_job_telemetry () =
               metric_value m "shell_designs_elaborated" )
         | Error e -> Alcotest.failf "metrics failed: %s" e
       in
+      let queue () =
+        match Client.metrics t with
+        | Ok m ->
+            ( metric_value m "shell_serve_queue_wait_us_count",
+              metric_value m "shell_serve_queue_depth",
+              metric_value m "shell_flow_verifications" )
+        | Error e -> Alcotest.failf "metrics failed: %s" e
+      in
       let done0, runs0, elab0 = status ()
-      and mdone0, mruns0, melab0 = metrics () in
+      and mdone0, mruns0, melab0 = metrics ()
+      and waits0, _, verified0 = queue () in
       for _ = 1 to jobs do
         ignore (submit_ok t (P.Lock fir_spec))
       done;
@@ -781,7 +821,11 @@ let test_server_job_telemetry () =
       Alcotest.(check int) "metrics jobs done" jobs (mdone1 - mdone0);
       Alcotest.(check int) "metrics lock histogram count" jobs
         (mruns1 - mruns0);
-      Alcotest.(check int) "metrics designs elaborated" 1 (melab1 - melab0));
+      Alcotest.(check int) "metrics designs elaborated" 1 (melab1 - melab0);
+      let waits1, depth, verified1 = queue () in
+      Alcotest.(check int) "one queue wait per job" jobs (waits1 - waits0);
+      Alcotest.(check int) "idle queue depth" 0 depth;
+      Alcotest.(check int) "verified once" 1 (verified1 - verified0));
   stop_server addr d;
   Alcotest.(check int) "no span roots after shutdown" 0
     (List.length (Obs.spans ()))
@@ -837,6 +881,7 @@ let suite =
     ("jobs lint subject of unknown bench", `Quick, test_lint_subject_of_bench);
     ("jobs share one design", `Quick, test_jobs_share_design);
     ("store gc size cap", `Quick, test_store_gc);
+    ("store save failure leaves no tmp", `Quick, test_store_save_failure);
     ("server lock byte-identical", `Quick, test_server_lock_byte_identical);
     ("server concurrent clients", `Quick, test_server_concurrent_clients);
     ("server queue full", `Quick, test_server_queue_full);

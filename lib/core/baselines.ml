@@ -10,7 +10,6 @@ let case1 t =
     target = fixed t;
     shrink = false;
     seed = 0xca5e1;
-    max_luts = 128.0;
   }
 
 let case2 t = { (case1 t) with Flow.seed = 0xca5e2 }
@@ -21,7 +20,6 @@ let case3 t =
     target = fixed t;
     shrink = false;
     seed = 0xca5e3;
-    max_luts = 128.0;
   }
 
 let case4 t =
@@ -30,7 +28,6 @@ let case4 t =
     target = fixed t;
     shrink = true;
     seed = 0xca5e4;
-    max_luts = 128.0;
   }
 
 let all ~case1:t1 ~case2:t2 ~case3:t3 ~shell =

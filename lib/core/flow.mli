@@ -5,23 +5,29 @@
     Steps: (1–2) connectivity analysis and scoring, (3) sub-circuit
     selection, (4) LGC/ROUTE decoupling, (5) dual synthesis, (6–7)
     fabric sizing / place-and-route fit loop, (8) post-bitstream
-    shrinking, plus the splice that rebuilds the full locked design. *)
+    shrinking, plus the splice that rebuilds the full locked design.
 
-type target = Pipeline.target =
+    {!run} runs them as nine named passes — [connectivity],
+    [selection], [extraction], [synthesis], [pnr], [emit], [shrink],
+    [overhead] and a diagnostics-only [lint] — each through
+    {!Pipeline.pass}, which memoizes its product in the pass cache
+    under a fingerprint of the pass's inputs and records its span. *)
+
+type target =
   | Fixed of { route : string list; lgc : string list; label : string }
       (** origin-substring selection (the TfR columns) *)
   | Auto of { coeffs : Score.coeffs; lgc_depth : int }
-      (** scored selection; [lgc_depth] 0 is the SheLL constraint *)
+      (** scored selection under {!Selection.auto}'s LUT budget;
+          [lgc_depth] 0 is the SheLL constraint *)
   | Route_with_lgc_depth of { route : string list; depth : int }
       (** Table VII methodology: fixed ROUTE selection, best LGC
           companion at exactly [depth] block hops *)
 
-type config = Pipeline.config = {
+type config = {
   style : Shell_fabric.Style.t;
   target : target;
   shrink : bool;  (** step 8 on/off *)
   seed : int;
-  max_luts : float;  (** budget for [Auto] selection *)
 }
 
 val shell_config : ?target:target -> unit -> config
@@ -46,14 +52,43 @@ type result = {
       (** where {!verify} keeps its verdicts for this run's products *)
 }
 
-val run : config -> Shell_netlist.Netlist.t -> result
-(** The composed {!Pipeline}: executes the nine passes and packs the
-    staged artifacts into a [result]. Raises {!Shell_util.Diag.Error}
-    (naming the failing pass) if any pass aborts. *)
+val run :
+  ?use_cache:bool ->
+  ?strict_fit:bool ->
+  ?fabric:Shell_fabric.Fabric.t ->
+  config ->
+  Shell_netlist.Netlist.t ->
+  result
+(** Run the nine passes in order under a [pipeline]
+    {!Shell_util.Obs} span, one child span per pass carrying its wall
+    time, a [cache_hit] flag and the pass's counters (computed only
+    while Obs is enabled). The first pass that fails raises
+    {!Shell_util.Diag.Error} naming it.
 
-val of_outcome : Pipeline.outcome -> result
-(** Pack a completed {!Pipeline.execute} outcome into a [result];
-    raises {!Shell_util.Diag.Error} if the outcome failed. *)
+    Pass products come from the process-wide pass cache when a pass's
+    inputs were seen before (a different selection on the same
+    netlist, a different seed on the same mapping reuse the upstream
+    passes); passes are pure functions of their fingerprinted inputs,
+    so cached and uncached runs are byte-identical. [~use_cache:false]
+    (or [SHELL_PASS_CACHE=0]) bypasses the cache. [~strict_fit] turns
+    a PnR fit-check failure into an abort at [pnr] whose diagnostic
+    carries the typed {!Shell_fabric.Fabric.Shortage}; by default the
+    shortage is only reported in [pnr.fit]. [~fabric] pins the fabric,
+    skipping the sizing/grow loop. *)
+
+val lint_subject :
+  original:Shell_netlist.Netlist.t ->
+  analysis:Connectivity.t ->
+  choice:Selection.choice ->
+  pnr:Shell_pnr.Pnr.result ->
+  emitted:Shell_fabric.Emit.t ->
+  resources:Shell_fabric.Resources.t ->
+  shrunk:bool ->
+  Shell_netlist.Netlist.t ->
+  Shell_lint.Lint.subject
+(** The subject the [lint] pass checks: the locked design with its
+    selection origins, key, fabric, bitstream, used resources and PnR
+    result. *)
 
 val locked_sub : result -> Shell_locking.Locked.t
 (** The attack surface: the redacted block as a locked netlist whose

@@ -1,45 +1,64 @@
-(** The SheLL flow as a staged pass pipeline.
+(** The pass cache of the SheLL flow, and the runner {!Flow.run} puts
+    each of its nine passes through.
 
-    The eight steps of Fig. 4 — connectivity, selection, extraction,
-    synthesis, PnR, emission, shrinking, overhead — plus a final
-    diagnostics-only [lint] pass are named passes, each consuming and
-    producing fields of a staged {!artifacts}
-    record. {!execute} runs them in order under a [pipeline]
-    {!Shell_util.Obs} span, one child span per pass carrying its wall
-    time, a [cache_hit] flag and the pass's counters (computed only
-    while Obs is enabled), and stops at the first pass that raises
-    {!Shell_util.Diag.Error}: the outcome then carries the diagnostic
-    (stamped with the failing pass) alongside every artifact produced
-    before it.
+    A pass's product is memoized in a process-wide cache under the
+    pass name and a fingerprint of the pass's inputs, so re-running a
+    flow that only changed a downstream input (a different selection
+    on the same netlist, a different seed on the same mapping) reuses
+    the upstream products. Passes are pure functions of their
+    fingerprinted inputs, which keeps cached and uncached runs
+    byte-identical — the property [Explore.search] and the Table VI
+    sweep rely on. The cache also keeps {!Flow.verify}'s verdicts on
+    the slot of the [overhead] product they checked, and can spill its
+    products to an attached {!store}. Disable with
+    [SHELL_PASS_CACHE=0] (or [Flow.run ~use_cache:false]). *)
 
-    Pass outputs are memoized in a process-wide cache keyed by a
-    fingerprint of each pass's inputs, so re-running a flow that only
-    changed a downstream input (a different selection on the same
-    netlist, a different seed on the same mapping) reuses the upstream
-    results. Passes are pure functions of their fingerprinted inputs,
-    which keeps cached and uncached executions byte-identical — the
-    property [Explore.search] and the Table VI sweep rely on. Disable
-    with [SHELL_PASS_CACHE=0] (or [~use_cache:false]). *)
+val pass_names : string list
+(** The nine pass names, in execution order. *)
 
-type target =
-  | Fixed of { route : string list; lgc : string list; label : string }
-      (** origin-substring selection (the TfR columns) *)
-  | Auto of { coeffs : Score.coeffs; lgc_depth : int }
-      (** scored selection; [lgc_depth] 0 is the SheLL constraint *)
-  | Route_with_lgc_depth of { route : string list; depth : int }
-      (** Table VII methodology: fixed ROUTE, best LGC at a distance *)
+type product =
+  | P_analysis of Connectivity.t
+  | P_choice of Selection.choice
+  | P_cut of Extraction.cut
+  | P_mapped of Synthesize.mapped
+  | P_pnr of Shell_pnr.Pnr.result
+  | P_emit of Shell_fabric.Emit.t * Shell_netlist.Netlist.t
+      (** the emission and its topologically-orderable timing twin *)
+  | P_shrink of int * Shell_fabric.Resources.t
+      (** feedthrough tracks and the shrunk (or full) resources *)
+  | P_overhead of Overhead.t * Shell_netlist.Netlist.t
+      (** the A/P/D report and the reassembled locked design *)
+  | P_lint of Shell_lint.Lint.report
+      (** one cached pass output, keyed by [pass_name ^ "|" ^
+          input_fingerprint]. The spill store reads products back at
+          this type, so any change to a product type
+          ({!Shell_netlist.Netlist.t} included) bumps the store's
+          format tag (see {!store}). *)
 
-type config = {
-  style : Shell_fabric.Style.t;
-  target : target;
-  shrink : bool;  (** step 8 on/off *)
-  seed : int;
-  max_luts : float;  (** budget for [Auto] selection *)
-}
+val cache_enabled : unit -> bool
+(** [false] when [SHELL_PASS_CACHE] is [0], empty or [false]. *)
 
-val shell_config : ?target:target -> unit -> config
-(** SheLL defaults: FABulous + MUX chains, auto (c5) selection at
-    depth 0, shrinking on. *)
+val pass :
+  cached:bool ->
+  string ->
+  (unit -> string) ->
+  (unit -> product) ->
+  (product -> 'a * (unit -> (string * int) list)) ->
+  'a
+(** [pass ~cached name key compute view] runs one pass under an Obs
+    span [name], counted by the stable [pipeline_passes] counter.
+    With [cached] it evaluates [key ()] (inside the span) and takes
+    the product from the cache under [name ^ "|" ^ key ()], or claims
+    that key single-flight, runs [compute ()] and publishes the
+    product (re-opening the key if [compute] raises); without, it just
+    runs [compute ()]. A diagnostic escaping [compute] is stamped with
+    [name] ({!Shell_util.Diag.in_pass}). [view] projects the product
+    to the pass's value and its span counters; while Obs is enabled
+    the span gets [cache_hit] (1 on a hit) and then those counters. *)
+
+val mismatch : product -> 'a
+(** The [view] arm for a product of another pass, which a pass's key
+    never holds: raises [Invalid_argument]. *)
 
 type verdict_slot
 (** Where {!Flow.verify} keeps the verdicts of one run: the in-memory
@@ -47,67 +66,9 @@ type verdict_slot
     [locked_full]), or nowhere when the run bypassed the cache. See
     {!verdict}. *)
 
-type artifacts = {
-  config : config;
-  original : Shell_netlist.Netlist.t;
-  fingerprint : string;  (** structural fingerprint of [original] *)
-  analysis : Connectivity.t option;
-  choice : Selection.choice option;
-  cut : Extraction.cut option;
-  mapped : Synthesize.mapped option;
-  pnr : Shell_pnr.Pnr.result option;
-  emitted : Shell_fabric.Emit.t option;
-  timing : Shell_netlist.Netlist.t option;
-      (** topologically-orderable twin of the emission *)
-  feedthroughs : int option;
-  resources : Shell_fabric.Resources.t option;
-  overhead : Overhead.t option;
-  locked_full : Shell_netlist.Netlist.t option;
-  lint : Shell_lint.Lint.report option;
-      (** static-analysis report over the locked result (never aborts
-          the flow; see {!Shell_lint.Rules}) *)
-  verdicts : verdict_slot;  (** set by the [overhead] pass *)
-}
-(** Staged record: a pass fills its fields and leaves the rest. After
-    an aborted execution the fields of every completed pass are still
-    set. *)
-
-type outcome = {
-  artifacts : artifacts;
-  failed : Shell_util.Diag.t option;  (** [Some] when a pass aborted *)
-}
-
-val pass_names : string list
-(** The nine pass names, in execution order. *)
-
-val execute :
-  ?use_cache:bool ->
-  ?strict_fit:bool ->
-  ?fabric:Shell_fabric.Fabric.t ->
-  config ->
-  Shell_netlist.Netlist.t ->
-  outcome
-(** Run the pipeline. Never raises on pass failure — the diagnostic
-    lands in [failed]. [~strict_fit] turns a PnR fit-check failure
-    into an abort (diagnostic carries the typed
-    {!Shell_fabric.Fabric.Shortage}); the default preserves the
-    legacy behavior of reporting the shortage in
-    [result.fit]. [~fabric] pins the fabric (skipping the sizing/grow
-    loop) — used with [~strict_fit] to force a fit failure. *)
-
-val lint_subject :
-  original:Shell_netlist.Netlist.t ->
-  analysis:Connectivity.t ->
-  choice:Selection.choice ->
-  pnr:Shell_pnr.Pnr.result ->
-  emitted:Shell_fabric.Emit.t ->
-  resources:Shell_fabric.Resources.t ->
-  shrunk:bool ->
-  Shell_netlist.Netlist.t ->
-  Shell_lint.Lint.subject
-(** The subject the [lint] pass checks: the locked design with its
-    selection origins, key, fabric, bitstream, used resources and PnR
-    result. *)
+val slot : cached:bool -> string -> (unit -> string) -> verdict_slot
+(** [slot ~cached name key]: the cache slot {!pass} fills for [name]
+    under [key ()], or nowhere without [cached]. *)
 
 val clear_cache : unit -> unit
 (** Empty the in-memory pass cache, verify verdicts included. An
@@ -136,23 +97,7 @@ val verdict :
 
     The single-flight pass cache, exposed for the serve daemon's
     spill store and for tests that exercise claim/evict interleavings
-    directly. Normal callers go through {!execute}. *)
-
-type product =
-  | P_analysis of Connectivity.t
-  | P_choice of Selection.choice
-  | P_cut of Extraction.cut
-  | P_mapped of Synthesize.mapped
-  | P_pnr of Shell_pnr.Pnr.result
-  | P_emit of Shell_fabric.Emit.t * Shell_netlist.Netlist.t
-  | P_shrink of int * Shell_fabric.Resources.t
-  | P_overhead of Overhead.t * Shell_netlist.Netlist.t
-  | P_lint of Shell_lint.Lint.report
-      (** one cached pass output, keyed by [pass_name ^ "|" ^
-          input_fingerprint]. The spill store reads products back at
-          this type, so any change to a product type
-          ({!Shell_netlist.Netlist.t} included) bumps the store's
-          format tag (see {!store}). *)
+    directly. Normal callers go through {!pass}. *)
 
 val cache_cap : int
 (** Entry ceiling; reaching it evicts all [Ready] entries (never

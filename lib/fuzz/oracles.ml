@@ -16,7 +16,6 @@ module Emit = Shell_fabric.Emit
 module Style = Shell_fabric.Style
 module Bitstream = Shell_fabric.Bitstream
 module Flow = Shell_core.Flow
-module Pipeline = Shell_core.Pipeline
 module Extraction = Shell_core.Extraction
 module Rng = Shell_util.Rng
 module Diag = Shell_util.Diag
@@ -312,13 +311,7 @@ let pipeline_cfg rng =
   }
 
 let pipeline =
-  let run_locked rng nl =
-    let cfg = pipeline_cfg rng in
-    let o = Pipeline.execute ~use_cache:false cfg nl in
-    match o.Pipeline.failed with
-    | Some d -> Error (Diag.to_string d)
-    | None -> Ok (Flow.of_outcome o)
-  in
+  let run_locked rng nl = Flow.run ~use_cache:false (pipeline_cfg rng) nl in
   {
     name = "pipeline";
     description =
@@ -331,16 +324,15 @@ let pipeline =
     run =
       (fun rng nl ->
         match run_locked rng nl with
-        | Error m -> Skip m
         | exception Diag.Error d -> Skip (Diag.to_string d)
-        | Ok r ->
+        | r ->
             if Flow.verify ~runs:4 ~cycles:16 r then Pass
             else Fail "locked design under correct bitstream differs");
     inject =
       (fun rng nl ->
         match run_locked rng nl with
-        | Error _ | (exception Diag.Error _) -> None
-        | Ok r -> (
+        | exception Diag.Error _ -> None
+        | r -> (
             let lk = Flow.locked_sub r in
             match Inject.mutate rng lk.Locked.locked with
             | None -> None

@@ -297,10 +297,10 @@ let fuzz_output (f : P.fuzz_spec) =
 
 (* ---------------- lint ---------------- *)
 
-(* The subject the pipeline's lint pass checks, so a locked flow can be
+(* The subject the flow's lint pass checks, so a locked flow can be
    re-linted under a different severity floor, baseline or job count. *)
 let lint_subject_of_result (r : C.Flow.result) =
-  C.Pipeline.lint_subject ~original:r.C.Flow.original
+  C.Flow.lint_subject ~original:r.C.Flow.original
     ~analysis:r.C.Flow.analysis ~choice:r.C.Flow.choice ~pnr:r.C.Flow.pnr
     ~emitted:r.C.Flow.emitted ~resources:r.C.Flow.resources
     ~shrunk:r.C.Flow.config.C.Flow.shrink r.C.Flow.locked_full

@@ -83,8 +83,8 @@ val fuzz_output :
     client). *)
 
 val lint_subject_of_result : C.Flow.result -> Shell_lint.Lint.subject
-(** The subject the pipeline's lint pass checks, artifacts included
-    ({!Shell_core.Pipeline.lint_subject}). *)
+(** The subject the flow's lint pass checks, artifacts included
+    ({!Shell_core.Flow.lint_subject}). *)
 
 val lint_subjects :
   Protocol.lint_spec -> (Shell_lint.Lint.subject list, Shell_util.Diag.t) result

@@ -188,6 +188,9 @@ let handle_request t c = function
       logf t "serve: shutdown requested";
       t.stop <- true;
       send c (P.Result { id; output = "shutting down\n" })
+  | P.Submit { id; _ } when t.stop ->
+      Obs.incr m_jobs_rejected;
+      send c (P.Rejected { id; reason = "shutting down" })
   | P.Submit { id; priority; job } -> (
       let job = clamp_job t.cfg.max_seconds job in
       let queued =
@@ -382,7 +385,7 @@ let serve ?(on_ready = fun () -> ()) cfg =
           (fun c ->
             if c.alive && List.mem c.fd writable then write_conn t c)
           conns;
-        if not t.stop then run_one_job t
+        run_one_job t
   done;
   shutdown_cleanup t;
   Obs.set_enabled was_enabled

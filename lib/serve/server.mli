@@ -39,7 +39,10 @@ val default_config : address -> config
     clamp, no spill store, no size cap, quiet. *)
 
 val serve : ?on_ready:(unit -> unit) -> config -> unit
-(** Run until a [Shutdown] request, then drain response buffers,
+(** Run until a [Shutdown] request, then finish the jobs admitted
+    before it (each still gets its answer), drain response buffers,
     close the socket (unlinking a Unix path), detach the store and
-    restore the Obs enabled state. [on_ready] fires once the
+    restore the Obs enabled state. A [Submit] that arrives after the
+    [Shutdown] is answered [Rejected] with reason ["shutting down"]
+    and counted in [serve_jobs_rejected]. [on_ready] fires once the
     listening socket is bound — tests use it to synchronise. *)

@@ -9,9 +9,8 @@
     them.
 
     The flow's legacy error styles ([failwith], [invalid_arg],
-    [(unit, string) result], [`Msg]) funnel into this one type so a
-    failing run can report which pass failed, with every artifact
-    produced before it still available to the caller. *)
+    [(unit, string) result], [`Msg]) funnel into this one type, so the
+    diagnostic a failing run raises names the pass that failed. *)
 
 type payload = ..
 (** Typed machine-readable detail. Libraries extend this; register a

@@ -1,6 +1,6 @@
-(* Tests for the staged pass pipeline: per-pass Obs spans and counters,
-   abort-at-PnR with prior artifacts intact, and pass-level cache
-   reuse producing byte-identical results. *)
+(* Tests for the flow's nine passes and the pass cache: per-pass Obs
+   spans and counters, abort at PnR naming the pass, and pass-level
+   cache reuse producing byte-identical results. *)
 
 module N = Shell_netlist.Netlist
 module F = Shell_fabric
@@ -29,16 +29,16 @@ let test_pass_names () =
     ]
     C.Pipeline.pass_names
 
-(* Run a staged flow with Obs on; returns the outcome and the per-pass
-   spans under the [pipeline] root it recorded. *)
+(* Run the flow with Obs on; returns its result and the per-pass spans
+   under the [pipeline] root it recorded. *)
 let traced_run cfg nl =
   let was = Obs.enabled () in
   Obs.set_enabled true;
   Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
   ignore (Obs.take_spans ());
-  let o = C.Pipeline.execute cfg nl in
+  let r = C.Flow.run cfg nl in
   match Obs.take_spans () with
-  | [ root ] when root.Obs.name = "pipeline" -> (o, root.Obs.children)
+  | [ root ] when root.Obs.name = "pipeline" -> (r, root.Obs.children)
   | roots ->
       Alcotest.failf "expected one pipeline root span, got %d"
         (List.length roots)
@@ -86,8 +86,7 @@ let pass_counter passes pass name =
 
 let test_trace_counters () =
   C.Pipeline.clear_cache ();
-  let o, passes = traced_run (fir_cfg ()) (Lazy.force fir) in
-  Alcotest.(check bool) "no failure" true (o.C.Pipeline.failed = None);
+  let _, passes = traced_run (fir_cfg ()) (Lazy.force fir) in
   Alcotest.(check (list string))
     "one span per pass, in order" C.Pipeline.pass_names
     (List.map (fun (s : Obs.span) -> s.Obs.name) passes);
@@ -121,26 +120,15 @@ let test_forced_pnr_failure () =
   let tiny =
     { F.Fabric.style = F.Style.Fabulous_muxchain; cols = 1; rows = 1; chain_slots = 0 }
   in
-  let o =
-    C.Pipeline.execute ~strict_fit:true ~fabric:tiny (fir_cfg ())
-      (Lazy.force fir)
-  in
-  (match o.C.Pipeline.failed with
-  | None -> Alcotest.fail "expected a pnr abort"
-  | Some d ->
+  match C.Flow.run ~strict_fit:true ~fabric:tiny (fir_cfg ()) (Lazy.force fir) with
+  | _ -> Alcotest.fail "expected a pnr abort"
+  | exception Diag.Error d -> (
       Alcotest.(check (option string))
         "failing pass named" (Some "pnr") d.Diag.pass;
-      (match d.Diag.payload with
+      match d.Diag.payload with
       | F.Fabric.Shortage { demand; capacity; _ } ->
           Alcotest.(check bool) "demand over capacity" true (demand > capacity)
-      | _ -> Alcotest.fail "expected a typed Shortage payload"));
-  let a = o.C.Pipeline.artifacts in
-  Alcotest.(check bool) "analysis intact" true (a.C.Pipeline.analysis <> None);
-  Alcotest.(check bool) "choice intact" true (a.C.Pipeline.choice <> None);
-  Alcotest.(check bool) "cut intact" true (a.C.Pipeline.cut <> None);
-  Alcotest.(check bool) "mapped intact" true (a.C.Pipeline.mapped <> None);
-  Alcotest.(check bool) "no emission" true (a.C.Pipeline.emitted = None);
-  Alcotest.(check bool) "no overhead" true (a.C.Pipeline.overhead = None)
+      | _ -> Alcotest.fail "expected a typed Shortage payload")
 
 let summary r = Format.asprintf "%a" C.Flow.pp_summary r
 
@@ -148,16 +136,12 @@ let test_cache_reuse_identical () =
   let nl = Lazy.force fir in
   let cfg = fir_cfg () in
   C.Pipeline.clear_cache ();
-  let cold, h0, m0 =
-    cache_delta (fun () -> C.Flow.of_outcome (C.Pipeline.execute cfg nl))
-  in
+  let cold, h0, m0 = cache_delta (fun () -> C.Flow.run cfg nl) in
   Alcotest.(check int) "cold run misses every pass" 0 h0;
   Alcotest.(check bool) "cold run fills the cache" true (m0 > 0);
-  let warm, h1, _ =
-    cache_delta (fun () -> C.Flow.of_outcome (C.Pipeline.execute cfg nl))
-  in
+  let warm, h1, _ = cache_delta (fun () -> C.Flow.run cfg nl) in
   Alcotest.(check bool) "warm run hits the cache" true (h1 > 0);
-  let uncached = C.Flow.of_outcome (C.Pipeline.execute ~use_cache:false cfg nl) in
+  let uncached = C.Flow.run ~use_cache:false cfg nl in
   Alcotest.(check string)
     "cached byte-identical to uncached" (summary uncached) (summary warm);
   Alcotest.(check string)
@@ -169,7 +153,7 @@ let test_downstream_change_reuses_upstream () =
   let nl = Lazy.force fir in
   let cfg = fir_cfg () in
   C.Pipeline.clear_cache ();
-  let _ = C.Pipeline.execute cfg nl in
+  let _ = C.Flow.run cfg nl in
   let _, passes = traced_run { cfg with C.Flow.seed = 7 } nl in
   let hit name = pass_counter passes name "cache_hit" = 1 in
   List.iter
@@ -202,6 +186,70 @@ let test_explore_cache_byte_identical () =
   Alcotest.(check bool) "sweep hits the pass cache" true (h > 0);
   let warm = render (C.Explore.search ~generations:2 ~population:6 nl) in
   Alcotest.(check string) "cold and warm sweeps identical" cold warm
+
+(* ---- every config field reaches every key that depends on it ---- *)
+
+(* what a run reports: the summary, the exact A/P/D and the lint JSON *)
+let observed (r : C.Flow.result) =
+  let o = r.C.Flow.overhead in
+  ( summary r,
+    Printf.sprintf "%h %h %h" o.C.Overhead.area o.C.Overhead.power
+      o.C.Overhead.delay,
+    Shell_util.Jsonw.to_string (Shell_lint.Lint.report_json r.C.Flow.lint) )
+
+(* [shell_config ()] with one field changed *)
+let single_field_variants (t : Circ.Catalog.tfr) =
+  let base = C.Flow.shell_config () in
+  let auto ?(coeffs = C.Score.shell_choice) ?(lgc_depth = 0) () =
+    { base with C.Flow.target = C.Flow.Auto { coeffs; lgc_depth } }
+  in
+  let route = t.Circ.Catalog.route in
+  [
+    ("openfpga", { base with C.Flow.style = F.Style.Openfpga });
+    ("fabulous", { base with C.Flow.style = F.Style.Fabulous_std });
+    ("muxchain", { base with C.Flow.style = F.Style.Fabulous_muxchain });
+    ("no shrink", { base with C.Flow.shrink = false });
+    ("seed 7", { base with C.Flow.seed = 7 });
+    ("auto c1", auto ~coeffs:(List.assoc "c1" C.Score.presets) ());
+    ("auto lgc_depth 1", auto ~lgc_depth:1 ());
+    ( "fixed",
+      {
+        base with
+        C.Flow.target =
+          C.Flow.Fixed
+            { route; lgc = t.Circ.Catalog.lgc; label = t.Circ.Catalog.label };
+      } );
+    ( "route with lgc depth 1",
+      {
+        base with
+        C.Flow.target = C.Flow.Route_with_lgc_depth { route; depth = 1 };
+      } );
+  ]
+
+(* After a [shell_config ()] run warms the cache, each single-field
+   variant run through the cache must report what the same variant
+   reports uncached, and verify: a key that leaves out a field the pass
+   reads hands back the warm run's product. *)
+let test_config_fields_reach_keys bench () =
+  let e =
+    match Circ.Catalog.find bench with
+    | Some e -> e
+    | None -> Alcotest.failf "no catalog entry %s" bench
+  in
+  let nl = e.Circ.Catalog.netlist () in
+  C.Pipeline.clear_cache ();
+  ignore (C.Flow.run (C.Flow.shell_config ()) nl);
+  List.iter
+    (fun (what, cfg) ->
+      let cached = C.Flow.run cfg nl in
+      let uncached = C.Flow.run ~use_cache:false cfg nl in
+      let s, o, l = observed cached and s', o', l' = observed uncached in
+      Alcotest.(check string) (what ^ ": summary") s' s;
+      Alcotest.(check string) (what ^ ": overhead") o' o;
+      Alcotest.(check string) (what ^ ": lint") l' l;
+      Alcotest.(check bool) (what ^ ": verify") true (C.Flow.verify cached))
+    (single_field_variants e.Circ.Catalog.tfr_shell);
+  C.Pipeline.clear_cache ()
 
 (* ---- cache internals: single-flight under cap eviction ---- *)
 
@@ -318,13 +366,10 @@ let test_store_warm_flow () =
   let nl = Lazy.force fir in
   let cfg = fir_cfg () in
   let summary r = Format.asprintf "%a" C.Flow.pp_summary r in
-  let cold = summary (C.Flow.of_outcome (C.Pipeline.execute cfg nl)) in
+  let cold = summary (C.Flow.run cfg nl) in
   Alcotest.(check bool) "products spilled" true (Hashtbl.length blobs > 0);
   C.Pipeline.clear_cache ();
-  let warm, h, m =
-    cache_delta (fun () ->
-        summary (C.Flow.of_outcome (C.Pipeline.execute cfg nl)))
-  in
+  let warm, h, m = cache_delta (fun () -> summary (C.Flow.run cfg nl)) in
   Alcotest.(check string) "store-warm run byte-identical" cold warm;
   Alcotest.(check bool) "served from store" true (h > 0);
   Alcotest.(check int) "no recompute" 0 m
@@ -362,13 +407,12 @@ let store_ignores_old_format ~tag () =
   let was = Obs.enabled () in
   Obs.set_enabled true;
   let d0 = disk_hits () in
-  let o, passes =
+  let passes =
     Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
-    let o, passes = traced_run (fir_cfg ()) nl in
+    let _, passes = traced_run (fir_cfg ()) nl in
     Alcotest.(check int) "no disk hit" d0 (disk_hits ());
-    (o, passes)
+    passes
   in
-  Alcotest.(check bool) "flow succeeds" true (o.C.Pipeline.failed = None);
   Alcotest.(check int) "connectivity recomputed" 0
     (pass_counter passes "connectivity" "cache_hit");
   Alcotest.(check bool) "the old key is never asked for" false
@@ -396,9 +440,7 @@ let check_simulated what deltas =
     [ ("flow_verifications", 1); ("sim_words", List.assoc "sim_words" deltas) ]
     deltas
 
-let run_flow ?use_cache () =
-  C.Flow.of_outcome
-    (C.Pipeline.execute ?use_cache (fir_cfg ()) (Lazy.force fir))
+let run_flow ?use_cache () = C.Flow.run ?use_cache (fir_cfg ()) (Lazy.force fir)
 
 (* Two runs of one config on one design share every product through the
    memory cache, so the second verify answers from the overhead slot:
@@ -568,4 +610,8 @@ let suite =
     ("verify verdict uncached", `Quick, test_verdict_uncached);
     ("verify verdict cleared", `Quick, test_verdict_cleared);
     ("verify verdict retention", `Quick, test_verdict_retention);
+    ("config fields reach keys (FIR)", `Quick,
+     test_config_fields_reach_keys "FIR");
+    ("config fields reach keys (SPMV)", `Quick,
+     test_config_fields_reach_keys "SPMV");
   ]

@@ -316,13 +316,15 @@ let mask_seconds s =
   go 0;
   Buffer.contents b
 
-let designs_elaborated () =
+let obs_counter name =
   List.fold_left
     (fun acc (s : Obs.sample) ->
       match s.Obs.value with
-      | Obs.Counter n when s.Obs.name = "designs_elaborated" -> n
+      | Obs.Counter n when s.Obs.name = name -> n
       | _ -> acc)
     0 (Obs.snapshot ())
+
+let designs_elaborated () = obs_counter "designs_elaborated"
 
 (* Every job of a process reads the one memoized design and none
    mutates it. Over lock, attack, battery and lint (plain and locked)
@@ -516,23 +518,30 @@ let write_all fd s =
   let rec go off = if off < n then go (off + Unix.write fd b off (n - off)) in
   go 0
 
-(* read responses until [want] frames or EOF; returns them in order *)
-let read_responses fd want =
+(* read responses until [want] frames, EOF or [within] seconds; returns
+   them in order *)
+let read_responses ?(within = 60.) fd want =
+  let deadline = Unix.gettimeofday () +. within in
   let fr = J.framer () in
   let buf = Bytes.create 8192 in
   let got = ref [] in
   let eof = ref false in
   while List.length !got < want && not !eof do
-    (match J.next fr with
+    match J.next fr with
     | `Frame body -> (
         match P.response_of_frame body with
         | Ok r -> got := r :: !got
         | Error e -> Alcotest.failf "bad response frame: %s" e)
     | `Error e -> Alcotest.failf "framer error: %s" e
     | `Await -> (
-        match Unix.read fd buf 0 (Bytes.length buf) with
-        | 0 -> eof := true
-        | n -> J.feed fr buf 0 n))
+        let left = Float.max 0. (deadline -. Unix.gettimeofday ()) in
+        match Unix.select [ fd ] [] [] left with
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+        | [], _, _ -> eof := true
+        | _ -> (
+            match Unix.read fd buf 0 (Bytes.length buf) with
+            | 0 -> eof := true
+            | n -> J.feed fr buf 0 n))
   done;
   List.rev !got
 
@@ -571,6 +580,59 @@ let test_server_queue_full () =
   Alcotest.(check (list int)) "id 1 ran" [ 1 ] results;
   Unix.close fd;
   stop_server addr d
+
+(* A Shutdown behind queued jobs lets them run: one write carrying two
+   submits, a shutdown and one more submit gets both results, the
+   shutdown's answer and a rejection of the late submit, and then the
+   daemon exits. Every wait is bounded, so a daemon that never drains
+   its queue fails the test instead of hanging it. *)
+let test_server_shutdown_drains_queue () =
+  let addr, d = start_server Server.default_config in
+  let path =
+    match addr with
+    | Server.Unix_sock p -> p
+    | Server.Tcp _ -> Alcotest.fail "tests use unix sockets"
+  in
+  let rejected0 = obs_counter "serve_jobs_rejected" in
+  let fd = raw_connect addr in
+  let submit id =
+    P.request_frame
+      (P.Submit { id; priority = 0; job = P.Fuzz { fz_seed = 3; cases = 1 } })
+  in
+  write_all fd
+    (submit 1 ^ submit 2 ^ P.request_frame (P.Shutdown { id = 3 }) ^ submit 4);
+  let resps = read_responses ~within:30. fd 4 in
+  Unix.close fd;
+  let answer id =
+    List.find_map
+      (function
+        | P.Result { id = i; output } when i = id -> Some ("result", output)
+        | P.Rejected { id = i; reason } when i = id -> Some ("rejected", reason)
+        | _ -> None)
+      resps
+  in
+  let ran id =
+    match answer id with Some ("result", _) -> true | _ -> false
+  in
+  Alcotest.(check bool) "queued job 1 ran" true (ran 1);
+  Alcotest.(check bool) "queued job 2 ran" true (ran 2);
+  Alcotest.(check (option (pair string string)))
+    "shutdown answered"
+    (Some ("result", "shutting down\n"))
+    (answer 3);
+  Alcotest.(check (option (pair string string)))
+    "late submit rejected"
+    (Some ("rejected", "shutting down"))
+    (answer 4);
+  (* the daemon unlinks its socket as it exits *)
+  let deadline = Unix.gettimeofday () +. 30. in
+  while Sys.file_exists path && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  Alcotest.(check bool) "daemon exited" false (Sys.file_exists path);
+  Domain.join d;
+  Alcotest.(check int) "rejection counted" 1
+    (obs_counter "serve_jobs_rejected" - rejected0)
 
 let test_server_breach_closes () =
   let addr, d =
@@ -890,4 +952,5 @@ let suite =
      test_server_restart_warm_from_disk);
     ("server job telemetry", `Quick, test_server_job_telemetry);
     ("server keeps foreign roots", `Quick, test_server_keeps_foreign_roots);
+    ("server shutdown drains queue", `Quick, test_server_shutdown_drains_queue);
   ]

@@ -424,14 +424,21 @@ let stats_run spec attack =
   | Error d -> die d
   | Ok r ->
       if attack then begin
+        (* the exact attack and the portfolio as one battery row, so
+           the tree shows the seed-0 search they share and the
+           portfolio's decision *)
         let lk = C.Flow.locked_sub r in
         ignore
-          (A.Sat_attack.attack.A.Attack.run
-             (A.Attack.budget ~max_dips:32 ~max_conflicts:50_000
-                ~time_limit:5.0 ())
-             (A.Attack.subject
-                ~cycle_blocks:r.C.Flow.emitted.F.Emit.cycle_blocks
-                ~original:r.C.Flow.cut.C.Extraction.sub lk))
+          (A.Battery.run
+             ~attacks:[ A.Sat_attack.attack; A.Portfolio.attack ]
+             ~budget:
+               (A.Attack.budget ~max_dips:32 ~max_conflicts:50_000
+                  ~time_limit:5.0 ())
+             [
+               A.Attack.subject
+                 ~cycle_blocks:r.C.Flow.emitted.F.Emit.cycle_blocks
+                 ~original:r.C.Flow.cut.C.Extraction.sub lk;
+             ])
       end;
       Printf.printf "span tree for `lock -b %s`%s:\n" spec.SP.bench
         (if attack then " + attack" else "");
@@ -444,7 +451,13 @@ let stats_cmd =
     Arg.(
       value & flag
       & info [ "attack" ]
-          ~doc:"Also run a short SAT attack so its spans show up.")
+          ~doc:
+            "Also run a short SAT attack and the solver portfolio as one \
+             battery row, so their spans show up: the seed-0 search they \
+             share (the battery's shared_searches) and the portfolio's \
+             decision (racers_run). On a design that survives the attack \
+             the portfolio's other three racers run too, about three \
+             times the attack's time.")
   in
   Cmd.v
     (Cmd.info "stats"

@@ -3,6 +3,7 @@ module Sim = Shell_netlist.Sim
 module Simw = Shell_netlist.Simw
 module Locked = Shell_locking.Locked
 module Rng = Shell_util.Rng
+module Obs = Shell_util.Obs
 
 type budget = {
   max_dips : int;
@@ -46,11 +47,25 @@ let capability_name = function
   | Structure_only -> "structural"
   | Ground_truth -> "ground-truth"
 
+(* One battery run's SAT searches of one subject, keyed by (solver
+   seed, budget). Single-flight like the pass cache: the first asker
+   claims a key ([Running]) and runs the search outside [lock]; later
+   askers wait for it on [landed], or reuse its verdict. *)
+type search_slot = Running | Done of verdict
+
+type searches = {
+  context : Obs.context;
+  lock : Mutex.t;
+  landed : Condition.t;
+  slots : (int * budget, search_slot) Hashtbl.t;
+}
+
 type subject = {
   label : string;
   original : Netlist.t;
   locked : Locked.t;
   cycle_blocks : (int array * bool array) list;
+  searches : searches option;
 }
 
 let subject ?label ?(cycle_blocks = []) ~original (lk : Locked.t) =
@@ -59,7 +74,63 @@ let subject ?label ?(cycle_blocks = []) ~original (lk : Locked.t) =
     | Some l -> l
     | None -> Netlist.name original ^ "/" ^ lk.Locked.scheme
   in
-  { label; original; locked = lk; cycle_blocks }
+  { label; original; locked = lk; cycle_blocks; searches = None }
+
+let with_searches s =
+  let searches =
+    {
+      context = Obs.context ();
+      lock = Mutex.create ();
+      landed = Condition.create ();
+      slots = Hashtbl.create 8;
+    }
+  in
+  { s with searches = Some searches }
+
+let shared_search s ~solver_seed budget search =
+  match s.searches with
+  | None -> search ()
+  | Some t -> (
+      let key = (solver_seed, budget) in
+      let finish verdict =
+        Mutex.lock t.lock;
+        (match verdict with
+        | Some v -> Hashtbl.replace t.slots key (Done v)
+        | None -> Hashtbl.remove t.slots key);
+        Condition.broadcast t.landed;
+        Mutex.unlock t.lock
+      in
+      Mutex.lock t.lock;
+      let rec look () =
+        match Hashtbl.find_opt t.slots key with
+        | Some (Done v) -> `Shared v
+        | Some Running ->
+            (* a search that raises removes its slot: look again *)
+            Condition.wait t.landed t.lock;
+            look ()
+        | None ->
+            Hashtbl.replace t.slots key Running;
+            `Claimed
+      in
+      let r = look () in
+      Mutex.unlock t.lock;
+      (* both under the run's span context, so the search's spans and
+         the reuse count land in the same place whichever cell claimed
+         the search *)
+      match r with
+      | `Shared v ->
+          Obs.with_context t.context (fun () ->
+              Obs.span_add "shared_searches" 1);
+          v
+      | `Claimed -> (
+          match Obs.with_context t.context search with
+          | v ->
+              finish (Some v);
+              v
+          | exception e ->
+              (* re-open the key: a waiter claims it and runs it again *)
+              finish None;
+              raise e))
 
 type t = {
   name : string;

@@ -74,6 +74,10 @@ type capability =
 
 val capability_name : capability -> string
 
+type searches
+(** One battery run's single-flight table of SAT-search verdicts for
+    one subject (see {!shared_search}). *)
+
 (** One locked design under attack. [cycle_blocks] carries the
     cyclic-reduction pre-processing patterns when the subject came out
     of the eFPGA flow ([[]] otherwise) — {!Shell_locking.Locked.t} does
@@ -83,6 +87,9 @@ type subject = {
   original : Shell_netlist.Netlist.t;
   locked : Shell_locking.Locked.t;
   cycle_blocks : (int array * bool array) list;
+  searches : searches option;
+      (** the run's search table on the copies {!Battery.run} hands
+          its cells; [None] from {!subject} *)
 }
 
 val subject :
@@ -91,7 +98,31 @@ val subject :
   original:Shell_netlist.Netlist.t ->
   Shell_locking.Locked.t ->
   subject
-(** [label] defaults to ["<netlist name>/<scheme>"]. *)
+(** [label] defaults to ["<netlist name>/<scheme>"]; no search table. *)
+
+(** {1 Searches shared within one battery run} *)
+
+val with_searches : subject -> subject
+(** A copy of the subject with a fresh, empty search table whose
+    searches run under the calling domain's
+    {!Shell_util.Obs.context}. {!Battery.run} makes one per subject
+    inside its ["battery"] span, so a table lives for one run: a
+    subject reused across runs never reuses a search. *)
+
+val shared_search :
+  subject -> solver_seed:int -> budget -> (unit -> verdict) -> verdict
+(** [shared_search s ~solver_seed budget search] is [search ()] when [s]
+    has no table. Otherwise the search keyed by [(solver_seed, budget)]
+    runs once per table: the first caller claims the key and runs
+    [search]; a caller that finds the key claimed waits for that
+    search and a later one reuses its verdict, and either adds 1 to the
+    ["shared_searches"] counter of the table's span. Both happen under
+    the table's span context, so the search's spans and the count land
+    in the same place whichever cell claimed the search: the count is
+    the run's asks minus its searches, the same at any job count. If
+    [search] raises, the key re-opens before the exception propagates,
+    and a waiter claims it and runs it again. [search] must not submit
+    pool work, so a waiter always waits on a search that is running. *)
 
 type t = {
   name : string;  (** registry key, e.g. ["sat"], ["appsat"] *)

@@ -52,7 +52,10 @@ let run_attack budget (a : Attack.t) s =
 
 let run ?jobs ?(attacks = all) ~budget subjects =
   Obs.with_span "battery" @@ fun () ->
-  let subs = Array.of_list subjects in
+  (* the cells get copies of the subjects that carry this run's search
+     tables, so a SAT search two cells ask for (the sat cell's and
+     portfolio racer 0's) runs once, and no run reuses another's *)
+  let subs = Array.of_list (List.map Attack.with_searches subjects) in
   let atks = Array.of_list attacks in
   let na = Array.length atks in
   (* one pool task per (subject, attack) cell, subject-major; results

@@ -25,23 +25,33 @@ let configs =
 
 type t = { winner : int option; outcomes : (config * Attack.verdict) array }
 
-let run budget subject =
+let broke = function Attack.Broken _ -> true | _ -> false
+
+(* The one race. The winner is the lowest-index break, so once racer 0
+   breaks no other racer can change the verdict: unless [all] (the full
+   report of [run]), racers 1-3 run only when racer 0 did not break. *)
+let race ~all budget subject =
   Obs.incr m_races;
   Obs.with_span "portfolio" @@ fun () ->
+  let racer cfg =
+    (cfg, Sat_attack.run ~solver_seed:cfg.solver_seed budget subject)
+  in
   (* inside a pool task (a battery cell) the racers form a nested batch
      that idle domains pick up *)
+  let batch cfgs = Pool.map racer cfgs in
   let outcomes =
-    Pool.map
-      (fun cfg ->
-        (cfg, Sat_attack.run ~solver_seed:cfg.solver_seed budget subject))
-      configs
+    if all then batch configs
+    else
+      let first = racer configs.(0) in
+      if broke (snd first) then [| first |]
+      else
+        Array.append [| first |]
+          (batch (Array.sub configs 1 (Array.length configs - 1)))
   in
+  Obs.span_add "racers_run" (Array.length outcomes);
   let winner = ref None in
   Array.iteri
-    (fun i (_, v) ->
-      match v with
-      | Attack.Broken _ when !winner = None -> winner := Some i
-      | _ -> ())
+    (fun i (_, v) -> if !winner = None && broke v then winner := Some i)
     outcomes;
   (match !winner with
   | Some i ->
@@ -54,6 +64,8 @@ let run budget subject =
         (Attack.stats_of (snd outcomes.(i)))
   | None -> Obs.set g_winner (-1));
   { winner = !winner; outcomes }
+
+let run budget subject = race ~all:true budget subject
 
 let iterations v =
   match Attack.stats_of v with Some st -> st.Attack.iterations | None -> -1
@@ -79,7 +91,7 @@ let attack =
         (* every racer runs to its own budget, so the verdict stays a
            pure function of (subject, budget), which the battery's
            determinism contract requires *)
-        let t = run b s in
+        let t = race ~all:false b s in
         let winner = ("winner", Option.value t.winner ~default:(-1)) in
         let with_winner (st : Attack.stats) =
           { st with Attack.detail = winner :: st.Attack.detail }

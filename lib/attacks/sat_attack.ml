@@ -74,7 +74,7 @@ let dip_loop (b : Attack.budget) ~start ~oracle ~settle miter =
   in
   loop 0
 
-let run ?(solver_seed = 0) b (s : Attack.subject) =
+let search ~solver_seed b (s : Attack.subject) =
   Obs.incr m_runs;
   let ending, stats =
     Obs.with_span "sat_attack" @@ fun () ->
@@ -111,6 +111,9 @@ let run ?(solver_seed = 0) b (s : Attack.subject) =
   | Key key -> Attack.checked_broken s key stats
   | Out_of_budget -> Attack.Resilient stats
   | Settled v -> v
+
+let run ?(solver_seed = 0) b s =
+  Attack.shared_search s ~solver_seed b (fun () -> search ~solver_seed b s)
 
 let attack =
   {

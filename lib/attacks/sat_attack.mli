@@ -21,7 +21,9 @@ val run : ?solver_seed:int -> Attack.budget -> Attack.subject -> Attack.verdict
     the solver's initial phases (0, the default, is MiniSat's
     all-false). The extracted key goes through {!Attack.checked_broken}.
     Stats: [iterations] = [oracle_queries] = DIPs; the solver's
-    decisions, propagations and restarts ride in [detail]. Each call
+    decisions, propagations and restarts ride in [detail]. The search
+    goes through {!Attack.shared_search}, so within one battery run a
+    (subject, solver seed, budget) search runs once; each search run
     counts one [attack_runs] and opens a ["sat_attack"] span. *)
 
 val attack : Attack.t

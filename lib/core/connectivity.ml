@@ -13,7 +13,6 @@ type block = {
 }
 
 type t = {
-  netlist : Shell_netlist.Netlist.t;
   blocks : block array;
   graph : Shell_graph.Digraph.t;
 }
@@ -135,7 +134,7 @@ let analyze nl =
           lut_estimate = lut_raw.(bi);
         })
   in
-  { netlist = nl; blocks; graph }
+  { blocks; graph }
 
 let contains ~sub s =
   let n = String.length s and m = String.length sub in

@@ -16,7 +16,6 @@ type block = {
 }
 
 type t = {
-  netlist : Shell_netlist.Netlist.t;
   blocks : block array;
   graph : Shell_graph.Digraph.t;  (** nodes = block indices *)
 }

@@ -7,6 +7,7 @@ module Cell = Shell_netlist.Cell
 module L = Shell_locking
 module A = Shell_attacks
 module Rng = Shell_util.Rng
+module Obs = Shell_util.Obs
 
 let victim seed n_gates =
   let rng = Rng.create seed in
@@ -39,6 +40,25 @@ let expect_broken name verdict =
         (Printf.sprintf "%s should break (dips=%d conflicts=%d)" name
            st.A.Attack.iterations st.A.Attack.conflicts)
   | A.Attack.Inapplicable why -> Alcotest.fail ("inapplicable: " ^ why)
+
+(* Run [f] with telemetry on, from zeroed metrics and no spans. *)
+let with_obs f =
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Obs.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled was;
+      Obs.reset ())
+    f
+
+let obs_counter name =
+  List.fold_left
+    (fun acc (s : Obs.sample) ->
+      match s.Obs.value with
+      | Obs.Counter n when s.Obs.name = name -> n
+      | _ -> acc)
+    0 (Obs.snapshot ())
 
 let test_breaks_xor () =
   let nl = victim 1 80 in
@@ -233,23 +253,75 @@ let test_unified_proximity_parity () =
     "correct bits" (Some r.A.Proximity.correct)
     (List.assoc_opt "correct" st.A.Attack.detail)
 
+(* The portfolio bench target's subject. On it the full race of
+   [Portfolio.run] takes each decision path: at 64 DIPs racer 0 breaks,
+   at 20 racer 1 is the first to break, at 8 no racer breaks. *)
+let portfolio_subject =
+  lazy
+    (let nl = Shell_circuits.Axi_xbar.netlist ~channels:4 ~data_width:8 () in
+     A.Attack.subject ~label:"xbar4/mux:32" ~original:nl
+       (L.Schemes.mux_routing ~width:32 nl))
+
+let portfolio_budget dips =
+  A.Attack.budget ~max_dips:dips ~max_conflicts:60_000 ~time_limit:120.0 ()
+
+(* a verdict as the battery renders its cell *)
+let render_cell attack verdict =
+  Shell_util.Jsonw.to_string
+    (A.Battery.matrix_json
+       {
+         A.Battery.attacks = [ attack ];
+         rows =
+           [
+             {
+               A.Battery.subject = "s";
+               scheme = "s";
+               key_bits = 0;
+               cells = [ { A.Battery.attack; verdict } ];
+             };
+           ];
+       })
+
 let test_unified_portfolio_parity () =
-  (* the battery's "portfolio" = deterministic race + best, with the
-     race's winner in its detail *)
+  (* the battery's "portfolio" decides in index order, yet renders as
+     [best] of the full race with the race's winner in its detail, on
+     every decision path *)
+  let check label budget subject expected_winner =
+    let p = A.Portfolio.run budget subject in
+    Option.iter
+      (fun w ->
+        Alcotest.(check (option int))
+          (label ^ ": race winner") w p.A.Portfolio.winner)
+      expected_winner;
+    let winner =
+      ("winner", Option.value p.A.Portfolio.winner ~default:(-1))
+    in
+    let with_winner (st : A.Attack.stats) =
+      { st with A.Attack.detail = winner :: st.A.Attack.detail }
+    in
+    let expected =
+      match A.Portfolio.best p with
+      | A.Attack.Broken (k, st) -> A.Attack.Broken (k, with_winner st)
+      | A.Attack.Resilient st -> A.Attack.Resilient (with_winner st)
+      | A.Attack.Inapplicable _ as v -> v
+    in
+    Alcotest.(check string)
+      (label ^ ": attack = best (run)")
+      (render_cell "portfolio" expected)
+      (render_cell "portfolio" (A.Portfolio.attack.A.Attack.run budget subject))
+  in
   let nl = victim 41 60 in
-  let lk = L.Schemes.xor_keys ~bits:10 nl in
-  let subject = A.Attack.subject ~original:nl lk in
-  let p = A.Portfolio.run sat_budget subject in
-  let unified = A.Portfolio.attack.A.Attack.run sat_budget subject in
-  match (A.Portfolio.best p, unified) with
-  | A.Attack.Broken (k1, _), A.Attack.Broken (k2, ust) ->
-      Alcotest.(check (array bool)) "same key" k1 k2;
-      Alcotest.(check (option int))
-        "winner index in detail"
-        (Some (match p.A.Portfolio.winner with Some i -> i | None -> -1))
-        (List.assoc_opt "winner" ust.A.Attack.detail)
-  | A.Attack.Resilient _, A.Attack.Resilient _ -> ()
-  | _ -> Alcotest.fail "portfolio verdicts disagree"
+  check "xor:10" sat_budget
+    (A.Attack.subject ~original:nl (L.Schemes.xor_keys ~bits:10 nl))
+    None;
+  List.iter
+    (fun (dips, winner) ->
+      check
+        (Printf.sprintf "mux:32, %d dips" dips)
+        (portfolio_budget dips)
+        (Lazy.force portfolio_subject)
+        (Some winner))
+    [ (64, Some 0); (20, Some 1); (8, None) ]
 
 (* ---------------- new attacks ---------------- *)
 
@@ -272,16 +344,9 @@ let test_appsat_dips_instrumented () =
   (* AppSAT runs on the SAT attack's DIP loop, so each of its solver
      calls counts in attack_dis_iterations and opens an appsat/dip span
      just like the exact attack's *)
-  let module Obs = Shell_util.Obs in
   let nl = victim 42 80 in
   let lk = L.Schemes.xor_keys ~bits:8 nl in
-  let was = Obs.enabled () in
-  Obs.set_enabled true;
-  Obs.reset ();
-  Fun.protect ~finally:(fun () ->
-      Obs.set_enabled was;
-      Obs.reset ())
-  @@ fun () ->
+  with_obs @@ fun () ->
   let dips =
     match
       A.Appsat.attack.A.Attack.run sat_budget (A.Attack.subject ~original:nl lk)
@@ -289,14 +354,7 @@ let test_appsat_dips_instrumented () =
     | A.Attack.Broken (_, st) | A.Attack.Resilient st -> st.A.Attack.iterations
     | A.Attack.Inapplicable why -> Alcotest.fail ("inapplicable: " ^ why)
   in
-  let solver_calls =
-    List.fold_left
-      (fun acc (s : Obs.sample) ->
-        match s.Obs.value with
-        | Obs.Counter n when s.Obs.name = "attack_dis_iterations" -> n
-        | _ -> acc)
-      0 (Obs.snapshot ())
-  in
+  let solver_calls = obs_counter "attack_dis_iterations" in
   let agg = Obs.span_aggregate (Obs.spans ()) in
   Alcotest.(check bool) "some DIPs" true (dips > 0);
   Alcotest.(check bool) "a solver call per DIP at least" true
@@ -625,6 +683,174 @@ let test_battery_pinned_rows () =
       ("muxlut:8", "b0d51d00ae15414bc78587b996232dcb");
     ]
 
+(* ---------------- searches shared within a battery run ------------- *)
+
+let sat_and_portfolio () = List.filter_map A.Battery.find [ "sat"; "portfolio" ]
+
+let render_matrix m = Shell_util.Jsonw.to_string (A.Battery.matrix_json m)
+
+let test_battery_shares_sat_search () =
+  (* the sat cell and portfolio racer 0 ask for one search, so a row
+     runs it once, plus racers 1-3 when racer 0 did not break; the
+     searches and the reuse count land under the battery span at any
+     job count, whichever cell claims the search *)
+  let s = Lazy.force portfolio_subject in
+  with_obs @@ fun () ->
+  let row ?attacks ~jobs dips =
+    Obs.reset ();
+    let budget = portfolio_budget dips in
+    let m = A.Battery.run ~jobs ?attacks ~budget [ s ] in
+    ( render_matrix m,
+      obs_counter "attack_runs",
+      Obs.span_aggregate (Obs.take_spans ()) )
+  in
+  List.iter
+    (fun (order, dips, searches) ->
+      let attacks = Option.map (List.filter_map A.Battery.find) order in
+      let label what =
+        Printf.sprintf "%s%d dips: %s"
+          (match order with
+          | None -> ""
+          | Some names -> String.concat "," names ^ ", ")
+          dips what
+      in
+      let m1, runs1, spans1 = row ?attacks ~jobs:1 dips in
+      let m4, runs4, spans4 = row ?attacks ~jobs:4 dips in
+      Alcotest.(check string) (label "matrix jobs 1 = jobs 4") m1 m4;
+      Alcotest.(check int) (label "searches at jobs 1") searches runs1;
+      Alcotest.(check int) (label "searches at jobs 4") searches runs4;
+      Alcotest.(check (list (pair string int)))
+        (label "spans jobs 1 = jobs 4") spans1 spans4;
+      let span k = List.assoc_opt k spans1 in
+      Alcotest.(check (option int))
+        (label "searches under the battery span")
+        (Some searches) (span "battery/sat_attack");
+      Alcotest.(check (option int))
+        (label "none under the sat cell") None
+        (span "battery/attack.sat/sat_attack");
+      Alcotest.(check (option int))
+        (label "racers run") (Some searches)
+        (span "battery/attack.portfolio/portfolio#racers_run");
+      Alcotest.(check (option int))
+        (label "racer 0's search shared") (Some 1)
+        (span "battery#shared_searches"))
+    [
+      (None, 64, 1);
+      (None, 8, 4);
+      (* the portfolio first: racer 0 runs the search the sat cell
+         then reuses *)
+      (Some [ "portfolio"; "sat" ], 64, 1);
+    ]
+
+let test_battery_search_table_per_run () =
+  (* one subject handed to two runs, as perfbench and the daemon do:
+     the table dies with its run, so each run runs its own search *)
+  let s = Lazy.force portfolio_subject in
+  let budget = portfolio_budget 64 in
+  with_obs @@ fun () ->
+  let run () =
+    let before = obs_counter "attack_runs" in
+    let m = A.Battery.run ~attacks:(sat_and_portfolio ()) ~budget [ s ] in
+    (render_matrix m, obs_counter "attack_runs" - before)
+  in
+  let m1, runs1 = run () in
+  let m2, runs2 = run () in
+  Alcotest.(check int) "first run: one search" 1 runs1;
+  Alcotest.(check int) "second run: its own search" 1 runs2;
+  Alcotest.(check string) "same row" m1 m2;
+  Alcotest.(check bool) "the caller's subject carries no table" true
+    (Option.is_none s.A.Attack.searches)
+
+let test_shared_search_reopens () =
+  (* a search that raises re-opens its key: a caller waiting on it runs
+     the search itself, and raises again if that raises too, but never
+     hangs *)
+  let nl = victim 50 40 in
+  let subject =
+    A.Attack.subject ~original:nl (L.Schemes.xor_keys ~bits:4 nl)
+  in
+  let s = A.Attack.with_searches subject in
+  let budget = A.Attack.budget () in
+  let resilient =
+    A.Attack.Resilient
+      {
+        A.Attack.iterations = 0;
+        oracle_queries = 0;
+        conflicts = 0;
+        elapsed = 0.;
+        key_bits = 4;
+        recovered_bits = 0;
+        detail = [];
+      }
+  in
+  let claimed = Atomic.make false in
+  let owner =
+    Domain.spawn (fun () ->
+        match
+          A.Attack.shared_search s ~solver_seed:0 budget (fun () ->
+              Atomic.set claimed true;
+              (* hold the key long enough for the waiter to queue *)
+              let until = Shell_util.Clock.now () +. 0.05 in
+              while Shell_util.Clock.now () < until do
+                Domain.cpu_relax ()
+              done;
+              failwith "search failed")
+        with
+        | _ -> false
+        | exception Failure _ -> true)
+  in
+  while not (Atomic.get claimed) do
+    Domain.cpu_relax ()
+  done;
+  (* the waiter runs on its own domain, so a key that never re-opens
+     fails the test at the deadline instead of hanging it *)
+  let waited = Atomic.make None in
+  let waiter =
+    Domain.spawn (fun () ->
+        Atomic.set waited
+          (Some
+             (A.Attack.shared_search s ~solver_seed:0 budget (fun () ->
+                  resilient))))
+  in
+  let deadline = Shell_util.Clock.now () +. 30.0 in
+  while Atomic.get waited = None && Shell_util.Clock.now () < deadline do
+    Domain.cpu_relax ()
+  done;
+  let v =
+    match Atomic.get waited with
+    | Some v ->
+        Domain.join waiter;
+        v
+    | None -> Alcotest.fail "the waiter hangs on a search that raised"
+  in
+  Alcotest.(check bool) "the claimer re-raised" true (Domain.join owner);
+  Alcotest.(check bool) "the waiter ran the search" true (v == resilient);
+  let v' =
+    A.Attack.shared_search s ~solver_seed:0 budget (fun () ->
+        Alcotest.fail "a landed search must not run again")
+  in
+  Alcotest.(check bool) "later callers reuse it" true (v' == v);
+  (* two cells of a run whose searches both raise: the run re-raises *)
+  let raising =
+    {
+      A.Attack.name = "raising";
+      description = "a SAT search that raises";
+      capabilities = [];
+      run =
+        (fun b s ->
+          A.Attack.shared_search s ~solver_seed:0 b (fun () ->
+              failwith "search failed"));
+    }
+  in
+  List.iter
+    (fun jobs ->
+      match
+        A.Battery.run ~jobs ~attacks:[ raising; raising ] ~budget [ subject ]
+      with
+      | _ -> Alcotest.fail "the run must re-raise"
+      | exception Failure _ -> ())
+    [ 1; 2; 4 ]
+
 (* ---------------- miter cycle blocks, both key vectors ------------- *)
 
 let test_cycle_blocks_exclude_both_vectors () =
@@ -713,5 +939,8 @@ let suite =
     ("battery jobs identical", `Quick, test_battery_jobs_identical);
     ("battery rows and cells", `Quick, test_battery_rows_and_cells);
     ("battery pinned xbar4 rows", `Quick, test_battery_pinned_rows);
+    ("battery shares the sat search", `Quick, test_battery_shares_sat_search);
+    ("battery search table per run", `Quick, test_battery_search_table_per_run);
+    ("shared search re-opens on raise", `Quick, test_shared_search_reopens);
     ("cycle blocks both vectors", `Quick, test_cycle_blocks_exclude_both_vectors);
   ]

@@ -377,7 +377,8 @@ let test_store_warm_flow () =
 (* A blob stored under an older key layout is never read: the pass
    recomputes and the disk-hit counter stays put. [tag] is the old
    format's key prefix: format 1 keys were untagged, format 2 keys start
-   with [p2|] (its [Netlist.t] had no fingerprint memo). *)
+   with [p2|] (its [Netlist.t] had no fingerprint memo), format 3 keys
+   with [p3|] (its [Connectivity.t] carried the analyzed netlist). *)
 let store_ignores_old_format ~tag () =
   let nl = Lazy.force fir in
   let key = tag ^ "connectivity|" ^ N.fingerprint nl in
@@ -604,6 +605,8 @@ let suite =
      store_ignores_old_format ~tag:"");
     ("spill store ignores format 2 keys", `Quick,
      store_ignores_old_format ~tag:"p2|");
+    ("spill store ignores format 3 keys", `Quick,
+     store_ignores_old_format ~tag:"p3|");
     ("verify verdict reused", `Quick, test_verdict_reused);
     ("verify verdict tags", `Quick, test_verdict_tags);
     ("verify verdict depth", `Quick, test_verdict_depth);

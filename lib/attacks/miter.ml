@@ -89,8 +89,10 @@ let create ?(cycle_blocks = []) ?(seed = 0) locked =
 let num_inputs t = Array.length t.in1
 let num_keys t = Array.length t.key1
 
-let find_dip ?max_conflicts t =
-  match Solver.solve ~assumptions:[ t.diff ] ?max_conflicts t.solver with
+let find_dip ?max_conflicts ?deadline t =
+  match
+    Solver.solve ~assumptions:[ t.diff ] ?max_conflicts ?deadline t.solver
+  with
   | Solver.Sat ->
       `Dip (Array.map (fun v -> Solver.value t.solver v) t.in1)
   | Solver.Unsat -> `Unsat
@@ -120,8 +122,10 @@ let add_dip t input output =
   bind copy_b t.outs output;
   tie copy_b t.key2
 
-let extract_key ?max_conflicts t =
-  match Solver.solve ~assumptions:[ -t.diff ] ?max_conflicts t.solver with
+let extract_key ?max_conflicts ?deadline t =
+  match
+    Solver.solve ~assumptions:[ -t.diff ] ?max_conflicts ?deadline t.solver
+  with
   | Solver.Sat -> Some (Array.map (fun v -> Solver.value t.solver v) t.key1)
   | Solver.Unsat | Solver.Unknown -> None
 

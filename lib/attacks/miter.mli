@@ -25,15 +25,20 @@ val num_inputs : t -> int
 val num_keys : t -> int
 
 val find_dip :
-  ?max_conflicts:int -> t -> [ `Dip of bool array | `Unsat | `Budget ]
+  ?max_conflicts:int ->
+  ?deadline:float ->
+  t ->
+  [ `Dip of bool array | `Unsat | `Budget ]
 (** Search for an input distinguishing two keys consistent with all
-    constraints so far. *)
+    constraints so far; [`Budget] when [max_conflicts] ran out or the
+    [deadline] ({!Shell_sat.Solver.solve}) passed. *)
 
 val add_dip : t -> bool array -> bool array -> unit
 (** [add_dip t input oracle_output] — both key vectors must now
     reproduce the oracle on this input. *)
 
-val extract_key : ?max_conflicts:int -> t -> bool array option
+val extract_key :
+  ?max_conflicts:int -> ?deadline:float -> t -> bool array option
 (** Any key consistent with all recorded DIPs (sound exactly when
     {!find_dip} returned [`Unsat]). *)
 

@@ -27,16 +27,20 @@ let dip_loop (b : Attack.budget) ~start ~oracle ~settle miter =
     Miter.conflicts miter < b.Attack.max_conflicts
     && now () -. start < b.Attack.time_limit
   in
+  (* solver calls stop at the wall-clock budget too, not only between
+     calls *)
+  let deadline = start +. b.Attack.time_limit in
   (* one capped DIS-loop solver call; each becomes a child span of the
      attack with its own latency sample when Obs is on *)
   let find_dip per_call =
-    if not (Obs.enabled ()) then Miter.find_dip ~max_conflicts:per_call miter
+    if not (Obs.enabled ()) then
+      Miter.find_dip ~max_conflicts:per_call ~deadline miter
     else begin
       Obs.incr m_iters;
       let t0 = now () in
       let r =
         Obs.with_span "dip" (fun () ->
-            Miter.find_dip ~max_conflicts:per_call miter)
+            Miter.find_dip ~max_conflicts:per_call ~deadline miter)
       in
       Obs.observe_us h_solve_us (now () -. t0);
       r
@@ -68,7 +72,7 @@ let dip_loop (b : Attack.budget) ~start ~oracle ~settle miter =
           let remaining =
             max 2_000 (b.Attack.max_conflicts - Miter.conflicts miter)
           in
-          match Miter.extract_key ~max_conflicts:remaining miter with
+          match Miter.extract_key ~max_conflicts:remaining ~deadline miter with
           | Some key -> (Key key, dips)
           | None -> (Out_of_budget, dips))
   in

@@ -49,7 +49,10 @@ val dip_loop :
 (** [dip_loop budget ~start ~oracle ~settle miter] searches DIPs, asks
     the oracle and constrains the miter until none is left or the
     budget ([start] is the attack's {!Shell_util.Clock.now} origin)
-    runs out; returns how it ended and the number of DIPs added. After
+    runs out; returns how it ended and the number of DIPs added. The
+    wall-clock budget is also each solver call's deadline
+    ({!Shell_sat.Solver.solve}), so a call stops within 256 conflicts
+    of it rather than at its conflict cap. After
     each DIP, [settle dips] may end the loop with a verdict. Each solver
     call counts in [attack_dis_iterations] and opens a ["dip"] span
     when telemetry is on. *)

@@ -724,6 +724,33 @@ let simw_compare rng ~scalar ~word ~config =
       done;
       !verdict
 
+(* The generator's LUTs take at most four inputs, and its Mux4 and
+   Const cells are occasional, so graft one of each kind Simw lowers
+   separately onto a copy: a 6-input LUT (its evaluator splits the
+   table into two 32-row halves), a Mux4 and both constants over the
+   input nets, mixed into one XOR probe output. A fixed table keeps
+   the case's RNG stream as it was. *)
+let with_wide_cells nl =
+  let ins = N.input_nets nl in
+  if Array.length ins = 0 then nl
+  else begin
+    let nl' = N.copy nl in
+    let origin = "top/wide" in
+    let pick i = ins.(i mod Array.length ins) in
+    let tt = Shell_util.Truthtab.create ~arity:6 ~bits:0x6a09e667f3bcc908L in
+    let l = N.lut ~origin nl' tt (Array.init 6 pick) in
+    let m =
+      N.mux4 ~origin nl' ~s0:(pick 1) ~s1:(pick 2)
+        (Array.init 4 (fun i -> pick (i + 3)))
+    in
+    let c =
+      N.xor_ ~origin nl' (N.const ~origin nl' true) (N.const ~origin nl' false)
+    in
+    let probe = N.xor_ ~origin nl' (N.xor_ ~origin nl' l m) c in
+    N.add_output nl' "zwideprobe" probe;
+    nl'
+  end
+
 let simw_vs_sim =
   let config_of rng nl =
     let n = Sim.num_config_latches nl in
@@ -743,7 +770,7 @@ let simw_vs_sim =
       (fun rng nl ->
         if N.has_comb_cycle (comb_of nl) then Skip "combinational cycle"
         else
-          let subject = with_config_latches nl in
+          let subject = with_wide_cells (with_config_latches nl) in
           let config = config_of rng subject in
           simw_compare rng ~scalar:subject ~word:subject ~config);
     inject =

@@ -26,22 +26,6 @@ let make ~n ~edges =
     num_edges = !count;
   }
 
-let of_succs succs =
-  let n = Array.length succs in
-  let indeg = Array.make n 0 in
-  Array.iter (Array.iter (fun v -> indeg.(v) <- indeg.(v) + 1)) succs;
-  let preds = Array.map (fun d -> Array.make d 0) indeg in
-  let fill = Array.make n 0 in
-  Array.iteri
-    (fun u vs ->
-      Array.iter
-        (fun v ->
-          preds.(v).(fill.(v)) <- u;
-          fill.(v) <- fill.(v) + 1)
-        vs)
-    succs;
-  { n; succs; preds; num_edges = Array.fold_left ( + ) 0 indeg }
-
 let n t = t.n
 let num_edges t = t.num_edges
 let succs t u = t.succs.(u)
@@ -105,62 +89,84 @@ let topo_order t =
   done;
   if !k = t.n then Some order else None
 
-(* Iterative Tarjan (explicit stack) to stay safe on deep circuits. *)
-let sccs t =
-  let index = Array.make t.n (-1) in
-  let lowlink = Array.make t.n 0 in
-  let on_stack = Array.make t.n false in
-  let stack = ref [] in
+(* Iterative Tarjan over CSR successors on flat int arrays: the
+   component stack and the call stack (node, next successor slot) are
+   arrays of at most [n] entries, since each node enters each once. A
+   finished component is the top of the component stack, in discovery
+   order. *)
+let iter_csr_sccs ~off ~adj f =
+  let n = Array.length off - 1 in
+  let index = Array.make n (-1) in
+  let lowlink = Array.make n 0 in
+  let on_stack = Bytes.make n '\000' in
+  let stack = Array.make n 0 in
+  let sp = ref 0 in
+  let call_node = Array.make n 0 in
+  let call_pos = Array.make n 0 in
+  let depth = ref 0 in
   let next_index = ref 0 in
-  let components = ref [] in
-  let visit root =
-    (* call stack of (node, next-successor position) *)
-    let call = ref [ (root, ref 0) ] in
-    index.(root) <- !next_index;
-    lowlink.(root) <- !next_index;
+  let discover v =
+    index.(v) <- !next_index;
+    lowlink.(v) <- !next_index;
     incr next_index;
-    stack := root :: !stack;
-    on_stack.(root) <- true;
-    while !call <> [] do
-      match !call with
-      | [] -> ()
-      | (u, pos) :: rest ->
-          if !pos < Array.length t.succs.(u) then begin
-            let v = t.succs.(u).(!pos) in
-            incr pos;
-            if index.(v) = -1 then begin
-              index.(v) <- !next_index;
-              lowlink.(v) <- !next_index;
-              incr next_index;
-              stack := v :: !stack;
-              on_stack.(v) <- true;
-              call := (v, ref 0) :: !call
-            end
-            else if on_stack.(v) then
-              lowlink.(u) <- min lowlink.(u) index.(v)
-          end
-          else begin
-            call := rest;
-            (match rest with
-            | (p, _) :: _ -> lowlink.(p) <- min lowlink.(p) lowlink.(u)
-            | [] -> ());
-            if lowlink.(u) = index.(u) then begin
-              let rec pop acc =
-                match !stack with
-                | [] -> acc
-                | v :: tl ->
-                    stack := tl;
-                    on_stack.(v) <- false;
-                    if v = u then v :: acc else pop (v :: acc)
-              in
-              components := pop [] :: !components
-            end
-          end
-    done
+    stack.(!sp) <- v;
+    incr sp;
+    Bytes.unsafe_set on_stack v '\001';
+    call_node.(!depth) <- v;
+    call_pos.(!depth) <- off.(v);
+    incr depth
   in
-  for v = 0 to t.n - 1 do
-    if index.(v) = -1 then visit v
+  for root = 0 to n - 1 do
+    if index.(root) = -1 then begin
+      discover root;
+      while !depth > 0 do
+        let top = !depth - 1 in
+        let u = call_node.(top) and pos = call_pos.(top) in
+        if pos < off.(u + 1) then begin
+          let v = adj.(pos) in
+          call_pos.(top) <- pos + 1;
+          if index.(v) = -1 then discover v
+          else if
+            Bytes.unsafe_get on_stack v = '\001' && index.(v) < lowlink.(u)
+          then lowlink.(u) <- index.(v)
+        end
+        else begin
+          depth := top;
+          if top > 0 then begin
+            let p = call_node.(top - 1) in
+            if lowlink.(u) < lowlink.(p) then lowlink.(p) <- lowlink.(u)
+          end;
+          if lowlink.(u) = index.(u) then begin
+            let hi = !sp in
+            let rec pop () =
+              decr sp;
+              let v = stack.(!sp) in
+              Bytes.unsafe_set on_stack v '\000';
+              if v <> u then pop ()
+            in
+            pop ();
+            f stack !sp hi
+          end
+        end
+      done
+    end
+  done
+
+let sccs t =
+  let off = Array.make (t.n + 1) 0 in
+  for u = 0 to t.n - 1 do
+    off.(u + 1) <- off.(u) + Array.length t.succs.(u)
   done;
+  let adj = Array.make off.(t.n) 0 in
+  Array.iteri
+    (fun u vs -> Array.blit vs 0 adj off.(u) (Array.length vs))
+    t.succs;
+  let components = ref [] in
+  iter_csr_sccs ~off ~adj (fun stack lo hi ->
+      let rec members k acc =
+        if k < lo then acc else members (k - 1) (stack.(k) :: acc)
+      in
+      components := members (hi - 1) [] :: !components);
   List.rev !components
 
 let is_cyclic t =

@@ -5,12 +5,6 @@ type t
 val make : n:int -> edges:(int * int) list -> t
 (** Duplicate edges are kept once; self-loops are allowed. *)
 
-val of_succs : int array array -> t
-(** [of_succs succs]: node [u]'s successors are [succs.(u)], taken as
-    given (the array is shared, not copied). The caller guarantees that
-    each array is duplicate-free and in range; self-loops are allowed.
-    Builds no edge list and no dedup table. *)
-
 val n : t -> int
 val num_edges : t -> int
 val succs : t -> int -> int array
@@ -35,7 +29,19 @@ val topo_order : t -> int array option
 
 val sccs : t -> int list list
 (** Tarjan's strongly connected components, in reverse topological
-    order of the condensation. *)
+    order of the condensation; each lists its nodes in discovery
+    order. *)
+
+val iter_csr_sccs :
+  off:int array -> adj:int array -> (int array -> int -> int -> unit) -> unit
+(** The search under {!sccs}, on the graph of [Array.length off - 1]
+    nodes whose node [u] has the successors [adj.(off.(u))] ..
+    [adj.(off.(u + 1) - 1)], in that order ([off.(0) = 0], [off]
+    non-decreasing; repeated edges and self-loops allowed). It builds
+    no lists: [f stack lo hi] is called once per component, in
+    {!sccs}'s order, with the component's nodes in [stack.(lo)] ..
+    [stack.(hi - 1)] in discovery order. The array is the search's
+    own: read it before returning, never keep or change it. *)
 
 val is_cyclic : t -> bool
 (** True when some SCC has more than one node or a self-loop exists. *)

@@ -220,68 +220,81 @@ let rec first_read ins p k =
 let is_mux (c : Cell.t) =
   match c.Cell.kind with Cell.Mux2 | Cell.Mux4 -> true | _ -> false
 
+(* Non-trivial SCCs (size > 1, or a self-loop) of a CSR graph, each
+   sorted ascending, in ascending order of their smallest member; the
+   trivial ones never become lists. *)
+let nontrivial_sccs ~off ~adj =
+  let self_loop v =
+    let rec go k = k < off.(v + 1) && (adj.(k) = v || go (k + 1)) in
+    go off.(v)
+  in
+  let found = ref [] in
+  Digraph.iter_csr_sccs ~off ~adj (fun stack lo hi ->
+      if hi - lo > 1 then
+        let members = Array.to_list (Array.sub stack lo (hi - lo)) in
+        found := List.sort Int.compare members :: !found
+      else if self_loop stack.(lo) then found := [ stack.(lo) ] :: !found);
+  List.sort (fun a b -> Int.compare (List.hd a) (List.hd b)) !found
+
+(* CSR rows from an edge enumeration: count the successors, then place
+   them in enumeration order *)
+let csr n each_edge =
+  let off = Array.make (n + 1) 0 in
+  each_edge (fun j _ -> off.(j + 1) <- off.(j + 1) + 1);
+  for j = 1 to n do
+    off.(j) <- off.(j) + off.(j - 1)
+  done;
+  let adj = Array.make off.(n) 0 in
+  let fill = Array.sub off 0 n in
+  each_edge (fun j i ->
+      adj.(fill.(j)) <- i;
+      fill.(j) <- fill.(j) + 1);
+  (off, adj)
+
 let cycles nl =
   if not (N.has_comb_cycle nl) then { comb = []; mux = [] }
   else begin
-    let cells = N.cells nl in
-    let ncells = Array.length cells in
-    let comb i = not (Cell.is_sequential cells.(i).Cell.kind) in
-    let driver = Array.make (max (N.num_nets nl) 1) (-1) in
-    (* the last driver of a net wins, as in [N.driver] and
-       [N.topo_order] *)
-    Array.iteri (fun i (c : Cell.t) -> driver.(c.Cell.out) <- i) cells;
+    let ncells = N.num_cells nl in
+    let comb i = not (Cell.is_sequential (N.cell nl i).Cell.kind) in
     (* edge j -> i when combinational cell i reads combinational cell
-       j's output; an input net repeated at two positions of i is one
-       edge *)
-    let each_edge f =
-      for i = 0 to ncells - 1 do
-        if comb i then begin
-          let ins = cells.(i).Cell.ins in
-          for p = 0 to Array.length ins - 1 do
-            let j = driver.(ins.(p)) in
-            if j >= 0 && comb j && first_read ins p 0 then f j i
-          done
-        end
-      done
+       j's output (the last driver of a net, as in [N.topo_order]); an
+       input net repeated at two positions of i is one edge *)
+    let off, adj =
+      csr ncells (fun f ->
+          for i = 0 to ncells - 1 do
+            let ins = (N.cell nl i).Cell.ins in
+            if comb i then
+              for p = 0 to Array.length ins - 1 do
+                let j = N.driver_index nl ins.(p) in
+                if j >= 0 && comb j && first_read ins p 0 then f j i
+              done
+          done)
     in
-    (* count the successors, then place them *)
-    let deg = Array.make ncells 0 in
-    each_edge (fun j _ -> deg.(j) <- deg.(j) + 1);
-    let succs = Array.map (fun d -> Array.make d 0) deg in
-    Array.fill deg 0 ncells 0;
-    each_edge (fun j i ->
-        succs.(j).(deg.(j)) <- i;
-        deg.(j) <- deg.(j) + 1);
-    (* non-trivial SCCs (size > 1, or a self-loop), each sorted
-       ascending, in ascending order of their smallest member *)
-    let nontrivial g =
-      Digraph.sccs g
-      |> List.filter_map (fun scc ->
-             match scc with
-             | [ v ] -> if Digraph.has_edge g v v then Some [ v ] else None
-             | _ -> Some (List.sort Int.compare scc))
-      |> List.sort (fun a b -> Int.compare (List.hd a) (List.hd b))
-    in
-    let comb_sccs = nontrivial (Digraph.of_succs succs) in
+    let comb_sccs = nontrivial_sccs ~off ~adj in
     (* a MUX cycle is a combinational cycle, so the MUX-only subgraph
-       only needs the MUX cells on one; with none there is no second
-       graph at all *)
-    let on_cycle = Array.make ncells false in
-    List.iter
-      (List.iter (fun i -> if is_mux cells.(i) then on_cycle.(i) <- true))
-      comb_sccs;
+       only needs the MUX cells on one, numbered densely in cell order
+       ([node.(i)], -1 off it): sorting node ids sorts cell ids *)
+    let on_cycle =
+      List.concat_map (List.filter (fun i -> is_mux (N.cell nl i))) comb_sccs
+      |> List.sort Int.compare |> Array.of_list
+    in
     let mux_sccs =
-      if not (Array.exists Fun.id on_cycle) then []
-      else
-        nontrivial
-          (Digraph.of_succs
-             (Array.mapi
-                (fun j vs ->
-                  if on_cycle.(j) then
-                    Array.of_list
-                      (List.filter (fun i -> on_cycle.(i)) (Array.to_list vs))
-                  else [||])
-                succs))
+      if on_cycle = [||] then []
+      else begin
+        let node = Array.make ncells (-1) in
+        Array.iteri (fun u i -> node.(i) <- u) on_cycle;
+        let off, adj =
+          csr (Array.length on_cycle) (fun f ->
+              Array.iteri
+                (fun u j ->
+                  for e = off.(j) to off.(j + 1) - 1 do
+                    let v = node.(adj.(e)) in
+                    if v >= 0 then f u v
+                  done)
+                on_cycle)
+        in
+        nontrivial_sccs ~off ~adj |> List.map (List.map (fun u -> on_cycle.(u)))
+      end
     in
     { comb = comb_sccs; mux = mux_sccs }
   end

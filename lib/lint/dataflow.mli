@@ -126,8 +126,9 @@ val cycles : Shell_netlist.Netlist.t -> cycles
 (** Both SCC lists. An acyclic netlist
     ({!Shell_netlist.Netlist.has_comb_cycle} false, read from the
     order memo) has both empty, and no graph is built. Otherwise the
-    combinational graph is built once from the driver table (the last
-    driver of a multi-driven net, as in [N.topo_order]) and handed to
-    {!Shell_graph.Digraph.sccs}; the MUX-only graph is its restriction
-    to the MUX cells on a combinational cycle, built only when there
-    are any. *)
+    combinational graph is built once as CSR arrays from the driver
+    table (the last driver of a multi-driven net, as in
+    [N.topo_order]) and searched by
+    {!Shell_graph.Digraph.iter_csr_sccs}; the MUX-only graph is its
+    restriction to the MUX cells on a combinational cycle, numbered
+    densely, built only when there are any. *)

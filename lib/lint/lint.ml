@@ -75,7 +75,7 @@ type ctx = {
   live : bool array;
   masked : int array;
   odc : Odc.t;
-  taint : Taint.t;
+  key_reach : bool array;
   cycles : Dataflow.cycles;
 }
 
@@ -102,7 +102,7 @@ let make_ctx subj =
     live = c.Dataflow.live;
     masked;
     odc = Odc.analyze ~values ~masked nl;
-    taint = Taint.analyze ~values ~masked nl;
+    key_reach = Taint.reach ~values ~masked nl;
     cycles = Dataflow.cycles nl;
   }
 

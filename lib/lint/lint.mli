@@ -93,8 +93,10 @@ type ctx = {
           ({!Odc.masks}), shared by ODC and taint *)
   odc : Odc.t;
       (** backward observability: which nets can still reach an output *)
-  taint : Taint.t;
-      (** forward key influence: which key bits reach which nets *)
+  key_reach : bool array;
+      (** per net, whether any key bit can functionally reach it
+          ({!Taint.reach}: emptiness of the key-taint set, the only
+          thing [key-taint-collapse] reads) *)
   cycles : Dataflow.cycles;
       (** combinational and MUX-chain SCCs, read by [comb-cycle] and
           [mux-chain-cycle]; empty without a graph when the netlist

@@ -211,7 +211,11 @@ let key_taint_collapse =
       else
         N.outputs ctx.subj.netlist
         |> List.filter_map (fun (nm, net) ->
-               if Taint.is_empty ctx.taint net then
+               if
+                 net < 0
+                 || net >= Array.length ctx.key_reach
+                 || not ctx.key_reach.(net)
+               then
                  Some
                    (finding r ~where:("output:" ^ nm)
                       "no key bit can functionally reach output %s: its \

@@ -49,13 +49,80 @@ let net_taint t net =
 
 let count t net = List.length (net_taint t net)
 
-let analyze ?values ?masked nl =
+(* Grow the net-major matrix [words] ([w] words per net, seeds already
+   set, each seeded net marked 1 in [grew]) to the least fixpoint. *)
+let propagate ~values ~masked nl ~w words grew =
+  (* The clock ticks once per cell visit. [grew.(net)]: the tick at
+     which the net's set last grew (0: never, so still empty; 1: a key
+     seed); [seen.(ci)]: the tick of cell [ci]'s last visit. The output
+     of a visited cell already holds the union of its inputs as they
+     were then, so a visit ORs in only the unmasked inputs that grew
+     since, and a cell with none is skipped. The sweeps, and the
+     fixpoint they reach, are the plain sweeps' own; but the first reads
+     only the key fanout cone and later ones only the reads behind a
+     change. *)
+  let clock = ref 1 in
+  let cells = N.cells nl in
+  let seen = Array.make (Array.length cells) 0 in
+  let visit ci =
+    let c = cells.(ci) in
+    let out = c.Cell.out and ins = c.Cell.ins in
+    let m = masked.(ci) and since = seen.(ci) in
+    let ticked = ref false and changed = ref false in
+    for i = 0 to Array.length ins - 1 do
+      let net = ins.(i) in
+      if m land (1 lsl i) = 0 && grew.(net) > since then begin
+        if not !ticked then begin
+          incr clock;
+          ticked := true
+        end;
+        for j = 0 to w - 1 do
+          let s = words.((net * w) + j) in
+          let d = words.((out * w) + j) in
+          if s lor d <> d then begin
+            words.((out * w) + j) <- s lor d;
+            grew.(out) <- !clock;
+            changed := true
+          end
+        done
+      end
+    done;
+    if !ticked then seen.(ci) <- !clock;
+    !changed
+  in
+  (* the order [Dataflow.const_values] sweeps in *)
+  let order =
+    if N.has_comb_cycle nl then Array.init (Array.length cells) Fun.id
+    else N.topo_order nl
+  in
+  let sweep () =
+    let changed = ref false in
+    Array.iter
+      (fun ci ->
+        (* a proven-constant output carries no key influence *)
+        match values.(cells.(ci).Cell.out) with
+        | Dataflow.Unknown -> if visit ci then changed := true
+        | Dataflow.Zero | Dataflow.One -> ())
+      order;
+    !changed
+  in
+  (* each sweep that reports a change set at least one new bit, so the
+     loop runs at most n * nkeys sweeps (far fewer in practice:
+     topological order converges combinational logic in one) *)
+  while sweep () do
+    ()
+  done
+
+let facts ?values ?masked nl =
   let values =
     match values with Some v -> v | None -> Dataflow.const_values nl
   in
   let masked =
     match masked with Some m -> m | None -> Odc.masks values nl
   in
+  (values, masked)
+
+let analyze ?values ?masked nl =
   let n = N.num_nets nl in
   let keys = N.keys nl in
   let nkeys = List.length keys in
@@ -64,78 +131,38 @@ let analyze ?values ?masked nl =
   let t = { nkeys; w; words } in
   if nkeys = 0 || n = 0 then t
   else begin
-    (* The clock ticks once per cell visit. [grew.(net)]: the tick at
-       which the net's set last grew (0: never, so still empty; 1: a key
-       seed); [seen.(ci)]: the tick of cell [ci]'s last visit. The
-       output of a visited cell already holds the union of its inputs
-       as they were then, so a visit ORs in only the unmasked inputs
-       that grew since, and a cell with none is skipped. The sweeps, and
-       the fixpoint they reach, are the plain sweeps' own; but the first
-       reads only the key fanout cone and later ones only the reads
-       behind a change. *)
-    let clock = ref 1 in
+    let values, masked = facts ?values ?masked nl in
     let grew = Array.make n 0 in
     List.iteri
       (fun b (_, net) ->
         if net >= 0 && net < n then begin
           words.((net * w) + bit_word b) <-
             words.((net * w) + bit_word b) lor bit_mask b;
-          grew.(net) <- !clock
+          grew.(net) <- 1
         end)
       keys;
-    let cells = N.cells nl in
-    let seen = Array.make (Array.length cells) 0 in
-    let visit ci =
-      let c = cells.(ci) in
-      let out = c.Cell.out and ins = c.Cell.ins in
-      let m = masked.(ci) and since = seen.(ci) in
-      let ticked = ref false and changed = ref false in
-      for i = 0 to Array.length ins - 1 do
-        let net = ins.(i) in
-        if m land (1 lsl i) = 0 && grew.(net) > since then begin
-          if not !ticked then begin
-            incr clock;
-            ticked := true
-          end;
-          for j = 0 to w - 1 do
-            let s = words.((net * w) + j) in
-            let d = words.((out * w) + j) in
-            if s lor d <> d then begin
-              words.((out * w) + j) <- s lor d;
-              grew.(out) <- !clock;
-              changed := true
-            end
-          done
-        end
-      done;
-      if !ticked then seen.(ci) <- !clock;
-      !changed
-    in
-    (* the order [Dataflow.const_values] sweeps in *)
-    let order =
-      if N.has_comb_cycle nl then Array.init (Array.length cells) Fun.id
-      else N.topo_order nl
-    in
-    let sweep () =
-      let changed = ref false in
-      Array.iter
-        (fun ci ->
-          (* a proven-constant output carries no key influence *)
-          match values.(cells.(ci).Cell.out) with
-          | Dataflow.Unknown -> if visit ci then changed := true
-          | Dataflow.Zero | Dataflow.One -> ())
-        order;
-      !changed
-    in
-    (* each sweep that reports a change set at least one new bit, so
-       the loop runs at most n * nkeys sweeps (far fewer in practice:
-       topological order converges combinational logic in one) *)
-    let changed = ref true in
-    while !changed do
-      changed := sweep ()
-    done;
+    propagate ~values ~masked nl ~w words grew;
     t
   end
+
+(* A union is empty exactly when every operand is, so one bit seeded at
+   every key net follows emptiness through the same sweeps. *)
+let reach ?values ?masked nl =
+  let n = N.num_nets nl in
+  let words = Array.make n 0 in
+  if n > 0 && N.keys nl <> [] then begin
+    let values, masked = facts ?values ?masked nl in
+    let grew = Array.make n 0 in
+    List.iter
+      (fun (_, net) ->
+        if net >= 0 && net < n then begin
+          words.(net) <- 1;
+          grew.(net) <- 1
+        end)
+      (N.keys nl);
+    propagate ~values ~masked nl ~w:1 words grew
+  end;
+  Array.map (fun x -> x <> 0) words
 
 let output_taints t nl =
   List.map (fun (nm, net) -> (nm, net_taint t net)) (N.outputs nl)

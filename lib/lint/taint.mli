@@ -40,6 +40,17 @@ val analyze :
     sweeps follow the netlist's memoized topological order, or index
     order when it is cyclic. *)
 
+val reach :
+  ?values:Dataflow.value array ->
+  ?masked:int array ->
+  Shell_netlist.Netlist.t ->
+  bool array
+(** Per net, whether any key bit reaches it: [not (is_empty (analyze nl)
+    net)] for every net, from the same sweeps over a single bit seeded
+    at every key net (a union is empty exactly when each operand is).
+    What the lint context keeps: [key-taint-collapse] reads only
+    emptiness. *)
+
 val tainted : t -> net:int -> bit:int -> bool
 (** Key bit [bit] can still reach [net]. *)
 

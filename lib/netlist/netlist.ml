@@ -158,23 +158,26 @@ let build_driver_table t =
 
 let driver_table t = memo t.driver_memo build_driver_table t
 
-let driver t net =
+let driver_index t net =
   let d = driver_table t in
-  if net < 0 || net >= t.n_nets then None
-  else match d.(net) with -1 -> None | i -> Some i
+  if net < 0 || net >= t.n_nets then -1 else d.(net)
 
+let driver t net = match driver_index t net with -1 -> None | i -> Some i
+
+(* Prepending while walking the cells from the last one down leaves
+   each list ascending, so [fanout] hands it out as it is. *)
 let build_fanout_table t =
   let f = Array.make (max t.n_nets 1) [] in
-  Vec.iteri
-    (fun i c -> Array.iter (fun n -> f.(n) <- i :: f.(n)) c.Cell.ins)
-    t.cells;
+  for i = Vec.length t.cells - 1 downto 0 do
+    Array.iter (fun n -> f.(n) <- i :: f.(n)) (Vec.get t.cells i).Cell.ins
+  done;
   f
 
 let fanout_table t = memo t.fanout_memo build_fanout_table t
 
 let fanout t net =
   let f = fanout_table t in
-  if net < 0 || net >= t.n_nets then [] else List.rev f.(net)
+  if net < 0 || net >= t.n_nets then [] else f.(net)
 
 let copy t =
   {
@@ -326,55 +329,91 @@ let fingerprint t = memo t.fingerprint_memo digest t
    cell. Sequential cells are sources (their output depends on the past
    only) but their inputs still have to be produced, so they appear in
    the order too, after their input cone. [None] when the combinational
-   part is cyclic. *)
+   part is cyclic.
+
+   The successors sit in one CSR array, one entry per read, newest
+   reader first; the order array doubles as the FIFO queue. *)
 let sort t =
   let n = num_cells t in
   let d = driver_table t in
-  let indeg = Array.make n 0 in
-  let succs = Array.make n [] in
+  let cells = t.cells in
+  let seq = Bytes.create n in
   for i = 0 to n - 1 do
-    let c = Vec.get t.cells i in
-    if not (Cell.is_sequential c.Cell.kind) then
-      Array.iter
-        (fun net ->
-          match d.(net) with
-          | -1 -> ()
-          | j ->
-              let cj = Vec.get t.cells j in
-              if not (Cell.is_sequential cj.Cell.kind) then begin
-                indeg.(i) <- indeg.(i) + 1;
-                succs.(j) <- i :: succs.(j)
-              end)
-        c.Cell.ins
+    let s = Cell.is_sequential (Vec.get cells i).Cell.kind in
+    Bytes.unsafe_set seq i (if s then '\001' else '\000')
   done;
-  let queue = Queue.create () in
+  (* [src net]: the combinational driver of [net], or -1 *)
+  let src net =
+    let j = d.(net) in
+    if j >= 0 && Bytes.unsafe_get seq j = '\000' then j else -1
+  in
+  let indeg = Array.make n 0 in
+  (* [off.(j + 1)] counts cell [j]'s readers, then (summed) ends its
+     row; filling each row from its end down leaves [off.(j + 1)] at
+     the row's start, so row [j] is [off.(j + 1)] to [off.(j + 2)]. *)
+  let off = Array.make (n + 2) 0 in
+  let n_comb = ref 0 in
+  for i = 0 to n - 1 do
+    if Bytes.unsafe_get seq i = '\000' then begin
+      incr n_comb;
+      let ins = (Vec.get cells i).Cell.ins in
+      for k = 0 to Array.length ins - 1 do
+        let j = src ins.(k) in
+        if j >= 0 then begin
+          indeg.(i) <- indeg.(i) + 1;
+          off.(j + 1) <- off.(j + 1) + 1
+        end
+      done
+    end
+  done;
+  for j = 1 to n + 1 do
+    off.(j) <- off.(j) + off.(j - 1)
+  done;
+  let adj = Array.make off.(n + 1) 0 in
+  for i = 0 to n - 1 do
+    if Bytes.unsafe_get seq i = '\000' then begin
+      let ins = (Vec.get cells i).Cell.ins in
+      for k = 0 to Array.length ins - 1 do
+        let j = src ins.(k) in
+        if j >= 0 then begin
+          off.(j + 1) <- off.(j + 1) - 1;
+          adj.(off.(j + 1)) <- i
+        end
+      done
+    end
+  done;
+  let order = Array.make n 0 in
+  let tail = ref 0 in
   (* Sequential cells go last; their combinational input cone is already
      ordered, and nothing combinational depends on ordering them early. *)
   for i = 0 to n - 1 do
-    let c = Vec.get t.cells i in
-    if (not (Cell.is_sequential c.Cell.kind)) && indeg.(i) = 0 then
-      Queue.add i queue
+    if Bytes.unsafe_get seq i = '\000' && indeg.(i) = 0 then begin
+      order.(!tail) <- i;
+      incr tail
+    end
   done;
-  let order = Vec.create () in
-  while not (Queue.is_empty queue) do
-    let i = Queue.pop queue in
-    Vec.push order i;
-    List.iter
-      (fun j ->
-        indeg.(j) <- indeg.(j) - 1;
-        if indeg.(j) = 0 then Queue.add j queue)
-      succs.(i)
+  let head = ref 0 in
+  while !head < !tail do
+    let i = order.(!head) in
+    incr head;
+    for k = off.(i + 1) to off.(i + 2) - 1 do
+      let j = adj.(k) in
+      indeg.(j) <- indeg.(j) - 1;
+      if indeg.(j) = 0 then begin
+        order.(!tail) <- j;
+        incr tail
+      end
+    done
   done;
-  let n_comb = ref 0 in
-  for i = 0 to n - 1 do
-    if not (Cell.is_sequential (Vec.get t.cells i).Cell.kind) then incr n_comb
-  done;
-  if Vec.length order <> !n_comb then None
+  if !tail <> !n_comb then None
   else begin
     for i = 0 to n - 1 do
-      if Cell.is_sequential (Vec.get t.cells i).Cell.kind then Vec.push order i
+      if Bytes.unsafe_get seq i = '\001' then begin
+        order.(!tail) <- i;
+        incr tail
+      end
     done;
-    Some (Vec.to_array order)
+    Some order
   end
 
 let order t = memo t.order_memo sort t

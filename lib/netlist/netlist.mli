@@ -95,9 +95,14 @@ val driver : t -> int -> int option
     nets and ids outside [0, num_nets). O(1) once the memoized driver
     table is built. *)
 
+val driver_index : t -> int -> int
+(** {!driver} without the option: the cell index, or [-1]. Allocates
+    nothing, for loops over every read of a design. *)
+
 val fanout : t -> int -> int list
-(** Indices of cells reading [net], in cell order; [[]] for ids
-    outside [0, num_nets). Read from the memoized fanout table. *)
+(** Indices of cells reading [net], in cell order (a cell reading it
+    twice appears twice); [[]] for ids outside [0, num_nets). The
+    memoized fanout table's own list: nothing is copied. *)
 
 val copy : t -> t
 (** Independent netlist with the same nets, ports and cells, and empty

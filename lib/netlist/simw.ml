@@ -14,11 +14,24 @@
 
 module Obs = Shell_util.Obs
 
+(* The combinational order is lowered once, at [create], into a flat
+   int program. Each instruction is a head word [op lor (out lsl 4)],
+   the opcode and the output net, followed by its operands:
+   - 0 and, 1 or, 2 nand, 3 nor, 4 xor, 5 xnor: two nets;
+   - 6 not, 7 buf: one net;
+   - 8 mux2: the select, then the two arms;
+   - 9 const0, 10 const1: none;
+   - 11, LUTs and Mux4, which keep their cell's evaluator: the cell
+     index. *)
 type t = {
   netlist : Netlist.t;
-  comb_order : int array;  (* topo order, sequential cells filtered out *)
+  program : int array;
+  n_comb : int;  (* combinational cells in [program] *)
   cells : Cell.t array;
   nets : int array;
+  in_nets : int array;
+  key_nets : int array;
+  out_nets : int array;
   dff_state : int array;  (* indexed by position in [seq_cells]; per-lane *)
   seq_cells : int array;
   latch_state : int array;  (* broadcast words: 0 or all-ones *)
@@ -33,6 +46,68 @@ let lane_mask lanes =
   else (1 lsl lanes) - 1
 
 let broadcast b = if b then -1 else 0
+
+let compile cells order ~n_nets =
+  let size ci =
+    match cells.(ci).Cell.kind with
+    | Cell.And | Cell.Or | Cell.Nand | Cell.Nor | Cell.Xor | Cell.Xnor -> 3
+    | Cell.Not | Cell.Buf | Cell.Mux4 | Cell.Lut _ -> 2
+    | Cell.Mux2 -> 4
+    | Cell.Const _ -> 1
+    | Cell.Dff | Cell.Config_latch -> 0
+  in
+  let program =
+    Array.make (Array.fold_left (fun k ci -> k + size ci) 0 order) 0
+  in
+  let pc = ref 0 in
+  let put v =
+    program.(!pc) <- v;
+    incr pc
+  in
+  (* [map_cells] can hand in cells no [add_cell] checked, and [run]
+     reads the net store unchecked *)
+  let check net =
+    if net < 0 || net >= n_nets then invalid_arg "Simw.create: bad net"
+  in
+  let n_comb = ref 0 in
+  Array.iter
+    (fun ci ->
+      let c = cells.(ci) in
+      let ins = c.Cell.ins in
+      check c.Cell.out;
+      Array.iter check ins;
+      let head op = put (op lor (c.Cell.out lsl 4)) in
+      let op2 op =
+        head op;
+        put ins.(0);
+        put ins.(1)
+      in
+      if not (Cell.is_sequential c.Cell.kind) then incr n_comb;
+      match c.Cell.kind with
+      | Cell.And -> op2 0
+      | Cell.Or -> op2 1
+      | Cell.Nand -> op2 2
+      | Cell.Nor -> op2 3
+      | Cell.Xor -> op2 4
+      | Cell.Xnor -> op2 5
+      | Cell.Not ->
+          head 6;
+          put ins.(0)
+      | Cell.Buf ->
+          head 7;
+          put ins.(0)
+      | Cell.Mux2 ->
+          head 8;
+          put ins.(0);
+          put ins.(1);
+          put ins.(2)
+      | Cell.Const b -> head (if b then 10 else 9)
+      | Cell.Mux4 | Cell.Lut _ ->
+          head 11;
+          put ci
+      | Cell.Dff | Cell.Config_latch -> ())
+    order;
+  (program, !n_comb)
 
 let create ?config netlist =
   let cells = Netlist.cells netlist in
@@ -55,17 +130,17 @@ let create ?config netlist =
           invalid_arg "Simw.create: config length mismatch";
         Array.map broadcast c
   in
-  let comb_order =
-    Array.of_seq
-      (Seq.filter
-         (fun ci -> not (Cell.is_sequential cells.(ci).Cell.kind))
-         (Array.to_seq order))
-  in
+  let nets = Array.make (max (Netlist.num_nets netlist) 1) 0 in
+  let program, n_comb = compile cells order ~n_nets:(Array.length nets) in
   {
     netlist;
-    comb_order;
+    program;
+    n_comb;
     cells;
-    nets = Array.make (max (Netlist.num_nets netlist) 1) 0;
+    nets;
+    in_nets = Netlist.input_nets netlist;
+    key_nets = Netlist.key_nets netlist;
+    out_nets = Netlist.output_nets netlist;
     dff_state = Array.make (Array.length seq_cells) 0;
     seq_cells;
     latch_state;
@@ -77,17 +152,65 @@ let netlist t = t.netlist
 let reset t = Array.fill t.dff_state 0 (Array.length t.dff_state) 0
 
 let load_ports t ?keys ins =
-  let in_nets = Netlist.input_nets t.netlist in
-  if Array.length ins <> Array.length in_nets then
+  if Array.length ins <> Array.length t.in_nets then
     invalid_arg "Simw: input word count mismatch";
-  Array.iteri (fun i net -> t.nets.(net) <- ins.(i)) in_nets;
-  let key_nets = Netlist.key_nets t.netlist in
+  Array.iteri (fun i net -> t.nets.(net) <- ins.(i)) t.in_nets;
   match keys with
   | Some k ->
-      if Array.length k <> Array.length key_nets then
+      if Array.length k <> Array.length t.key_nets then
         invalid_arg "Simw: key vector length mismatch";
-      Array.iteri (fun i net -> t.nets.(net) <- broadcast k.(i)) key_nets
-  | None -> Array.iter (fun net -> t.nets.(net) <- 0) key_nets
+      Array.iteri (fun i net -> t.nets.(net) <- broadcast k.(i)) t.key_nets
+  | None -> Array.iter (fun net -> t.nets.(net) <- 0) t.key_nets
+
+(* [compile] checked every net id in the program against the net store,
+   and every cell index in it is below [Array.length cells], so the loop
+   reads without bounds checks. *)
+let run (program : int array) (nets : int array) (cells : Cell.t array) =
+  let len = Array.length program in
+  let pc = ref 0 in
+  while !pc < len do
+    let p = !pc in
+    let head = Array.unsafe_get program p in
+    let out = head lsr 4 in
+    match head land 15 with
+    | (0 | 1 | 2 | 3 | 4 | 5) as op ->
+        let a = Array.unsafe_get nets (Array.unsafe_get program (p + 1)) in
+        let b = Array.unsafe_get nets (Array.unsafe_get program (p + 2)) in
+        Array.unsafe_set nets out
+          (match op with
+          | 0 -> a land b
+          | 1 -> a lor b
+          | 2 -> lnot (a land b)
+          | 3 -> lnot (a lor b)
+          | 4 -> a lxor b
+          | _ -> lnot (a lxor b));
+        pc := p + 3
+    | 6 ->
+        Array.unsafe_set nets out
+          (lnot (Array.unsafe_get nets (Array.unsafe_get program (p + 1))));
+        pc := p + 2
+    | 7 ->
+        Array.unsafe_set nets out
+          (Array.unsafe_get nets (Array.unsafe_get program (p + 1)));
+        pc := p + 2
+    | 8 ->
+        let s = Array.unsafe_get nets (Array.unsafe_get program (p + 1)) in
+        let a = Array.unsafe_get nets (Array.unsafe_get program (p + 2)) in
+        let b = Array.unsafe_get nets (Array.unsafe_get program (p + 3)) in
+        Array.unsafe_set nets out (lnot s land a lor (s land b));
+        pc := p + 4
+    | 9 ->
+        Array.unsafe_set nets out 0;
+        pc := p + 1
+    | 10 ->
+        Array.unsafe_set nets out (-1);
+        pc := p + 1
+    | _ ->
+        let c = Array.unsafe_get cells (Array.unsafe_get program (p + 1)) in
+        Array.unsafe_set nets out
+          (Cell.eval_word_in c.Cell.kind nets c.Cell.ins);
+        pc := p + 2
+  done
 
 let propagate t lanes =
   Array.iteri
@@ -96,19 +219,14 @@ let propagate t lanes =
   Array.iteri
     (fun i ci -> t.nets.(t.cells.(ci).Cell.out) <- t.latch_state.(i))
     t.latch_cells;
-  let nets = t.nets and cells = t.cells in
-  Array.iter
-    (fun ci ->
-      let c = cells.(ci) in
-      nets.(c.Cell.out) <- Cell.eval_word_in c.Cell.kind nets c.Cell.ins)
-    t.comb_order;
+  run t.program t.nets t.cells;
   Obs.incr Sim_obs.words;
   Obs.add Sim_obs.vectors lanes;
-  Obs.add Sim_obs.cells (Array.length t.comb_order)
+  Obs.add Sim_obs.cells t.n_comb
 
 let read_outputs t ~lanes =
   let m = lane_mask lanes in
-  Array.map (fun net -> t.nets.(net) land m) (Netlist.output_nets t.netlist)
+  Array.map (fun net -> t.nets.(net) land m) t.out_nets
 
 let eval_comb t ?keys ?(lanes = width) ins =
   let _ = lane_mask lanes in

@@ -18,5 +18,10 @@ val replace_cells :
       the replacement input [port];
     - each [(port, net)] in [output_binding] drives parent net [net]
       (which must have lost its driver) from replacement output [port].
-    Raises [Invalid_argument] on unbound ports or doubly-driven
-    nets. *)
+    The result is the spliced netlist with every [Buf] swept, each
+    reader reconnected to the buffer's source (as
+    {!Rewrite.sweep_buffers} does), built in one pass. Raises
+    [Invalid_argument] on an unknown, unbound or doubly bound port,
+    and {!Shell_util.Diag.Error} (context ["Splice"]) with the first
+    {!Netlist.validate} defect of the spliced netlist, such as a doubly
+    driven net or an undriven read. *)

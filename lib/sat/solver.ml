@@ -552,7 +552,7 @@ let luby x =
   done;
   1 lsl !seq
 
-let solve_search ?(assumptions = []) ?max_conflicts t =
+let solve_search ?(assumptions = []) ?max_conflicts ?deadline t =
   cancel_until t 0;
   if t.unsat then Unsat
   else if propagate t <> -1 then begin
@@ -563,6 +563,14 @@ let solve_search ?(assumptions = []) ?max_conflicts t =
     let assumptions = Array.of_list (List.map ilit assumptions) in
     let nassume = Array.length assumptions in
     let budget = match max_conflicts with Some b -> t.conflicts + b | None -> max_int in
+    let c0 = t.conflicts in
+    (* the clock is read only every 256 conflicts of this call *)
+    let past_deadline () =
+      match deadline with
+      | Some d ->
+          (t.conflicts - c0) land 255 = 0 && Shell_util.Clock.now () >= d
+      | None -> false
+    in
     let restart_n = ref 0 in
     let conflicts_until_restart = ref (100 * luby !restart_n) in
     let result = ref None in
@@ -580,7 +588,8 @@ let solve_search ?(assumptions = []) ?max_conflicts t =
           record_learnt t;
           var_decay t
         end;
-        if t.conflicts >= budget && !result = None then result := Some Unknown
+        if !result = None && (t.conflicts >= budget || past_deadline ()) then
+          result := Some Unknown
         else if !conflicts_until_restart <= 0 && !result = None then begin
           incr restart_n;
           t.restarts <- t.restarts + 1;
@@ -619,8 +628,9 @@ let solve_search ?(assumptions = []) ?max_conflicts t =
     | None -> assert false
   end
 
-let solve ?assumptions ?max_conflicts t =
-  if not (Obs.enabled ()) then solve_search ?assumptions ?max_conflicts t
+let solve ?assumptions ?max_conflicts ?deadline t =
+  if not (Obs.enabled ()) then
+    solve_search ?assumptions ?max_conflicts ?deadline t
   else begin
     Obs.incr m_solve_calls;
     let d0 = t.decisions
@@ -633,7 +643,7 @@ let solve ?assumptions ?max_conflicts t =
         Obs.add m_propagations (t.propagations - p0);
         Obs.add m_conflicts (t.conflicts - c0);
         Obs.add m_restarts (t.restarts - r0))
-      (fun () -> solve_search ?assumptions ?max_conflicts t)
+      (fun () -> solve_search ?assumptions ?max_conflicts ?deadline t)
   end
 
 let value t v =

@@ -42,8 +42,13 @@ val add_clause_shifted : t -> int -> int array -> unit
     added to every variable (signs kept): how a miter adds one more
     copy of a CNF template without building the shifted clauses. *)
 
-val solve : ?assumptions:int list -> ?max_conflicts:int -> t -> result
-(** [Unknown] only when [max_conflicts] was exhausted. *)
+val solve :
+  ?assumptions:int list -> ?max_conflicts:int -> ?deadline:float -> t -> result
+(** [Unknown] only when [max_conflicts] was exhausted or the
+    {!Shell_util.Clock.now} [deadline] passed. The deadline is read
+    every 256 conflicts of the call, so a search that is past it stops
+    within 256 conflicts; a search that stops on its conflict cap first
+    never reads the clock differently from one without a deadline. *)
 
 val value : t -> int -> bool
 (** Model value of a variable after [Sat] (unassigned vars read [false]). *)

@@ -20,18 +20,6 @@ let test_duplicate_edges () =
   let g = D.make ~n:2 ~edges:[ (0, 1); (0, 1); (0, 1) ] in
   Alcotest.(check int) "deduplicated" 1 (D.num_edges g)
 
-(* the adjacency-array constructor builds the graph [make] does *)
-let test_of_succs () =
-  let edges = [ (0, 1); (0, 3); (1, 2); (2, 0); (2, 3); (3, 3) ] in
-  let a = D.make ~n:4 ~edges in
-  let b = D.of_succs [| [| 1; 3 |]; [| 2 |]; [| 0; 3 |]; [| 3 |] |] in
-  Alcotest.(check int) "edges" (D.num_edges a) (D.num_edges b);
-  for v = 0 to 3 do
-    Alcotest.(check (array int)) "succs" (D.succs a v) (D.succs b v);
-    Alcotest.(check (array int)) "preds" (D.preds a v) (D.preds b v)
-  done;
-  Alcotest.(check (list (list int))) "sccs" (D.sccs a) (D.sccs b)
-
 let test_bfs () =
   let g = chain () in
   let d = D.bfs_from g [ 0 ] in
@@ -162,17 +150,116 @@ let test_eigenvector () =
   Alcotest.(check (float 1e-6)) "center maximal" 1.0 e.(0);
   Alcotest.(check bool) "leaves below" true (e.(1) < 1.0)
 
+(* The list-stack Tarjan the array one replaced, kept as its oracle:
+   components in completion order, each in discovery order. *)
+let sccs_oracle (succs : int array array) =
+  let n = Array.length succs in
+  let index = Array.make n (-1) in
+  let lowlink = Array.make n 0 in
+  let on_stack = Array.make n false in
+  let stack = ref [] in
+  let next_index = ref 0 in
+  let components = ref [] in
+  let visit root =
+    let call = ref [ (root, ref 0) ] in
+    index.(root) <- !next_index;
+    lowlink.(root) <- !next_index;
+    incr next_index;
+    stack := root :: !stack;
+    on_stack.(root) <- true;
+    while !call <> [] do
+      match !call with
+      | [] -> ()
+      | (u, pos) :: rest ->
+          if !pos < Array.length succs.(u) then begin
+            let v = succs.(u).(!pos) in
+            incr pos;
+            if index.(v) = -1 then begin
+              index.(v) <- !next_index;
+              lowlink.(v) <- !next_index;
+              incr next_index;
+              stack := v :: !stack;
+              on_stack.(v) <- true;
+              call := (v, ref 0) :: !call
+            end
+            else if on_stack.(v) then lowlink.(u) <- min lowlink.(u) index.(v)
+          end
+          else begin
+            call := rest;
+            (match rest with
+            | (p, _) :: _ -> lowlink.(p) <- min lowlink.(p) lowlink.(u)
+            | [] -> ());
+            if lowlink.(u) = index.(u) then begin
+              let rec pop acc =
+                match !stack with
+                | [] -> acc
+                | v :: tl ->
+                    stack := tl;
+                    on_stack.(v) <- false;
+                    if v = u then v :: acc else pop (v :: acc)
+              in
+              components := pop [] :: !components
+            end
+          end
+    done
+  in
+  for v = 0 to n - 1 do
+    if index.(v) = -1 then visit v
+  done;
+  List.rev !components
+
+(* random digraphs, sparse to dense, with self-loops and repeated
+   edges: the array Tarjan gives the oracle's lists exactly, through
+   [sccs] (on [make]'s deduplicated graph) and through
+   [iter_csr_sccs] on the raw successor arrays *)
+let test_sccs_oracle () =
+  let module Rng = Shell_util.Rng in
+  let rng = Rng.create 4099 in
+  for case = 1 to 300 do
+    let n = Rng.int rng 60 in
+    let m = if n = 0 then 0 else Rng.int rng (1 + (n * (1 + (case mod 4)))) in
+    let edges =
+      List.init m (fun _ ->
+          let u = Rng.int rng n in
+          (* one edge in eight is a self-loop, one in eight is doubled *)
+          match Rng.int rng 8 with 0 -> (u, u) | _ -> (u, Rng.int rng n))
+      |> List.concat_map (fun e ->
+             if Rng.int rng 8 = 0 then [ e; e ] else [ e ])
+    in
+    let what s = Printf.sprintf "case %d (n=%d, m=%d): %s" case n m s in
+    let g = D.make ~n ~edges in
+    Alcotest.(check (list (list int)))
+      (what "sccs")
+      (sccs_oracle (Array.init n (D.succs g)))
+      (D.sccs g);
+    let succs =
+      Array.init n (fun u ->
+          Array.of_list
+            (List.filter_map
+               (fun (a, b) -> if a = u then Some b else None)
+               edges))
+    in
+    let off = Array.make (n + 1) 0 in
+    Array.iteri (fun u vs -> off.(u + 1) <- off.(u) + Array.length vs) succs;
+    let found = ref [] in
+    D.iter_csr_sccs ~off ~adj:(Array.concat (Array.to_list succs))
+      (fun stack lo hi ->
+        found := Array.to_list (Array.sub stack lo (hi - lo)) :: !found);
+    Alcotest.(check (list (list int)))
+      (what "iter_csr_sccs") (sccs_oracle succs) (List.rev !found)
+  done
+
 let suite =
   [
     ("degrees", `Quick, test_degrees);
     ("duplicate edges", `Quick, test_duplicate_edges);
-    ("of_succs", `Quick, test_of_succs);
     ("bfs", `Quick, test_bfs);
     ("bfs unreachable", `Quick, test_bfs_unreachable);
     ("coverage", `Quick, test_coverage);
     ("topo order", `Quick, test_topo);
     ("topo cycle", `Quick, test_topo_cycle);
     ("sccs", `Quick, test_sccs);
+    ("sccs match the list Tarjan", `Quick, test_sccs_oracle);
     ("self loop cyclic", `Quick, test_self_loop_cyclic);
     ("transpose", `Quick, test_transpose);
     ("degree centrality", `Quick, test_degree_centrality);

@@ -557,21 +557,28 @@ let check_fixpoints nl =
     (values = Dataflow.const_values nl);
   let odc_ref = Sweep.odc values nl and taint_ref = Sweep.taint values nl in
   List.iter
-    (fun (via, (odc : Odc.t), (taint : Taint.t)) ->
+    (fun (via, (odc : Odc.t)) ->
       let what s = Printf.sprintf "%s (%s): %s" name via s in
       Alcotest.(check (array bool))
         (what "observable") odc_ref.Odc.observable odc.Odc.observable;
       Alcotest.(check int)
         (what "masked_reads") odc_ref.Odc.masked_reads odc.Odc.masked_reads;
       Alcotest.(check int)
-        (what "const_cuts") odc_ref.Odc.const_cuts odc.Odc.const_cuts;
-      Alcotest.(check int) (what "taint w") taint_ref.Taint.w taint.Taint.w;
-      Alcotest.(check (array int))
-        (what "taint words") taint_ref.Taint.words taint.Taint.words)
-    [
-      ("ctx", ctx.Lint.odc, ctx.Lint.taint);
-      ("standalone", Odc.analyze ~values nl, Taint.analyze ~values nl);
-    ];
+        (what "const_cuts") odc_ref.Odc.const_cuts odc.Odc.const_cuts)
+    [ ("ctx", ctx.Lint.odc); ("standalone", Odc.analyze ~values nl) ];
+  (* the context keeps one bit per net: whether the per-bit set is
+     non-empty *)
+  Alcotest.(check (array bool))
+    (name ^ " (ctx): key reach")
+    (Array.init (N.num_nets nl) (fun net ->
+         not (Taint.is_empty taint_ref net)))
+    ctx.Lint.key_reach;
+  let taint = Taint.analyze ~values nl in
+  Alcotest.(check int)
+    (name ^ " (standalone): taint w") taint_ref.Taint.w taint.Taint.w;
+  Alcotest.(check (array int))
+    (name ^ " (standalone): taint words") taint_ref.Taint.words
+    taint.Taint.words;
   let comb =
     Sweep.sccs nl ~keep:(fun c -> not (Cell.is_sequential c.Cell.kind))
   in
@@ -657,7 +664,7 @@ let test_fixpoints_multi_driven () =
     [ k0; k1 ];
   let y = List.assoc "y" (N.outputs nl) in
   Alcotest.(check (list int)) "y tainted by every key" [ 0; 1; 2 ]
-    (Taint.net_taint ctx.Lint.taint y)
+    (Taint.net_taint (Taint.analyze ~values:ctx.Lint.values nl) y)
 
 (* Lint's analyses are built once per subject with flat arrays: the
    whole registry over the locked FIR allocates a bounded number of

@@ -789,6 +789,332 @@ let test_random_region_splice =
       | Equiv.Equivalent -> true
       | Equiv.Counterexample _ -> false)
 
+(* ---------------- oracles for the flat-array kernels ---------------- *)
+
+module Diag = Shell_util.Diag
+module Flow = Shell_core.Flow
+module Extraction = Shell_core.Extraction
+
+(* The list-and-Queue Kahn sort that [Netlist]'s CSR sort replaced,
+   kept as its oracle: successors newest first, sequential cells last,
+   [None] when the combinational part is cyclic. *)
+let kahn_oracle nl =
+  let cells = N.cells nl in
+  let n = Array.length cells in
+  let seq i = Cell.is_sequential cells.(i).Cell.kind in
+  let indeg = Array.make n 0 and succs = Array.make n [] in
+  for i = 0 to n - 1 do
+    if not (seq i) then
+      Array.iter
+        (fun net ->
+          match N.driver nl net with
+          | Some j when not (seq j) ->
+              indeg.(i) <- indeg.(i) + 1;
+              succs.(j) <- i :: succs.(j)
+          | Some _ | None -> ())
+        cells.(i).Cell.ins
+  done;
+  let queue = Queue.create () in
+  for i = 0 to n - 1 do
+    if (not (seq i)) && indeg.(i) = 0 then Queue.add i queue
+  done;
+  let order = ref [] in
+  while not (Queue.is_empty queue) do
+    let i = Queue.pop queue in
+    order := i :: !order;
+    List.iter
+      (fun j ->
+        indeg.(j) <- indeg.(j) - 1;
+        if indeg.(j) = 0 then Queue.add j queue)
+      succs.(i)
+  done;
+  let all = List.init n Fun.id in
+  if List.length !order <> List.length (List.filter (fun i -> not (seq i)) all)
+  then None
+  else Some (Array.of_list (List.rev !order @ List.filter seq all))
+
+let check_order what nl =
+  let got =
+    match N.topo_order nl with o -> Some o | exception Failure _ -> None
+  in
+  Alcotest.(check (option (array int))) (what ^ ": order") (kahn_oracle nl) got
+
+(* The splice the one-build reassembly replaced, kept as its oracle:
+   build the spliced netlist, validate it, then let
+   [Rewrite.sweep_buffers] rebuild it without its buffers. *)
+let splice_two_step parent ~remove ~replacement ~input_binding
+    ~output_binding =
+  let out = N.create (N.name parent) in
+  let pmap = Array.make (max (N.num_nets parent) 1) (-1) in
+  let rmap = Array.make (max (N.num_nets replacement) 1) (-1) in
+  List.iter
+    (fun (nm, net) -> pmap.(net) <- N.add_input out nm)
+    (N.inputs parent);
+  List.iter (fun (nm, net) -> pmap.(net) <- N.add_key out nm) (N.keys parent);
+  List.iter
+    (fun (nm, net) -> rmap.(net) <- N.add_key out nm)
+    (N.keys replacement);
+  let map_parent net =
+    if pmap.(net) = -1 then pmap.(net) <- N.new_net out;
+    pmap.(net)
+  in
+  let map_repl net =
+    if rmap.(net) = -1 then rmap.(net) <- N.new_net out;
+    rmap.(net)
+  in
+  List.iter
+    (fun (port, parent_net) ->
+      match List.assoc_opt port (N.inputs replacement) with
+      | None -> invalid_arg ("Splice: replacement has no input " ^ port)
+      | Some rnet ->
+          if rmap.(rnet) <> -1 then
+            invalid_arg ("Splice: input bound twice: " ^ port);
+          rmap.(rnet) <- map_parent parent_net)
+    input_binding;
+  List.iter
+    (fun (nm, rnet) ->
+      if rmap.(rnet) = -1 then
+        invalid_arg ("Splice: replacement input unbound: " ^ nm))
+    (N.inputs replacement);
+  Array.iteri
+    (fun i c ->
+      if not (remove i) then
+        N.add_cell out
+          (Cell.make ~origin:c.Cell.origin c.Cell.kind
+             (Array.map map_parent c.Cell.ins)
+             (map_parent c.Cell.out)))
+    (N.cells parent);
+  Array.iter
+    (fun c ->
+      N.add_cell out
+        (Cell.make ~origin:c.Cell.origin c.Cell.kind
+           (Array.map map_repl c.Cell.ins)
+           (map_repl c.Cell.out)))
+    (N.cells replacement);
+  List.iter
+    (fun (port, parent_net) ->
+      match List.assoc_opt port (N.outputs replacement) with
+      | None -> invalid_arg ("Splice: replacement has no output " ^ port)
+      | Some rnet ->
+          N.add_cell out
+            (Cell.make ~origin:"splice" Cell.Buf
+               [| map_repl rnet |]
+               (map_parent parent_net)))
+    output_binding;
+  List.iter
+    (fun (nm, net) -> N.add_output out nm (map_parent net))
+    (N.outputs parent);
+  match N.validate out with
+  | Ok () -> Rewrite.sweep_buffers out
+  | Error d ->
+      raise (Diag.Error { d with Diag.context = "Splice" :: d.Diag.context })
+
+(* what a splice gives: the result's fingerprint, or the exception
+   with its whole diagnostic (context, message and payload) *)
+let splice_outcome f =
+  match f () with
+  | nl -> "ok " ^ N.fingerprint nl
+  | exception Invalid_argument m -> "invalid_argument " ^ m
+  | exception Diag.Error d -> "diag " ^ Diag.to_string d
+
+let check_splice what parent ~remove ~replacement ~input_binding
+    ~output_binding =
+  let run f () = f parent ~remove ~replacement ~input_binding ~output_binding in
+  Alcotest.(check string)
+    what
+    (splice_outcome (run splice_two_step))
+    (splice_outcome (run Splice.replace_cells))
+
+(* [Extraction.reassemble]'s splice of [replacement] into [cut] *)
+let check_reassembly what original (cut : Extraction.cut) ~replacement =
+  let inside = Array.make (max (N.num_cells original) 1) false in
+  List.iter (fun ci -> inside.(ci) <- true) cut.Extraction.cells;
+  check_splice what original
+    ~remove:(fun i -> inside.(i))
+    ~replacement ~input_binding:cut.Extraction.input_binding
+    ~output_binding:cut.Extraction.output_binding
+
+(* the locked design of every catalog circuit under every style, at
+   four seeds *)
+let lock_classes =
+  lazy
+    (List.concat_map
+       (fun (e : Shell_circuits.Catalog.entry) ->
+         List.concat_map
+           (fun style ->
+             List.map
+               (fun seed ->
+                 let bench = e.Shell_circuits.Catalog.name in
+                 let spec =
+                   {
+                     Shell_serve.Protocol.bench;
+                     style;
+                     route = [];
+                     lgc = [];
+                     seed;
+                   }
+                 in
+                 let what = Printf.sprintf "%s/%s/%d" bench style seed in
+                 match Shell_serve.Jobs.lock_flow spec with
+                 | Ok r -> (what, r)
+                 | Error d -> Alcotest.failf "%s: %s" what (Diag.to_string d))
+               [ 0x51e11; 7; 3; 11 ])
+           [ "openfpga"; "fabulous"; "muxchain" ])
+       Shell_circuits.Catalog.all)
+
+(* random netlists with everything the sort must handle: sequential
+   cells, nets read before they are driven (so cycles), multi-driven
+   and undriven nets, repeated reads *)
+let random_graph_nl seed =
+  let rng = Rng.create seed in
+  let nl = N.create "graph" in
+  for i = 0 to Rng.int rng 4 do
+    ignore (N.add_input nl (Printf.sprintf "i%d" i))
+  done;
+  let n_nets = N.num_nets nl + 4 + Rng.int rng 40 in
+  while N.num_nets nl < n_nets do
+    ignore (N.new_net nl)
+  done;
+  let net () = Rng.int rng n_nets in
+  let kinds =
+    Cell.[| And; Xor; Not; Buf; Mux2; Mux4; Dff; Config_latch |]
+  in
+  for _ = 0 to Rng.int rng 50 do
+    let kind = Rng.choice rng kinds in
+    let ins = Array.init (Cell.arity kind) (fun _ -> net ()) in
+    N.add_cell nl (Cell.make kind ins (net ()))
+  done;
+  nl
+
+let test_sort_matches_kahn () =
+  List.iter
+    (fun name ->
+      match Shell_serve.Jobs.netlist_of_bench name with
+      | Ok nl -> check_order name nl
+      | Error d -> Alcotest.failf "%s: %s" name (Diag.to_string d))
+    [ "PicoSoC"; "AES"; "FIR"; "SPMV"; "DLA"; "soc"; "xbar"; "desx" ];
+  let cyclic = ref 0 in
+  List.iter
+    (fun (what, (r : Flow.result)) ->
+      (* a fresh copy sorts again *)
+      let nl = N.copy r.Flow.locked_full in
+      if N.has_comb_cycle nl then incr cyclic;
+      check_order what nl)
+    (Lazy.force lock_classes);
+  let random_cyclic = ref 0 in
+  for seed = 1 to 400 do
+    let nl = random_graph_nl seed in
+    if kahn_oracle nl = None then incr random_cyclic;
+    check_order (Printf.sprintf "random %d" seed) nl;
+    let rng = Rng.create seed in
+    check_order
+      (Printf.sprintf "generated %d" seed)
+      (Shell_fuzz.Gen.netlist rng (Shell_fuzz.Gen.random_shape rng))
+  done;
+  Alcotest.(check bool) "some locked designs are cyclic" true (!cyclic > 0);
+  Alcotest.(check bool) "random designs both ways" true
+    (!random_cyclic > 50 && !random_cyclic < 350)
+
+let test_splice_matches_two_step_lock () =
+  List.iter
+    (fun (what, (r : Flow.result)) ->
+      let replacement = r.Flow.emitted.Shell_fabric.Emit.locked in
+      check_reassembly what r.Flow.original r.Flow.cut ~replacement;
+      Alcotest.(check string)
+        (what ^ ": locked_full")
+        (N.fingerprint
+           (Extraction.reassemble r.Flow.original r.Flow.cut ~replacement))
+        (N.fingerprint r.Flow.locked_full))
+    (Lazy.force lock_classes)
+
+(* random cuts of generated designs, put back as they were, locked
+   with key gates (keys to lift) or cleaned (fewer buffers to sweep) *)
+let test_splice_matches_two_step_random () =
+  for seed = 1 to 200 do
+    let rng = Rng.create (31 * seed) in
+    let nl = Shell_fuzz.Gen.netlist rng (Shell_fuzz.Gen.random_shape rng) in
+    let member = Array.init (N.num_cells nl) (fun _ -> Rng.int rng 3 = 0) in
+    let cut = Extraction.extract nl ~member:(fun i -> member.(i)) in
+    let sub = cut.Extraction.sub in
+    let replacement =
+      match seed mod 3 with
+      | 0 -> sub
+      | 1 ->
+          (Shell_locking.Schemes.xor_keys ~seed ~bits:3 sub)
+            .Shell_locking.Locked.locked
+      | _ -> Rewrite.clean sub
+    in
+    check_reassembly (Printf.sprintf "random cut %d" seed) nl cut ~replacement
+  done
+
+(* every way a splice can be invalid fails as the two-step splice did *)
+let test_splice_errors_match_two_step () =
+  (* y = (a xor b) and c: the replacement stands in for the xor *)
+  let parent = fixture () in
+  let xor_cell = 0 and and_cell = 1 in
+  let x = (N.cell parent xor_cell).Cell.out in
+  let a = List.assoc "a" (N.inputs parent) in
+  let b = List.assoc "b" (N.inputs parent) in
+  let repl = N.create "r" in
+  let p = N.add_input repl "p" in
+  let q = N.add_input repl "q" in
+  N.add_output repl "z" (N.xor_ repl p q);
+  let both = [ ("p", a); ("q", b) ] and z = [ ("z", x) ] in
+  (* (case, removed cells, input binding, output binding, how the
+     outcome starts) *)
+  let cases =
+    [
+      ( "unbound input", [ xor_cell ], [ ("p", a) ], z,
+        "invalid_argument Splice: replacement input unbound: q" );
+      ( "doubly bound input", [ xor_cell ], both @ [ ("p", b) ], z,
+        "invalid_argument Splice: input bound twice: p" );
+      ( "no such input", [ xor_cell ], [ ("p", a); ("r", b) ], z,
+        "invalid_argument Splice: replacement has no input r" );
+      ( "missing output port", [ xor_cell ], both, [ ("w", x) ],
+        "invalid_argument Splice: replacement has no output w" );
+      ( "doubly driven net", [], both, z,
+        "diag Splice: validate: fix: net n3 has 2 drivers" );
+      ( "undriven read", [ xor_cell ], both, [],
+        "diag Splice: validate: fix: net n4 is read but never driven" );
+      ( "undriven output", [ xor_cell; and_cell ], both, [],
+        "diag Splice: validate: fix: output y reads undriven net" );
+      ("valid", [ xor_cell ], both, z, "ok ");
+    ]
+  in
+  let starts_with pre s =
+    String.length s >= String.length pre
+    && String.sub s 0 (String.length pre) = pre
+  in
+  List.iter
+    (fun (what, removed, input_binding, output_binding, expect) ->
+      let remove i = List.mem i removed in
+      check_splice what parent ~remove ~replacement:repl ~input_binding
+        ~output_binding;
+      let got =
+        splice_outcome (fun () ->
+            Splice.replace_cells parent ~remove ~replacement:repl
+              ~input_binding ~output_binding)
+      in
+      Alcotest.(check bool) (what ^ ": " ^ got) true (starts_with expect got))
+    cases;
+  (* a lifted key named like one of the parent's *)
+  let keyed = fixture () in
+  ignore (N.add_key keyed "k0");
+  let repl_k = N.create "rk" in
+  let p = N.add_input repl_k "p" in
+  let q = N.add_input repl_k "q" in
+  let k = N.add_key repl_k "k0" in
+  N.add_output repl_k "z" (N.xor_ repl_k (N.xor_ repl_k p q) k);
+  let remove i = i = xor_cell in
+  check_splice "duplicate key port" keyed ~remove ~replacement:repl_k
+    ~input_binding:both ~output_binding:z;
+  Alcotest.(check string)
+    "duplicate key port diagnostic"
+    "diag Splice: validate: fix: duplicate key port name k0 [duplicate-port k0]"
+    (splice_outcome (fun () ->
+         Splice.replace_cells keyed ~remove ~replacement:repl_k
+           ~input_binding:both ~output_binding:z))
+
 let test_vcd_dump () =
   let nl = fixture () in
   let v = Shell_netlist.Vcd.create (Sim.create nl) in
@@ -1176,4 +1502,10 @@ let suite =
     ("vcd dump", `Quick, test_vcd_dump);
     QCheck_alcotest.to_alcotest test_bind_keys_agrees_with_sim;
     QCheck_alcotest.to_alcotest test_random_region_splice;
+    ("sort matches the list Kahn", `Quick, test_sort_matches_kahn);
+    ("splice matches two-step (lock classes)", `Quick,
+     test_splice_matches_two_step_lock);
+    ("splice matches two-step (random cuts)", `Quick,
+     test_splice_matches_two_step_random);
+    ("splice errors match two-step", `Quick, test_splice_errors_match_two_step);
   ]

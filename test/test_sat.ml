@@ -98,6 +98,43 @@ let test_budget_unknown () =
 (* any verdict is legal; the call must terminate fast — implicitly
    checked by the test timeout *)
 
+(* pigeons p into p - 1 holes: unsatisfiable, and far more than 256
+   conflicts away from saying so for p = 9 *)
+let pigeonhole p =
+  let h = p - 1 in
+  let s = Solver.create () in
+  let var i j = (i * h) + j + 1 in
+  Solver.ensure_vars s (p * h);
+  for i = 0 to p - 1 do
+    Solver.add_clause s (List.init h (var i))
+  done;
+  for j = 0 to h - 1 do
+    for i1 = 0 to p - 1 do
+      for i2 = i1 + 1 to p - 1 do
+        Solver.add_clause s [ -var i1 j; -var i2 j ]
+      done
+    done
+  done;
+  s
+
+(* A deadline already past stops the call at its 256th conflict; one
+   that never comes leaves the search as it is without one. *)
+let test_deadline () =
+  let s = pigeonhole 9 in
+  Alcotest.check solve_result "past deadline" Solver.Unknown
+    (Solver.solve ~deadline:neg_infinity s);
+  Alcotest.(check int) "stopped within 256 conflicts" 256
+    (Solver.num_conflicts s);
+  let run deadline =
+    let s = pigeonhole 9 in
+    let r = Solver.solve ?deadline ~max_conflicts:1000 s in
+    (r, Solver.stats s)
+  in
+  let r0, st0 = run None and r1, st1 = run (Some infinity) in
+  Alcotest.check solve_result "far deadline: same verdict" r0 r1;
+  Alcotest.(check bool) "far deadline: same search" true (st0 = st1);
+  Alcotest.(check int) "the cap still binds" 1000 st0.Solver.conflicts
+
 let test_dimacs_roundtrip () =
   let src = "c comment\np cnf 3 2\n1 -2 0\n2 3 0\n" in
   let p = Dimacs.parse src in
@@ -305,6 +342,7 @@ let suite =
     ("assumptions", `Quick, test_assumptions);
     ("incremental", `Quick, test_incremental);
     ("budget returns", `Quick, test_budget_unknown);
+    ("deadline returns unknown", `Quick, test_deadline);
     ("dimacs roundtrip", `Quick, test_dimacs_roundtrip);
     ("dimacs solve", `Quick, test_dimacs_solve);
     ("dimacs errors", `Quick, test_dimacs_errors);

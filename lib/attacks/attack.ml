@@ -1,5 +1,4 @@
 module Netlist = Shell_netlist.Netlist
-module Sim = Shell_netlist.Sim
 module Simw = Shell_netlist.Simw
 module Locked = Shell_locking.Locked
 module Rng = Shell_util.Rng
@@ -142,13 +141,14 @@ type t = {
 (* Oracle closures carry mutable simulator state: each call builds a
    fresh one, so attacks running on separate pool domains never share
    a simulator (same rule as the portfolio racers). *)
-let oracle original =
-  let sim = Sim.create (Netlist.comb_view original) in
-  fun input -> Sim.eval_comb sim input
-
 let word_oracle original =
   let simw = Simw.create (Netlist.comb_view original) in
   fun ~lanes words -> Simw.eval_comb simw ~lanes words
+
+(* one query on lane 0 of the word simulator *)
+let oracle original =
+  let query = word_oracle original in
+  fun input -> Simw.lane (query ~lanes:1 (Array.map Bool.to_int input)) 0
 
 let stimulus ?(exhaustive_upto = -1) ~seed ~vectors n_in =
   let chunk_lanes total c = min Simw.width (total - (c * Simw.width)) in

@@ -134,8 +134,9 @@ type t = {
 (** {1 Helpers shared by attack implementations} *)
 
 val oracle : Shell_netlist.Netlist.t -> bool array -> bool array
-(** [oracle original] is the scalar activated chip: the original's
-    full-scan view, one query per call. *)
+(** [oracle original] is the activated chip: the original's full-scan
+    view, one query per call, evaluated on one lane of
+    {!word_oracle}. *)
 
 val word_oracle :
   Shell_netlist.Netlist.t -> lanes:int -> int array -> int array

@@ -84,33 +84,3 @@ let encode nl =
       [] (Netlist.cells nl)
   in
   { nvars = n; clauses; var_of_net }
-
-let offset t k =
-  {
-    nvars = t.nvars + k;
-    clauses = List.map (List.map (fun l -> if l > 0 then l + k else l - k)) t.clauses;
-    var_of_net = Array.map (fun v -> v + k) t.var_of_net;
-  }
-
-let equal_clauses a b = [ [ -a; b ]; [ a; -b ] ]
-
-let xor_var ~fresh a b =
-  [
-    [ -a; -b; -fresh ];
-    [ a; b; -fresh ];
-    [ -a; b; fresh ];
-    [ a; -b; fresh ];
-  ]
-
-let or_clause lits = lits
-
-let to_dimacs t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "p cnf %d %d\n" t.nvars (List.length t.clauses));
-  List.iter
-    (fun clause ->
-      List.iter (fun l -> Buffer.add_string buf (string_of_int l ^ " ")) clause;
-      Buffer.add_string buf "0\n")
-    t.clauses;
-  Buffer.contents buf

@@ -19,23 +19,3 @@ val var_of : int -> t -> int
 
 val lit : t -> int -> bool -> int
 (** [lit t net polarity] is the literal asserting net = polarity. *)
-
-(** {1 Growing an encoding}
-
-    The SAT attack conjoins several circuit copies plus comparison
-    logic. [offset] shifts an encoding's variables so two copies do not
-    collide; [equal_clauses]/[xor_clauses] wire nets together. *)
-
-val offset : t -> int -> t
-(** [offset t k] adds [k] to every variable. *)
-
-val equal_clauses : int -> int -> int list list
-(** [equal_clauses a b]: variable [a] equals variable [b]. *)
-
-val xor_var : fresh:int -> int -> int -> int list list
-(** [xor_var ~fresh a b]: clauses forcing variable [fresh] = a XOR b. *)
-
-val or_clause : int list -> int list
-(** Identity; kept for symmetry when assembling miters. *)
-
-val to_dimacs : t -> string

@@ -424,6 +424,7 @@ let topo_order t =
   | None -> failwith "Netlist.topo_order: combinational cycle"
 
 let has_comb_cycle t = Option.is_none (order t)
+let order_memoized t = Option.is_some (Atomic.get t.order_memo)
 
 let comb_view t =
   let v = create (t.name ^ "_scan") in

@@ -171,6 +171,11 @@ val has_comb_cycle : t -> bool
 (** The combinational part is cyclic: {!topo_order} would raise.
     Answered from the same memo. *)
 
+val order_memoized : t -> bool
+(** The memo behind {!topo_order} and {!has_comb_cycle} holds the
+    current state's answer, so the next call sorts nothing. A probe: it
+    never sorts. *)
+
 val comb_view : t -> t
 (** Full-scan view per the threat model: every [Dff] is removed, its
     output becomes a primary input ["scan_in_k"] and its input is

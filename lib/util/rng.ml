@@ -65,6 +65,9 @@ let float t bound =
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
+let first_bool seed =
+  Int64.logand (mix (Int64.add (Int64.of_int seed) golden_gamma)) 1L = 1L
+
 (* Packed-vector helpers for the word-level simulator. The contract is
    stream compatibility with the scalar path: bit [i] of [word t n] is
    exactly the [i]-th [bool t] draw, so code that switches between

@@ -39,6 +39,11 @@ val float : t -> float -> float
 
 val bool : t -> bool
 
+val first_bool : int -> bool
+(** [first_bool seed] is [bool (create seed)] without allocating a
+    generator: the first draw of a stream, for callers that seed one
+    stream per item and draw once from each. *)
+
 val word : t -> int -> int
 (** [word t n] packs [n] {!bool} draws into one machine word, draw [i]
     at bit [i] (0 <= n <= [Sys.int_size]). Byte-compatible with the

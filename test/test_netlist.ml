@@ -251,13 +251,21 @@ let test_memo_cyclic () =
     f ();
     Gc.minor_words () -. w0
   in
-  let sorted = alloc (fun () -> ignore (N.has_comb_cycle nl)) in
+  Alcotest.(check bool) "no answer before the first call" false
+    (N.order_memoized nl);
+  Alcotest.(check bool) "cyclic" true (N.has_comb_cycle nl);
+  Alcotest.(check bool) "the first call memoizes the answer" true
+    (N.order_memoized nl);
   let again = alloc (fun () -> ignore (N.has_comb_cycle nl)) in
   let nothing = alloc (fun () -> ()) in
-  Alcotest.(check bool) "cyclic" true (N.has_comb_cycle nl);
-  Alcotest.(check bool) "the first call sorts" true (sorted > 1000.);
   Alcotest.(check (float 0.)) "the second answers from the memo" nothing
     again;
+  let copy = N.copy nl in
+  Alcotest.(check bool) "a fresh copy has no answer" false
+    (N.order_memoized copy);
+  Alcotest.(check bool) "the copy sorts again" true (N.has_comb_cycle copy);
+  Alcotest.(check bool) "and memoizes its own answer" true
+    (N.order_memoized copy);
   Alcotest.check_raises "topo_order still raises"
     (Failure "Netlist.topo_order: combinational cycle") (fun () ->
       ignore (N.topo_order nl))

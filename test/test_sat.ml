@@ -66,6 +66,68 @@ let test_assumptions () =
   (* assumptions are not permanent *)
   Alcotest.check solve_result "still sat" Solver.Sat (Solver.solve s)
 
+(* An assumption outside the existing variables is refused before the
+   search reads anything: 0 would name the phantom variable 0, and one
+   past the last variable would index past the value table. The solver
+   stays usable afterwards. *)
+let bad_assumption s a =
+  Alcotest.check_raises
+    (Printf.sprintf "assumption %d" a)
+    (Invalid_argument "Solver.solve: bad assumption")
+    (fun () -> ignore (Solver.solve ~assumptions:[ 1; a ] s))
+
+let small_instance () =
+  let s = Solver.create () in
+  Solver.ensure_vars s 3;
+  Solver.add_clause s [ 1; 2 ];
+  Solver.add_clause s [ -1; 3 ];
+  s
+
+let test_assumption_zero () =
+  let s = small_instance () in
+  bad_assumption s 0;
+  Alcotest.check solve_result "usable after" Solver.Sat
+    (Solver.solve ~assumptions:[ -2 ] s);
+  Alcotest.(check bool) "model read" true (Solver.value s 3)
+
+let test_assumption_out_of_range () =
+  let s = small_instance () in
+  List.iter (bad_assumption s) [ 4; -4; max_int; min_int ];
+  Alcotest.check solve_result "usable after" Solver.Unsat
+    (Solver.solve ~assumptions:[ -1; -2 ] s)
+
+(* Literals outside the existing variables never reach the clause
+   store, through either entry point; a packed batch keeps the clauses
+   before a bad one. *)
+let test_bad_literals () =
+  let s = small_instance () in
+  List.iter
+    (fun c ->
+      Alcotest.check_raises "add_clause"
+        (Invalid_argument "Solver.add_clause: bad literal") (fun () ->
+          Solver.add_clause s c))
+    [ [ 1; 0 ]; [ 4 ]; [ 2; -4 ]; [ min_int ]; [ max_int ] ];
+  Alcotest.check_raises "shifted past the last variable"
+    (Invalid_argument "Solver.add_clause: bad literal") (fun () ->
+      Solver.add_clauses ~shift:2 s [| 1; -2 |]);
+  Alcotest.check_raises "shifted until it wraps"
+    (Invalid_argument "Solver.add_clause: bad literal") (fun () ->
+      Solver.add_clauses ~shift:max_int s [| 1; max_int |]);
+  Alcotest.check_raises "a bad length"
+    (Invalid_argument "Solver.add_clauses: bad clause length") (fun () ->
+      Solver.add_clauses s [| 3; 1; 2 |]);
+  Alcotest.check_raises "a length that overflows"
+    (Invalid_argument "Solver.add_clauses: bad clause length") (fun () ->
+      Solver.add_clauses s [| max_int; 1 |]);
+  Alcotest.check_raises "a negative shift"
+    (Invalid_argument "Solver.add_clauses: negative shift") (fun () ->
+      Solver.add_clauses ~shift:(-1) s [| 1; 2 |]);
+  Alcotest.check_raises "the third clause"
+    (Invalid_argument "Solver.add_clause: bad literal") (fun () ->
+      Solver.add_clauses s [| 1; -3; 1; 2; 1; 7 |]);
+  Alcotest.check solve_result "the first two were added" Solver.Unsat
+    (Solver.solve ~assumptions:[ 1 ] s)
+
 let test_incremental () =
   let s = Solver.create () in
   Solver.ensure_vars s 4;
@@ -316,6 +378,37 @@ let test_pinned_trajectory () =
     ]
     (incremental_run ())
 
+let pack clauses =
+  Array.concat (List.map (fun c -> Array.of_list (List.length c :: c)) clauses)
+
+(* The packed and list entry points add the same clauses, reserved room
+   leaves the search alone, and a shifted template equals the clauses
+   shifted by hand. *)
+let test_packed_and_reserved () =
+  List.iter
+    (fun (seed, nv, solver_seed, expect) ->
+      let what = Printf.sprintf "seed=%d solver_seed=%#x" seed solver_seed in
+      let packed = Solver.create ~seed:solver_seed () in
+      Solver.reserve packed (8 * nv);
+      Solver.ensure_vars packed nv;
+      Solver.add_clauses packed (pack (random_3sat seed nv));
+      Alcotest.(check string) (what ^ " packed, reserved") expect
+        (trajectory packed (Solver.solve packed));
+      let shift_by_hand = Solver.create ~seed:solver_seed () in
+      Solver.ensure_vars shift_by_hand (2 * nv);
+      List.iter
+        (fun c ->
+          Solver.add_clause shift_by_hand
+            (List.map (fun l -> if l > 0 then l + nv else l - nv) c))
+        (random_3sat seed nv);
+      let shifted = Solver.create ~seed:solver_seed () in
+      Solver.ensure_vars shifted (2 * nv);
+      Solver.add_clauses ~shift:nv shifted (pack (random_3sat seed nv));
+      Alcotest.(check string) (what ^ " shifted")
+        (trajectory shift_by_hand (Solver.solve shift_by_hand))
+        (trajectory shifted (Solver.solve shifted)))
+    pinned_instances
+
 (* The search itself allocates only the clauses it learns: at most 2
    minor words per propagation over the pinned instances. *)
 let test_solve_allocation () =
@@ -340,6 +433,9 @@ let suite =
     ("tautology and empty clause", `Quick, test_empty_clause_unsat);
     ("pigeonhole 3-2", `Quick, test_pigeonhole_3_2);
     ("assumptions", `Quick, test_assumptions);
+    ("assumption zero refused", `Quick, test_assumption_zero);
+    ("assumption out of range refused", `Quick, test_assumption_out_of_range);
+    ("bad literals refused", `Quick, test_bad_literals);
     ("incremental", `Quick, test_incremental);
     ("budget returns", `Quick, test_budget_unknown);
     ("deadline returns unknown", `Quick, test_deadline);
@@ -349,5 +445,6 @@ let suite =
     QCheck_alcotest.to_alcotest test_fuzz_vs_brute;
     ("conflicts counter", `Quick, test_conflicts_counter);
     ("pinned search trajectory", `Quick, test_pinned_trajectory);
+    ("packed clauses and reserved room", `Quick, test_packed_and_reserved);
     ("solve allocation", `Quick, test_solve_allocation);
   ]

@@ -1,11 +1,10 @@
 (* Regenerates every table and figure of the paper's evaluation
    (DESIGN.md section 3 maps each to its modules), plus the ablations,
-   the coefficient search, the attack portfolio and the scalar-vs-word
-   simulation throughput.
+   the coefficient search and the attack portfolio.
 
    Usage: main.exe [table1|table4|table4-fast|table5|table6|table6-fast|
                     table7|fig1|fig2|fig3|fig4|ablation|explore|portfolio|
-                    simulate|all]
+                    all]
    (default: all)
 
    Stdout is the artifact; the wall-time footer goes to stderr. Recorded
@@ -663,62 +662,6 @@ let portfolio out =
   | None -> bpf out "  no racer broke the lock within budget\n")
 
 (* ------------------------------------------------------------------ *)
-(* Simulation throughput: scalar Sim vs word-level Simw                *)
-(* ------------------------------------------------------------------ *)
-
-(* Per-catalog-circuit throughput of the two engines on identical
-   stimulus: [chunks] full-width packed words = chunks * Simw.width
-   vectors. The word engine steps once per word, the scalar engine once
-   per vector; both run the same clocked [step] (flop update included)
-   so the ratio is the end-to-end engine speedup, not a comb-only
-   number. *)
-let simulate_rows () =
-  List.map
-    (fun (e : Circ.Catalog.entry) ->
-      let nl = e.Circ.Catalog.netlist () in
-      let n_in = List.length (N.Netlist.inputs nl) in
-      let chunks = 16 in
-      let vectors = chunks * N.Simw.width in
-      let rng = Shell_util.Rng.create 0xbe6c in
-      let packed = Shell_util.Rng.vectors_packed rng ~vectors ~bits:n_in in
-      let vecs =
-        Array.init vectors (fun v ->
-            N.Simw.lane packed.(v / N.Simw.width) (v mod N.Simw.width))
-      in
-      let sim = N.Sim.create nl in
-      let _, t_scalar =
-        Shell_util.Clock.time (fun () ->
-            Array.iter (fun vec -> ignore (N.Sim.step sim vec)) vecs)
-      in
-      let simw = N.Simw.create nl in
-      let word_reps = 8 in
-      let _, t_word =
-        Shell_util.Clock.time (fun () ->
-            for _ = 1 to word_reps do
-              Array.iter (fun w -> ignore (N.Simw.step simw w)) packed
-            done)
-      in
-      let scalar_ns = 1e9 *. t_scalar /. float_of_int vectors in
-      let word_ns = 1e9 *. t_word /. float_of_int (word_reps * vectors) in
-      ( e.Circ.Catalog.name,
-        N.Netlist.num_cells nl,
-        scalar_ns,
-        word_ns,
-        scalar_ns /. Float.max 1e-9 word_ns ))
-    Circ.Catalog.all
-
-let simulate out =
-  heading out
-    (Printf.sprintf "Simulation throughput: scalar Sim vs %d-wide Simw"
-       N.Simw.width);
-  bpf out "  %-10s %8s %14s %14s %9s\n" "circuit" "cells" "scalar ns/vec"
-    "word ns/vec" "speedup";
-  List.iter
-    (fun (name, cells, s, w, sp) ->
-      bpf out "  %-10s %8d %14.1f %14.1f %8.1fx\n" name cells s w sp)
-    (simulate_rows ())
-
-(* ------------------------------------------------------------------ *)
 
 let emit f =
   print_string (with_output f);
@@ -742,7 +685,6 @@ let () =
   | "ablation" -> emit ablation
   | "explore" -> emit explore
   | "portfolio" -> emit portfolio
-  | "simulate" -> emit simulate
   | "all" ->
       emit table1;
       emit fig2;
@@ -755,8 +697,7 @@ let () =
       emit fig4;
       emit ablation;
       emit explore;
-      emit portfolio;
-      emit simulate
+      emit portfolio
   | other ->
       Printf.printf "unknown target %s\n" other;
       exit 1);

@@ -30,11 +30,6 @@ type verdict =
   | Resilient of stats
   | Inapplicable of string
 
-let verdict_name = function
-  | Broken _ -> "broken"
-  | Resilient _ -> "resilient"
-  | Inapplicable _ -> "n/a"
-
 let stats_of = function
   | Broken (_, st) | Resilient st -> Some st
   | Inapplicable _ -> None

@@ -61,9 +61,6 @@ type verdict =
   | Resilient of stats  (** survived this budget *)
   | Inapplicable of string  (** attack does not apply; reason *)
 
-val verdict_name : verdict -> string
-(** ["broken"], ["resilient"] or ["n/a"]. *)
-
 val stats_of : verdict -> stats option
 
 (** What an attack consumes — battery callers can filter on these. *)

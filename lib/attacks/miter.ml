@@ -112,7 +112,6 @@ let create ?(cycle_blocks = []) ?(seed = 0) locked =
     diff;
   }
 
-let num_inputs t = Array.length t.in1
 let num_keys t = Array.length t.key1
 
 let find_dip ?max_conflicts ?deadline t =

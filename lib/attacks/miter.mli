@@ -21,7 +21,6 @@ val create :
     perturbs the solver's initial phases (see {!Shell_sat.Solver.create});
     the attack portfolio races several seeds. *)
 
-val num_inputs : t -> int
 val num_keys : t -> int
 
 val find_dip :

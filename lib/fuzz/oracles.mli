@@ -17,10 +17,15 @@ type verdict =
   | Fail of string  (** the differential witness, human-readable *)
   | Skip of string  (** oracle not exercisable on this case *)
 
-val pp_verdict : Format.formatter -> verdict -> unit
-
 type t = {
   name : string;
+  stream : int;
+      (** numbers the oracle's RNG streams: case [i] runs it under
+          child [1 + 2 * stream] of the case RNG, its self-test
+          injection under child [2 + 2 * stream]. Distinct across
+          oracles and never reused once an oracle is retired, so
+          adding, dropping or running one oracle alone moves no other
+          oracle's draws. *)
   description : string;
   applies : Gen.shape -> bool;
       (** static applicability; inapplicable oracles are not run *)
@@ -41,9 +46,7 @@ type t = {
 }
 
 val all : t list
-(** Every oracle, in stable order — the runner derives per-oracle RNG
-    streams from the position in this list, so the order is part of
-    the determinism contract. *)
+(** Every oracle, in report order. *)
 
 val find : string -> t option
 val names : string list

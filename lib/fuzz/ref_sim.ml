@@ -1,4 +1,5 @@
-module Obs = Shell_util.Obs
+module Netlist = Shell_netlist.Netlist
+module Cell = Shell_netlist.Cell
 
 type t = {
   netlist : Netlist.t;
@@ -10,9 +11,6 @@ type t = {
   latch_state : bool array;
   latch_cells : int array;
 }
-
-let num_config_latches nl =
-  Netlist.count_kind nl (function Cell.Config_latch -> true | _ -> false)
 
 let create ?config netlist =
   let cells = Netlist.cells netlist in
@@ -32,7 +30,7 @@ let create ?config netlist =
     | None -> Array.make (Array.length latch_cells) false
     | Some c ->
         if Array.length c <> Array.length latch_cells then
-          invalid_arg "Sim.create: config length mismatch";
+          invalid_arg "Ref_sim.create: config length mismatch";
         Array.copy c
   in
   let comb_order =
@@ -52,21 +50,19 @@ let create ?config netlist =
     latch_cells;
   }
 
-let netlist t = t.netlist
-
 let reset t = Array.fill t.dff_state 0 (Array.length t.dff_state) false
 
 let load_ports t ?keys ins =
   let in_nets = Netlist.input_nets t.netlist in
   if Array.length ins <> Array.length in_nets then
-    invalid_arg "Sim: input vector length mismatch";
+    invalid_arg "Ref_sim: input vector length mismatch";
   Array.iteri (fun i net -> t.nets.(net) <- ins.(i)) in_nets;
   let key_nets = Netlist.key_nets t.netlist in
   let keys =
     match keys with
     | Some k ->
         if Array.length k <> Array.length key_nets then
-          invalid_arg "Sim: key vector length mismatch";
+          invalid_arg "Ref_sim: key vector length mismatch";
         k
     | None -> Array.make (Array.length key_nets) false
   in
@@ -85,9 +81,7 @@ let propagate t =
     (fun ci ->
       let c = cells.(ci) in
       nets.(c.Cell.out) <- Cell.eval_in c.Cell.kind nets c.Cell.ins)
-    t.comb_order;
-  Obs.incr Sim_obs.vectors;
-  Obs.add Sim_obs.cells (Array.length t.comb_order)
+    t.comb_order
 
 let read_outputs t =
   Array.map (fun net -> t.nets.(net)) (Netlist.output_nets t.netlist)
@@ -103,7 +97,5 @@ let step t ?keys ins =
     (fun i ci -> t.dff_state.(i) <- t.nets.(t.cells.(ci).Cell.ins.(0)))
     t.seq_cells;
   outs
-
-let run t ?keys vectors = List.map (fun v -> step t ?keys v) vectors
 
 let net_values t = Array.copy t.nets

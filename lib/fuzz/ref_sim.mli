@@ -1,17 +1,20 @@
-(** Cycle-accurate netlist simulation.
+(** The scalar reference simulator: one [bool] per net, one vector per
+    evaluation.
 
-    Combinational evaluation orders cells topologically once per netlist
-    and then evaluates in O(cells) per vector. Sequential state ([Dff])
-    starts at zero; [Config_latch] cells hold a value loaded once at
-    simulator creation (the bitstream) and never change. *)
+    Nothing in the flow or the attacks runs it; {!Shell_netlist.Simw}
+    is the one simulator there. It is kept as the independent model
+    the [simw_vs_sim] oracle and the tests check the word engine
+    against, so it stays as plain as it can be: combinational
+    evaluation walks the topological order once per vector, [Dff]
+    state starts at zero, and [Config_latch] cells hold a value loaded
+    once at creation (the bitstream) and never change. It counts
+    nothing into {!Shell_util.Obs}. *)
 
 type t
 
-val create : ?config:bool array -> Netlist.t -> t
+val create : ?config:bool array -> Shell_netlist.Netlist.t -> t
 (** [config] gives the per-[Config_latch] values in cell order (the
     order latches appear in the netlist); defaults to all-false. *)
-
-val netlist : t -> Netlist.t
 
 val reset : t -> unit
 (** Zero all [Dff] state (config latches keep their loaded value). *)
@@ -25,10 +28,5 @@ val step : t -> ?keys:bool array -> bool array -> bool array
 val eval_comb : t -> ?keys:bool array -> bool array -> bool array
 (** Same as {!step} but without the state update. *)
 
-val run : t -> ?keys:bool array -> bool array list -> bool array list
-(** Feed a sequence of input vectors; collect the outputs. *)
-
 val net_values : t -> bool array
 (** Values of all nets after the last evaluation. *)
-
-val num_config_latches : Netlist.t -> int

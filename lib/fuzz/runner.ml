@@ -32,19 +32,6 @@ let c_checks = Obs.counter ~stable:true ~help:"fuzz oracle checks run" "fuzz_che
 let c_failures = Obs.counter ~stable:true ~help:"fuzz oracle failures" "fuzz_failures_total"
 let c_skips = Obs.counter ~stable:true ~help:"fuzz oracle skips" "fuzz_skips_total"
 
-(* The per-oracle RNG stream is derived from the oracle's position in
-   [Oracles.all] (not in the selected subset), so running a single
-   oracle replays exactly the stream it saw in the full battery. *)
-let indexed oracles =
-  List.map
-    (fun (o : Oracles.t) ->
-      let rec pos i = function
-        | [] -> List.length Oracles.all
-        | (x : Oracles.t) :: tl -> if x.Oracles.name = o.Oracles.name then i else pos (i + 1) tl
-      in
-      (o, pos 0 Oracles.all))
-    oracles
-
 (* One case: generate, run every applicable oracle, shrink failures.
    Pure in (seed, i, oracle selection) — runs inside a Pool worker. *)
 let run_case ~oracles ~shrink ~seed i =
@@ -54,11 +41,13 @@ let run_case ~oracles ~shrink ~seed i =
   let shape_str = Format.asprintf "%a" Gen.pp_shape shape in
   let results =
     List.map
-      (fun ((o : Oracles.t), j) ->
+      (fun (o : Oracles.t) ->
         if not (o.Oracles.applies shape) then
           (o.Oracles.name, Oracles.Skip "shape not applicable", None)
         else
-          let orng = Rng.child rng (1 + (2 * j)) in
+          (* the oracle's own stream number, so running a single oracle
+             replays exactly the stream it sees in the full battery *)
+          let orng = Rng.child rng (1 + (2 * o.Oracles.stream)) in
           let v = o.Oracles.run (Rng.copy orng) nl in
           match v with
           | Oracles.Fail _ when shrink ->
@@ -103,7 +92,6 @@ let rec mkdirs dir =
 
 let run ?jobs ?(oracles = Oracles.all) ?(shrink = true) ?out_dir ~seed ~cases () =
   Obs.with_span "fuzz" @@ fun () ->
-  let oracles = indexed oracles in
   let results =
     Pool.mapi ?jobs
       (fun i () -> run_case ~oracles ~shrink ~seed i)
@@ -113,7 +101,7 @@ let run ?jobs ?(oracles = Oracles.all) ?(shrink = true) ?out_dir ~seed ~cases ()
   (match out_dir with Some d -> mkdirs d | None -> ());
   let stats = Hashtbl.create 16 in
   List.iter
-    (fun ((o : Oracles.t), _) -> Hashtbl.replace stats o.Oracles.name (0, 0, 0))
+    (fun (o : Oracles.t) -> Hashtbl.replace stats o.Oracles.name (0, 0, 0))
     oracles;
   let bump name f =
     let p, fl, s = try Hashtbl.find stats name with Not_found -> (0, 0, 0) in
@@ -161,7 +149,7 @@ let run ?jobs ?(oracles = Oracles.all) ?(shrink = true) ?out_dir ~seed ~cases ()
     results;
   let stats =
     List.map
-      (fun ((o : Oracles.t), _) ->
+      (fun (o : Oracles.t) ->
         let p, f, s = Hashtbl.find stats o.Oracles.name in
         { name = o.Oracles.name; passed = p; failed = f; skipped = s })
       oracles
@@ -210,7 +198,6 @@ type self_stat = {
 
 let self_test ?jobs ?(oracles = Oracles.all) ~seed ~cases () =
   Obs.with_span "fuzz-self-test" @@ fun () ->
-  let oracles = indexed oracles in
   let results =
     Pool.mapi ?jobs
       (fun i () ->
@@ -218,10 +205,10 @@ let self_test ?jobs ?(oracles = Oracles.all) ~seed ~cases () =
         let shape = Gen.random_shape rng in
         let nl = Gen.netlist rng shape in
         List.map
-          (fun ((o : Oracles.t), j) ->
+          (fun (o : Oracles.t) ->
             if not (o.Oracles.applies shape) then (o.Oracles.name, None)
             else
-              let irng = Rng.child rng (2 + (2 * j)) in
+              let irng = Rng.child rng (2 + (2 * o.Oracles.stream)) in
               (o.Oracles.name, o.Oracles.inject irng nl))
           oracles)
       (Array.make cases ())
@@ -229,7 +216,7 @@ let self_test ?jobs ?(oracles = Oracles.all) ~seed ~cases () =
   let tally = Hashtbl.create 16 in
   let classes = Hashtbl.create 32 in
   List.iter
-    (fun ((o : Oracles.t), _) -> Hashtbl.replace tally o.Oracles.name (0, 0, 0))
+    (fun (o : Oracles.t) -> Hashtbl.replace tally o.Oracles.name (0, 0, 0))
     oracles;
   let bump name label hit =
     let a, c, m = Hashtbl.find tally name in
@@ -252,7 +239,7 @@ let self_test ?jobs ?(oracles = Oracles.all) ~seed ~cases () =
         per_oracle)
     results;
   List.map
-    (fun ((o : Oracles.t), _) ->
+    (fun (o : Oracles.t) ->
       let a, c, m = Hashtbl.find tally o.Oracles.name in
       let cls =
         Hashtbl.fold

@@ -71,24 +71,6 @@ let coverage t seeds =
     float_of_int !covered /. float_of_int t.n
   end
 
-let topo_order t =
-  let indeg = Array.init t.n (fun v -> Array.length t.preds.(v)) in
-  let queue = Queue.create () in
-  Array.iteri (fun v d -> if d = 0 then Queue.add v queue) indeg;
-  let order = Array.make t.n 0 in
-  let k = ref 0 in
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    order.(!k) <- u;
-    incr k;
-    Array.iter
-      (fun v ->
-        indeg.(v) <- indeg.(v) - 1;
-        if indeg.(v) = 0 then Queue.add v queue)
-      t.succs.(u)
-  done;
-  if !k = t.n then Some order else None
-
 (* Iterative Tarjan over CSR successors on flat int arrays: the
    component stack and the call stack (node, next successor slot) are
    arrays of at most [n] entries, since each node enters each once. A
@@ -168,9 +150,3 @@ let sccs t =
       in
       components := members (hi - 1) [] :: !components);
   List.rev !components
-
-let is_cyclic t =
-  List.exists (function [ v ] -> has_edge t v v | _ :: _ :: _ -> true | [] -> false) (sccs t)
-
-let transpose t =
-  { n = t.n; succs = t.preds; preds = t.succs; num_edges = t.num_edges }

@@ -24,9 +24,6 @@ val coverage : t -> int list -> float
     in both directions from each seed (the paper's "indirect connection"
     node coverage for selected nodes). *)
 
-val topo_order : t -> int array option
-(** [None] when cyclic. *)
-
 val sccs : t -> int list list
 (** Tarjan's strongly connected components, in reverse topological
     order of the condensation; each lists its nodes in discovery
@@ -42,8 +39,3 @@ val iter_csr_sccs :
     {!sccs}'s order, with the component's nodes in [stack.(lo)] ..
     [stack.(hi - 1)] in discovery order. The array is the search's
     own: read it before returning, never keep or change it. *)
-
-val is_cyclic : t -> bool
-(** True when some SCC has more than one node or a self-loop exists. *)
-
-val transpose : t -> t

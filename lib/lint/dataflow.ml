@@ -193,11 +193,6 @@ let output_cones nl =
 
 type key_fate = Dead | Blocked | Live
 
-let key_fate_name = function
-  | Dead -> "dead"
-  | Blocked -> "blocked"
-  | Live -> "live"
-
 let key_fates ?cones nl =
   let c = match cones with Some c -> c | None -> output_cones nl in
   List.map

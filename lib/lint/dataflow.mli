@@ -97,8 +97,6 @@ type key_fate =
           constant (unselected mux arm, cofactored-away LUT input) *)
   | Live  (** may influence an output; nothing provable for free *)
 
-val key_fate_name : key_fate -> string
-
 val key_fates :
   ?cones:cones ->
   Shell_netlist.Netlist.t ->

@@ -163,6 +163,3 @@ let reach ?values ?masked nl =
     propagate ~values ~masked nl ~w:1 words grew
   end;
   Array.map (fun x -> x <> 0) words
-
-let output_taints t nl =
-  List.map (fun (nm, net) -> (nm, net_taint t net)) (N.outputs nl)

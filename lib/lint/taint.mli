@@ -61,8 +61,3 @@ val net_taint : t -> int -> int list
 (** Ascending list of key-bit indices reaching the net. *)
 
 val count : t -> int -> int
-
-val output_taints :
-  t -> Shell_netlist.Netlist.t -> (string * int list) list
-(** Per primary output [(name, key bits reaching it)], in declaration
-    order. *)

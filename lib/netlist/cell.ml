@@ -87,9 +87,8 @@ let eval kind ins =
   | Const b -> b
   | Dff | Config_latch -> invalid_arg "Cell.eval: sequential cell"
 
-(* Allocation-free variant for the simulator hot loop: read operand
-   values straight out of the net store instead of materializing an
-   input array per evaluation. *)
+(* Allocation-free variant: read operand values straight out of the
+   net store instead of materializing an input array per evaluation. *)
 let eval_in kind (nets : bool array) (ins : int array) =
   match kind with
   | And -> nets.(ins.(0)) && nets.(ins.(1))
@@ -165,9 +164,7 @@ let eval_word_in kind (nets : int array) (ins : int array) =
       lnot s1 land lo lor (s1 land hi)
   | Lut tt -> lut_word tt nets ins
   | Const b -> if b then -1 else 0
-  | Dff | Config_latch -> invalid_arg "Cell.eval_word: sequential cell"
-
-let eval_word kind ws = eval_word_in kind ws (Array.init (Array.length ws) Fun.id)
+  | Dff | Config_latch -> invalid_arg "Cell.eval_word_in: sequential cell"
 
 let pp ppf t =
   Format.fprintf ppf "%s(%s) -> n%d" (kind_name t.kind)

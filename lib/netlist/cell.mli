@@ -56,17 +56,15 @@ val eval : kind -> bool array -> bool
 
 val eval_in : kind -> bool array -> int array -> bool
 (** [eval_in kind nets ins] is [eval kind (Array.map (Array.get nets) ins)]
-    without the intermediate array: the simulator hot path. *)
-
-val eval_word : kind -> int array -> int
-(** Word-level combinational function: each input/output int carries
-    one test vector per bit (bit-parallel simulation). Gates and muxes
-    are plain bitwise ops; [Lut] tables evaluate by Shannon cofactor
-    expansion in 2^arity - 1 word ops. Output bits beyond the lanes
-    actually driven by the caller are unspecified. *)
+    without the intermediate array. *)
 
 val eval_word_in : kind -> int array -> int array -> int
-(** [eval_word_in kind nets ins]: {!eval_word} reading operands
-    directly from the net-value store (no per-cell allocation). *)
+(** [eval_word_in kind nets ins]: the word-level combinational function,
+    reading operands [nets.(ins.(i))] straight from the net-value store.
+    Each int carries one test vector per bit (bit-parallel simulation).
+    Gates and muxes are plain bitwise ops; [Lut] tables evaluate by
+    Shannon cofactor expansion in 2^arity - 1 word ops. Output bits
+    beyond the lanes actually driven by the caller are unspecified;
+    must not be applied to sequential kinds. *)
 
 val pp : Format.formatter -> t -> unit

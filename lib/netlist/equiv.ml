@@ -6,13 +6,6 @@ let exhaustive_limit = 16
 
 let comb nl = if Netlist.count_kind nl (function Cell.Dff -> true | _ -> false) > 0 then Netlist.comb_view nl else nl
 
-let outputs_on sim ?keys ins = Sim.eval_comb sim ?keys ins
-
-let equal_on a b ~keys_a ~keys_b ins =
-  let a = comb a and b = comb b in
-  let sa = Sim.create a and sb = Sim.create b in
-  outputs_on sa ~keys:keys_a ins = outputs_on sb ~keys:keys_b ins
-
 (* Bit-parallel scan: evaluate [vecs] through both designs Simw.width
    vectors at a time; on a miscompare, report the earliest vector in
    presentation order (the lowest differing lane of the earliest

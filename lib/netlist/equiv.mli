@@ -26,9 +26,6 @@ val check :
     counts must agree. [vectors] (default 256) bounds the sample size in
     random mode. *)
 
-val equal_on : Netlist.t -> Netlist.t -> keys_a:bool array -> keys_b:bool array -> bool array -> bool
-(** Single-vector comparison. *)
-
 val check_sequential :
   ?cycles:int ->
   ?runs:int ->

@@ -1,8 +1,8 @@
 (* Word-level (bit-parallel) netlist simulation: one machine word per
-   net, bit l carrying test vector l. Shares Sim's contract exactly —
-   same topo order, same port loading, same Dff/Config_latch handling —
-   so the two engines are drop-in interchangeable; Simw just evaluates
-   up to [width] vectors per pass.
+   net, bit l carrying test vector l. Its contract is the scalar
+   reference's (lib/fuzz/ref_sim.ml) exactly — same topo order, same
+   port loading, same Dff/Config_latch handling — lane by lane; it just
+   evaluates up to [width] vectors per pass.
 
    Lane discipline: internal net words may carry junk in lanes >= the
    caller's active lane count (lnot turns masked-out zeros into ones).
@@ -14,6 +14,23 @@
 
 module Obs = Shell_util.Obs
 
+(* Snapshots list metrics in registration order, and the stable ones
+   are pinned: keep these three in this order. *)
+let m_vectors =
+  Obs.counter ~stable:true
+    ~help:"test vectors simulated (scalar: 1/propagate; word: lanes/propagate)"
+    "sim_vectors"
+
+let m_words =
+  Obs.counter ~stable:true
+    ~help:"word-level propagations (Simw evaluations of the full cone)"
+    "sim_words"
+
+let m_cells =
+  Obs.counter ~stable:true
+    ~help:"combinational cell evaluations (one per cell per propagate)"
+    "sim_cells_evaluated"
+
 (* The combinational order is lowered once, at [create], into a flat
    int program. Each instruction is a head word [op lor (out lsl 4)],
    the opcode and the output net, followed by its operands:
@@ -24,7 +41,6 @@ module Obs = Shell_util.Obs
    - 11, LUTs and Mux4, which keep their cell's evaluator: the cell
      index. *)
 type t = {
-  netlist : Netlist.t;
   program : int array;
   n_comb : int;  (* combinational cells in [program] *)
   cells : Cell.t array;
@@ -133,7 +149,6 @@ let create ?config netlist =
   let nets = Array.make (max (Netlist.num_nets netlist) 1) 0 in
   let program, n_comb = compile cells order ~n_nets:(Array.length nets) in
   {
-    netlist;
     program;
     n_comb;
     cells;
@@ -146,8 +161,6 @@ let create ?config netlist =
     latch_state;
     latch_cells;
   }
-
-let netlist t = t.netlist
 
 let reset t = Array.fill t.dff_state 0 (Array.length t.dff_state) 0
 
@@ -220,9 +233,9 @@ let propagate t lanes =
     (fun i ci -> t.nets.(t.cells.(ci).Cell.out) <- t.latch_state.(i))
     t.latch_cells;
   run t.program t.nets t.cells;
-  Obs.incr Sim_obs.words;
-  Obs.add Sim_obs.vectors lanes;
-  Obs.add Sim_obs.cells t.n_comb
+  Obs.incr m_words;
+  Obs.add m_vectors lanes;
+  Obs.add m_cells t.n_comb
 
 let read_outputs t ~lanes =
   let m = lane_mask lanes in
@@ -246,7 +259,8 @@ let net_values t ~lanes =
   let m = lane_mask lanes in
   Array.map (fun w -> w land m) t.nets
 
-let num_config_latches = Sim.num_config_latches
+let num_config_latches nl =
+  Netlist.count_kind nl (function Cell.Config_latch -> true | _ -> false)
 
 (* ---------------- packing helpers ---------------- *)
 

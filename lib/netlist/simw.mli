@@ -1,16 +1,25 @@
-(** Bit-parallel (word-level) netlist simulation.
+(** Bit-parallel (word-level) netlist simulation: the one simulator
+    of the flow and the attacks.
 
     One machine word per net, bit [l] carrying test vector [l]: one
     pass over the combinational cone evaluates up to {!width} vectors.
-    The engine mirrors {!Sim}'s contract — same topological order,
-    same port-loading rules, same [Dff]/[Config_latch] machinery — so
-    the two are drop-in interchangeable and must agree bit for bit
-    (enforced by the [simw_vs_sim] fuzz oracle).
+    Each lane must agree bit for bit with the scalar reference model
+    in [lib/fuzz] (same topological order, same port-loading rules,
+    same [Dff]/[Config_latch] machinery), which the [simw_vs_sim] fuzz
+    oracle enforces on every net of every cycle.
 
     Keys and config bits are shared by every lane (broadcast words);
     [Dff] state is per-lane, so [lanes] parallel sequential runs
     evolve independently. Output and net read-outs are masked to the
-    active lane count; internal nets may carry junk in higher lanes. *)
+    active lane count; internal nets may carry junk in higher lanes.
+
+    Every evaluation counts into three stable {!Shell_util.Obs}
+    counters: [sim_words] (+1), [sim_vectors] (+lanes) and
+    [sim_cells_evaluated] (+ the combinational cells). They are a pure
+    function of the simulation submitted, so they are byte-identical
+    across SHELL_JOBS on deterministic workloads; a wall-clock-bounded
+    workload (a SAT attack's DIP loop querying its oracle) submits a
+    time-dependent amount. *)
 
 type t
 
@@ -19,10 +28,9 @@ val width : int
     native int has 63 value bits, so "64-wide" batches span 2 words). *)
 
 val create : ?config:bool array -> Netlist.t -> t
-(** [config] gives per-[Config_latch] values in cell order, as in
-    {!Sim.create}; each is broadcast to every lane. *)
-
-val netlist : t -> Netlist.t
+(** [config] gives per-[Config_latch] values in cell order (the order
+    latches appear in the netlist), default all-false; each is
+    broadcast to every lane. *)
 
 val reset : t -> unit
 (** Zero all [Dff] state in every lane. *)
@@ -42,6 +50,8 @@ val net_values : t -> lanes:int -> int array
 (** All net words after the last evaluation, masked to [lanes]. *)
 
 val num_config_latches : Netlist.t -> int
+(** The [Config_latch] cells: the length {!create}'s [config] must
+    have. *)
 
 (** {1 Packing helpers} *)
 

@@ -83,7 +83,6 @@ let vars e =
 let var nm = Var nm
 let lit ~width value = Lit { width; value = Int64.of_int value }
 let bit0 = lit ~width:1 0
-let bit1 = lit ~width:1 1
 let ( &: ) a b = And (a, b)
 let ( |: ) a b = Or (a, b)
 let ( ^: ) a b = Xor (a, b)

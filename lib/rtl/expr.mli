@@ -37,7 +37,6 @@ val vars : t -> string list
 val var : string -> t
 val lit : width:int -> int -> t
 val bit0 : t
-val bit1 : t
 val ( &: ) : t -> t -> t
 val ( |: ) : t -> t -> t
 val ( ^: ) : t -> t -> t

@@ -23,12 +23,3 @@ let estimate_cells nl indices =
   List.fold_left
     (fun acc i -> acc +. luts_per_kind (Netlist.cell nl i).Cell.kind)
     0.0 indices
-
-let estimate_origin nl prefix =
-  let acc = ref 0.0 in
-  Array.iter
-    (fun c ->
-      if String.starts_with ~prefix c.Cell.origin then
-        acc := !acc +. luts_per_kind c.Cell.kind)
-    (Netlist.cells nl);
-  !acc

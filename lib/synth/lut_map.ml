@@ -248,5 +248,3 @@ let map ?(k = 4) ?(boundary = fun _ -> false) src =
   in
   (dst, { luts = !luts; levels; kept_cells = !kept })
 
-let lut_count ?k src = (snd (map ?k src)).luts
-

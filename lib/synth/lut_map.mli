@@ -23,7 +23,3 @@ val map :
     addition to the structural ones — the SheLL flow passes the
     chain-packed ROUTE muxes here so LUT covering does not re-absorb
     them. Raises [Invalid_argument] when [k] is not in [2..6]. *)
-
-val lut_count : ?k:int -> Shell_netlist.Netlist.t -> int
-(** Just the LUT count of a mapping — the accurate form of the LuTR
-    estimate. *)

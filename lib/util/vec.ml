@@ -34,10 +34,6 @@ let pop v =
 
 let clear v = v.len <- 0
 
-let truncate v n =
-  if n < 0 || n > v.len then invalid_arg "Vec.truncate";
-  v.len <- n
-
 let iter f v =
   for i = 0 to v.len - 1 do f v.data.(i) done
 

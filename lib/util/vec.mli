@@ -13,9 +13,6 @@ val push : 'a t -> 'a -> unit
 val pop : 'a t -> 'a option
 val clear : 'a t -> unit
 
-val truncate : 'a t -> int -> unit
-(** [truncate v n] keeps the first [n] elements. [n <= length v]. *)
-
 val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc

@@ -4,7 +4,7 @@
 
 module N = Shell_netlist.Netlist
 module Cell = Shell_netlist.Cell
-module Sim = Shell_netlist.Sim
+module Sim = Shell_fuzz.Ref_sim
 module Circ = Shell_circuits
 
 let contains ~sub s =

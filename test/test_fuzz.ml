@@ -128,6 +128,16 @@ let test_clean_run () =
   in
   Alcotest.(check bool) "oracles actually ran" true (checks > 100)
 
+(* The runner draws each oracle's RNG streams from its [stream]
+   number, so two oracles sharing one would see the same draws; 10
+   belonged to the retired VCD oracle and stays unused. *)
+let test_streams_distinct () =
+  let streams = List.map (fun (o : Oracles.t) -> o.Oracles.stream) Oracles.all in
+  Alcotest.(check int) "no stream shared"
+    (List.length streams)
+    (List.length (List.sort_uniq compare streams));
+  Alcotest.(check bool) "retired stream unused" false (List.mem 10 streams)
+
 let test_run_jobs_independent () =
   let render r = Format.asprintf "%a" Runner.pp_report r in
   let a = Runner.run ~jobs:1 ~seed:99 ~cases:25 () in
@@ -140,6 +150,7 @@ let test_run_jobs_independent () =
 let bogus =
   {
     Oracles.name = "bogus";
+    stream = 13;
     description = "fails whenever the netlist has a cell";
     applies = (fun _ -> true);
     run =
@@ -203,6 +214,7 @@ let suite =
     ("shrink minimizes", `Quick, test_shrink_minimizes);
     ("shrink rejects passing input", `Quick, test_shrink_rejects_passing_input);
     ("runner clean campaign", `Quick, test_clean_run);
+    ("oracle streams distinct", `Quick, test_streams_distinct);
     ("runner jobs-independent", `Quick, test_run_jobs_independent);
     ("runner failure path + reproducer", `Quick, test_failure_shrinks_and_writes_reproducer);
     ("self-test catches all fault classes", `Slow, test_self_test_every_oracle_catches);

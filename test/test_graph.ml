@@ -38,19 +38,6 @@ let test_coverage () =
   let g2 = D.make ~n:4 ~edges:[ (0, 1) ] in
   Alcotest.(check (float 1e-9)) "half covered" 0.5 (D.coverage g2 [ 0 ])
 
-let test_topo () =
-  match D.topo_order (diamond ()) with
-  | None -> Alcotest.fail "diamond is acyclic"
-  | Some order ->
-      let pos = Array.make 4 0 in
-      Array.iteri (fun p v -> pos.(v) <- p) order;
-      Alcotest.(check bool) "0 before 3" true (pos.(0) < pos.(3))
-
-let test_topo_cycle () =
-  let g = D.make ~n:3 ~edges:[ (0, 1); (1, 2); (2, 0) ] in
-  Alcotest.(check bool) "no topo order" true (D.topo_order g = None);
-  Alcotest.(check bool) "cyclic" true (D.is_cyclic g)
-
 let test_sccs () =
   let g = D.make ~n:5 ~edges:[ (0, 1); (1, 2); (2, 0); (2, 3); (3, 4) ] in
   let sccs = D.sccs g in
@@ -58,16 +45,6 @@ let test_sccs () =
   let big = List.find (fun c -> List.length c = 3) sccs in
   Alcotest.(check (list int)) "cycle component" [ 0; 1; 2 ]
     (List.sort compare big)
-
-let test_self_loop_cyclic () =
-  let g = D.make ~n:2 ~edges:[ (0, 0); (0, 1) ] in
-  Alcotest.(check bool) "self loop is a cycle" true (D.is_cyclic g)
-
-let test_transpose () =
-  let g = diamond () in
-  let t = D.transpose g in
-  Alcotest.(check bool) "edge reversed" true (D.has_edge t 3 1);
-  Alcotest.(check bool) "edge gone" false (D.has_edge t 1 3)
 
 let test_degree_centrality () =
   let g = diamond () in
@@ -256,12 +233,8 @@ let suite =
     ("bfs", `Quick, test_bfs);
     ("bfs unreachable", `Quick, test_bfs_unreachable);
     ("coverage", `Quick, test_coverage);
-    ("topo order", `Quick, test_topo);
-    ("topo cycle", `Quick, test_topo_cycle);
     ("sccs", `Quick, test_sccs);
     ("sccs match the list Tarjan", `Quick, test_sccs_oracle);
-    ("self loop cyclic", `Quick, test_self_loop_cyclic);
-    ("transpose", `Quick, test_transpose);
     ("degree centrality", `Quick, test_degree_centrality);
     ("closeness", `Quick, test_closeness);
     ("betweenness chain", `Quick, test_betweenness_chain);

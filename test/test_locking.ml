@@ -5,6 +5,7 @@ module N = Shell_netlist.Netlist
 module Cell = Shell_netlist.Cell
 module L = Shell_locking
 module Rng = Shell_util.Rng
+module Sim = Shell_fuzz.Ref_sim
 
 let victim seed =
   let rng = Rng.create seed in
@@ -88,11 +89,11 @@ let test_omega_identity () =
   Alcotest.(check bool) "identity key all false" true
     (Array.for_all (fun b -> not b) key);
   (* under the all-false key each output equals its input *)
-  let sim = Shell_netlist.Sim.create nl in
+  let sim = Sim.create nl in
   let keyv = Array.map (fun b -> b) key in
   for v = 0 to 15 do
     let ins_v = Array.init 4 (fun i -> v land (1 lsl i) <> 0) in
-    let outs_v = Shell_netlist.Sim.eval_comb sim ~keys:keyv ins_v in
+    let outs_v = Sim.eval_comb sim ~keys:keyv ins_v in
     Alcotest.(check (array bool)) "identity" ins_v outs_v
   done
 
@@ -104,10 +105,10 @@ let test_switch_crossing () =
   N.add_output nl "oa" oa;
   N.add_output nl "ob" ob;
   Alcotest.(check bool) "straight is false" false straight;
-  let sim = Shell_netlist.Sim.create nl in
-  let st = Shell_netlist.Sim.eval_comb sim ~keys:[| false |] [| true; false |] in
+  let sim = Sim.create nl in
+  let st = Sim.eval_comb sim ~keys:[| false |] [| true; false |] in
   Alcotest.(check (array bool)) "straight" [| true; false |] st;
-  let cr = Shell_netlist.Sim.eval_comb sim ~keys:[| true |] [| true; false |] in
+  let cr = Sim.eval_comb sim ~keys:[| true |] [| true; false |] in
   Alcotest.(check (array bool)) "crossed" [| false; true |] cr
 
 let test_key_lut_truth () =
@@ -120,13 +121,13 @@ let test_key_lut_truth () =
       ~truth:[| false; true; true; false |]
   in
   N.add_output nl "y" out;
-  let sim = Shell_netlist.Sim.create nl in
+  let sim = Sim.create nl in
   for v = 0 to 3 do
     let ins = [| v land 1 <> 0; v land 2 <> 0 |] in
     Alcotest.(check bool)
       (Printf.sprintf "row %d" v)
       (ins.(0) <> ins.(1))
-      (Shell_netlist.Sim.eval_comb sim ~keys:key ins).(0)
+      (Sim.eval_comb sim ~keys:key ins).(0)
   done
 
 let test_locked_apply_key () =

@@ -5,7 +5,7 @@ module M = Shell_rtl.Rtl_module
 module E = Shell_rtl.Expr
 module Elab = Shell_rtl.Elab
 module N = Shell_netlist.Netlist
-module Sim = Shell_netlist.Sim
+module Sim = Shell_fuzz.Ref_sim
 
 let bits v w = Array.init w (fun i -> v land (1 lsl i) <> 0)
 

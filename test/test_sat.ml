@@ -1,8 +1,7 @@
-(* Tests for the CDCL solver: hand instances, DIMACS, assumptions,
+(* Tests for the CDCL solver: hand instances, assumptions,
    incrementality, budgets, and a brute-force differential fuzz. *)
 
 module Solver = Shell_sat.Solver
-module Dimacs = Shell_sat.Dimacs
 module Rng = Shell_util.Rng
 
 let solve_result =
@@ -196,28 +195,6 @@ let test_deadline () =
   Alcotest.check solve_result "far deadline: same verdict" r0 r1;
   Alcotest.(check bool) "far deadline: same search" true (st0 = st1);
   Alcotest.(check int) "the cap still binds" 1000 st0.Solver.conflicts
-
-let test_dimacs_roundtrip () =
-  let src = "c comment\np cnf 3 2\n1 -2 0\n2 3 0\n" in
-  let p = Dimacs.parse src in
-  Alcotest.(check int) "vars" 3 p.Dimacs.nvars;
-  Alcotest.(check int) "clauses" 2 (List.length p.Dimacs.clauses);
-  let p2 = Dimacs.parse (Dimacs.print p) in
-  Alcotest.(check bool) "roundtrip" true (p.Dimacs.clauses = p2.Dimacs.clauses)
-
-let test_dimacs_solve () =
-  Alcotest.check solve_result "sat instance" Solver.Sat
-    (Dimacs.solve_string "p cnf 2 2\n1 2 0\n-1 2 0\n");
-  Alcotest.check solve_result "unsat instance" Solver.Unsat
-    (Dimacs.solve_string "p cnf 1 2\n1 0\n-1 0\n")
-
-let test_dimacs_errors () =
-  List.iter
-    (fun src ->
-      match Dimacs.parse src with
-      | exception Failure _ -> ()
-      | _ -> Alcotest.fail ("accepted: " ^ src))
-    [ "1 2 0\n"; "p cnf x 1\n1 0\n" ]
 
 (* differential fuzz against brute force *)
 let brute nvars clauses =
@@ -439,9 +416,6 @@ let suite =
     ("incremental", `Quick, test_incremental);
     ("budget returns", `Quick, test_budget_unknown);
     ("deadline returns unknown", `Quick, test_deadline);
-    ("dimacs roundtrip", `Quick, test_dimacs_roundtrip);
-    ("dimacs solve", `Quick, test_dimacs_solve);
-    ("dimacs errors", `Quick, test_dimacs_errors);
     QCheck_alcotest.to_alcotest test_fuzz_vs_brute;
     ("conflicts counter", `Quick, test_conflicts_counter);
     ("pinned search trajectory", `Quick, test_pinned_trajectory);

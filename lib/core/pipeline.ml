@@ -117,10 +117,11 @@ let set_store s = store_ref := s
 (* Format tag prefixed to every key handed to the store (format 1 keys
    were untagged; format 3 is the [Netlist.t] that memoizes its
    fingerprint; format 4 is the [Connectivity.t] without a copy of the
-   analyzed netlist). A blob written by a binary with other product
+   analyzed netlist; format 5 is the cell vector that records whether
+   its array is shared). A blob written by a binary with other product
    types then sits under another key, so it is never read back at the
    wrong type. *)
-let store_format = "p4|"
+let store_format = "p5|"
 
 let cache_enabled () =
   match Sys.getenv_opt "SHELL_PASS_CACHE" with

@@ -90,7 +90,17 @@ let rec mkdirs dir =
     (try Sys.mkdir dir 0o755 with Sys_error _ -> ())
   end
 
+(* The first oracle of each name: a repeated one would run twice per
+   case and tally both runs under its one name. *)
+let distinct oracles =
+  let named (o : Oracles.t) (p : Oracles.t) = p.Oracles.name = o.Oracles.name in
+  List.fold_left
+    (fun acc o -> if List.exists (named o) acc then acc else o :: acc)
+    [] oracles
+  |> List.rev
+
 let run ?jobs ?(oracles = Oracles.all) ?(shrink = true) ?out_dir ~seed ~cases () =
+  let oracles = distinct oracles in
   Obs.with_span "fuzz" @@ fun () ->
   let results =
     Pool.mapi ?jobs
@@ -197,6 +207,7 @@ type self_stat = {
 }
 
 let self_test ?jobs ?(oracles = Oracles.all) ~seed ~cases () =
+  let oracles = distinct oracles in
   Obs.with_span "fuzz-self-test" @@ fun () ->
   let results =
     Pool.mapi ?jobs

@@ -43,7 +43,9 @@ val run :
   unit ->
   report
 (** [out_dir] (created if missing) receives one
-    [fuzz_<oracle>_s<seed>_c<case>.v] reproducer per failure. *)
+    [fuzz_<oracle>_s<seed>_c<case>.v] reproducer per failure. An oracle
+    named twice in [oracles] runs once, at its first place; {!self_test}
+    does the same. *)
 
 val pp_report : Format.formatter -> report -> unit
 

@@ -124,63 +124,63 @@ let const_values ?(pins = []) ?(config_through = false) nl =
   end;
   values
 
+(* The walk keeps its stack in an int array: each net is pushed at most
+   once (it is marked when pushed), so [n] entries suffice. Only the
+   functional walk's LUT cofactors allocate. *)
 let fanin_nets ?values nl targets =
   let n = N.num_nets nl in
+  let cells = N.cells nl in
   let seen = Array.make (max n 1) false in
-  let value_of net =
-    match values with Some v -> v.(net) | None -> Unknown
-  in
-  let stack = ref [] in
+  let stack = Array.make (max n 1) 0 and top = ref 0 in
   let push net =
     if net >= 0 && net < n && not seen.(net) then begin
       seen.(net) <- true;
-      stack := net :: !stack
+      stack.(!top) <- net;
+      incr top
     end
   in
   List.iter push targets;
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | net :: rest ->
-        stack := rest;
-        (* a proven-constant net transmits no influence: mark it but do
-           not walk into its sources *)
-        if known (value_of net) = None then (
-          match N.driver nl net with
-          | None -> ()
-          | Some ci ->
-              let c = N.cell nl ci in
-              let ins = c.Cell.ins in
-              let push_all () = Array.iter push ins in
-              (match (values, c.Cell.kind) with
-              | None, _ -> push_all ()
-              | Some v, Cell.Mux2 -> (
-                  match known v.(ins.(0)) with
-                  | Some s ->
-                      push ins.(0);
-                      push ins.(if s then 2 else 1)
-                  | None -> push_all ())
-              | Some v, Cell.Mux4 -> (
-                  match (known v.(ins.(0)), known v.(ins.(1))) with
-                  | Some s0, Some s1 ->
-                      push ins.(0);
-                      push ins.(1);
-                      let idx = (if s1 then 2 else 0) + if s0 then 1 else 0 in
-                      push ins.(2 + idx)
-                  | _ -> push_all ())
-              | Some v, Cell.Lut tt ->
-                  let vals = Array.map (fun i -> v.(i)) ins in
-                  let r = residual_table tt vals in
-                  let j = ref 0 in
-                  Array.iteri
-                    (fun i _ ->
-                      match known vals.(i) with
-                      | Some _ -> ()
-                      | None ->
-                          if Truthtab.depends_on r !j then push ins.(i);
-                          incr j)
-                    ins
-              | Some _, _ -> push_all ()))
+  while !top > 0 do
+    decr top;
+    let net = stack.(!top) in
+    let ci = N.driver_index nl net in
+    if ci >= 0 then begin
+      let c = cells.(ci) in
+      let ins = c.Cell.ins in
+      match (values, c.Cell.kind) with
+      | None, _ -> Array.iter push ins
+      | Some v, _ when v.(net) <> Unknown ->
+          (* a proven-constant net transmits no influence: mark it but
+             do not walk into its sources *)
+          ()
+      | Some v, Cell.Mux2 -> (
+          match known v.(ins.(0)) with
+          | Some s ->
+              push ins.(0);
+              push ins.(if s then 2 else 1)
+          | None -> Array.iter push ins)
+      | Some v, Cell.Mux4 -> (
+          match (known v.(ins.(0)), known v.(ins.(1))) with
+          | Some s0, Some s1 ->
+              push ins.(0);
+              push ins.(1);
+              let idx = (if s1 then 2 else 0) + if s0 then 1 else 0 in
+              push ins.(2 + idx)
+          | _ -> Array.iter push ins)
+      | Some v, Cell.Lut tt ->
+          let vals = Array.map (fun i -> v.(i)) ins in
+          let r = residual_table tt vals in
+          let j = ref 0 in
+          Array.iteri
+            (fun i _ ->
+              match known vals.(i) with
+              | Some _ -> ()
+              | None ->
+                  if Truthtab.depends_on r !j then push ins.(i);
+                  incr j)
+            ins
+      | Some _, _ -> Array.iter push ins
+    end
   done;
   seen
 

@@ -105,8 +105,18 @@ let add_output t nm net =
   t.outputs <- (nm, net) :: t.outputs;
   clear t.fingerprint_memo
 
+(* A raw [Cell.t] record can carry any [ins]; refuse the ones
+   [Cell.make] would, so every stored cell has at most six inputs. *)
+let check_arity fn (c : Cell.t) =
+  let want = Cell.arity c.Cell.kind in
+  if Array.length c.Cell.ins <> want then
+    invalid_arg
+      (Printf.sprintf "Netlist.%s: %d inputs where %d expected" fn
+         (Array.length c.Cell.ins) want)
+
 let add_cell t c =
   let check n = if n < 0 || n >= t.n_nets then invalid_arg "Netlist.add_cell: bad net" in
+  check_arity "add_cell" c;
   Array.iter check c.Cell.ins;
   check c.Cell.out;
   Vec.push t.cells c;
@@ -142,7 +152,7 @@ let dff ?origin t d = gate ?origin t Cell.Dff [| d |]
 
 let num_nets t = t.n_nets
 let num_cells t = Vec.length t.cells
-let cells t = Vec.to_array t.cells
+let cells t = Vec.contents t.cells
 let cell t i = Vec.get t.cells i
 let inputs t = List.rev t.inputs
 let outputs t = List.rev t.outputs
@@ -182,7 +192,7 @@ let fanout t net =
 let copy t =
   {
     t with
-    cells = Vec.of_array (Vec.to_array t.cells);
+    cells = Vec.copy t.cells;
     driver_memo = Atomic.make None;
     fanout_memo = Atomic.make None;
     order_memo = Atomic.make None;
@@ -191,7 +201,12 @@ let copy t =
 
 let map_cells t f =
   let t' = copy t in
-  Vec.iteri (fun i c -> Vec.set t'.cells i (f i c)) t'.cells;
+  Array.iteri
+    (fun i c ->
+      let c' = f i c in
+      check_arity "map_cells" c';
+      Vec.set t'.cells i c')
+    (cells t);
   t'
 
 let filter_outputs t p =
@@ -332,7 +347,9 @@ let fingerprint t = memo t.fingerprint_memo digest t
    part is cyclic.
 
    The successors sit in one CSR array, one entry per read, newest
-   reader first; the order array doubles as the FIFO queue. *)
+   reader first; the order array doubles as the FIFO queue. In-degrees
+   fit a byte: [add_cell] and [map_cells] refuse a cell whose input
+   count is not its kind's arity, which is at most six. *)
 let sort t =
   let n = num_cells t in
   let d = driver_table t in
@@ -347,7 +364,7 @@ let sort t =
     let j = d.(net) in
     if j >= 0 && Bytes.unsafe_get seq j = '\000' then j else -1
   in
-  let indeg = Array.make n 0 in
+  let indeg = Bytes.make n '\000' in
   (* [off.(j + 1)] counts cell [j]'s readers, then (summed) ends its
      row; filling each row from its end down leaves [off.(j + 1)] at
      the row's start, so row [j] is [off.(j + 1)] to [off.(j + 2)]. *)
@@ -360,7 +377,7 @@ let sort t =
       for k = 0 to Array.length ins - 1 do
         let j = src ins.(k) in
         if j >= 0 then begin
-          indeg.(i) <- indeg.(i) + 1;
+          Bytes.set_uint8 indeg i (Bytes.get_uint8 indeg i + 1);
           off.(j + 1) <- off.(j + 1) + 1
         end
       done
@@ -387,7 +404,7 @@ let sort t =
   (* Sequential cells go last; their combinational input cone is already
      ordered, and nothing combinational depends on ordering them early. *)
   for i = 0 to n - 1 do
-    if Bytes.unsafe_get seq i = '\000' && indeg.(i) = 0 then begin
+    if Bytes.unsafe_get seq i = '\000' && Bytes.get_uint8 indeg i = 0 then begin
       order.(!tail) <- i;
       incr tail
     end
@@ -398,8 +415,9 @@ let sort t =
     incr head;
     for k = off.(i + 1) to off.(i + 2) - 1 do
       let j = adj.(k) in
-      indeg.(j) <- indeg.(j) - 1;
-      if indeg.(j) = 0 then begin
+      let dj = Bytes.get_uint8 indeg j - 1 in
+      Bytes.set_uint8 indeg j dj;
+      if dj = 0 then begin
         order.(!tail) <- j;
         incr tail
       end

@@ -51,6 +51,10 @@ val add_output : t -> string -> int -> unit
     out of range. *)
 
 val add_cell : t -> Cell.t -> unit
+(** Append a cell. Raises [Invalid_argument] when a net it names is out
+    of range, or when its input count is not {!Cell.arity} of its kind,
+    as {!Cell.make} checks; so no stored cell has more than six inputs,
+    however its record was built. *)
 
 val set_origin : t -> int -> string -> unit
 (** Retag cell [i]'s hierarchical origin (used by the netlist parser
@@ -79,6 +83,14 @@ val dff : ?origin:string -> t -> int -> int
 val num_nets : t -> int
 val num_cells : t -> int
 val cells : t -> Cell.t array
+(** The cells in index order: the netlist's own array, shared by every
+    caller (and every domain) and to be treated as read-only, like
+    {!topo_order}'s. The first call after {!add_cell} trims the backing
+    array to length (one copy); a second call allocates nothing and
+    returns the same array. The next {!add_cell} or {!set_origin}
+    copies before it writes, and {!copy} and {!map_cells} leave it
+    alone, so an array once handed out never changes. *)
+
 val cell : t -> int -> Cell.t
 val inputs : t -> (string * int) list
 (** In declaration order. *)
@@ -106,14 +118,17 @@ val fanout : t -> int -> int list
 
 val copy : t -> t
 (** Independent netlist with the same nets, ports and cells, and empty
-    memos. *)
+    memos. The two share one cell array until either is mutated, which
+    copies it once. *)
 
 val map_cells : t -> (int -> Cell.t -> Cell.t) -> t
 (** Fresh netlist with cell [i] replaced by [f i cell]; nets, ports and
     numbering are untouched. The replacement must keep the original
     output net (and in-range input nets) or the result will not
     validate. The fuzzer's fault injector and shrinker are the
-    intended users. *)
+    intended users. Raises [Invalid_argument] on a replacement whose
+    input count is not {!Cell.arity} of its kind, as {!add_cell}
+    does. *)
 
 val filter_outputs : t -> (string -> bool) -> t
 (** Fresh netlist keeping only the primary outputs whose name satisfies

@@ -198,31 +198,45 @@ let run ?(seed = 7) ?(anneal_moves = 20_000) fabric nl =
     | `Chain pi -> Some (chain_pos pi)
   in
   (* ---------------- annealing ----------------
-     Simulated annealing over slot swaps, on flat arrays so that a move
-     allocates only its RNG draws. Each net keeps the bounding box of
-     its pins that never move (I/O, chain, BLEs left unplaced over
-     capacity) and its placed BLEs; [net_cost] caches every net's HPWL.
-     A move's cost sums the moved BLEs' nets, read from the cache before
-     the swap and recomputed after it; accepting commits the new costs.
-     [nets_of_ble] holds a net once per pin the BLE has on it, and a net
-     on both moved BLEs counts on each side: that definition fixes the
-     integer delta, and with it every accept decision and RNG draw
-     (DESIGN.md §3n). *)
+     Simulated annealing over slot swaps, on flat int arrays so that a
+     move allocates only the boxed float of its [Rng.float] draw, and
+     only when it goes uphill. Each net keeps the bounding box of its pins
+     that never move (I/O, chain, BLEs left unplaced over capacity) and
+     its placed BLEs; [net_cost] caches every net's HPWL. A move's cost
+     sums the moved BLEs' nets, read from the cache before the swap and
+     recomputed after it; accepting commits the new costs. A BLE's net
+     list holds a net once per pin the BLE has on it, and a net on both
+     moved BLEs counts on each side: that definition fixes the integer
+     delta, and with it every accept decision and RNG draw (DESIGN.md
+     §3n). *)
   if placeable > 1 && anneal_moves > 0 then begin
     let n_nets = Array.length nets in
-    let fx0 = Array.make n_nets max_int and fx1 = Array.make n_nets min_int in
-    let fy0 = Array.make n_nets max_int and fy1 = Array.make n_nets min_int in
-    let net_bles = Array.make n_nets [||] in
-    let nets_of_ble = Array.make placeable [] in
+    (* An empty box starts at [far, -far]. The bound keeps the
+       branch-free [x - x0] of [hpwl] from overflowing, where
+       [max_int]/[min_int] would wrap; every coordinate lies in
+       [-1, max cols rows]. *)
+    let far = 1 lsl 40 in
+    let fx0 = Array.make n_nets far and fx1 = Array.make n_nets (-far) in
+    let fy0 = Array.make n_nets far and fy1 = Array.make n_nets (-far) in
+    (* Incidence in CSR form. Net [ni]'s placed BLEs, each once, are
+       [net_bles.(net_off.(ni))] to [net_bles.(net_off.(ni + 1) - 1)];
+       BLE [bi]'s nets, one entry per pin, are [ble_nets.(ble_off.(bi))]
+       to [ble_nets.(ble_off.(bi + 1) - 1)]. [last.(bi)] is the last
+       net that listed [bi], so a BLE on a net twice is kept once. *)
+    let net_off = Array.make (n_nets + 1) 0 in
+    let ble_off = Array.make (placeable + 1) 0 in
+    let last = Array.make placeable (-1) in
     Array.iteri
       (fun ni pins ->
-        let placed = ref [] in
         List.iter
           (fun e ->
             match e with
             | `Ble bi when bi < placeable ->
-                placed := bi :: !placed;
-                nets_of_ble.(bi) <- ni :: nets_of_ble.(bi)
+                ble_off.(bi + 1) <- ble_off.(bi + 1) + 1;
+                if last.(bi) <> ni then begin
+                  last.(bi) <- ni;
+                  net_off.(ni + 1) <- net_off.(ni + 1) + 1
+                end
             | _ -> (
                 match entity_pos e with
                 | Some t ->
@@ -231,21 +245,85 @@ let run ?(seed = 7) ?(anneal_moves = 20_000) fabric nl =
                     fy0.(ni) <- min fy0.(ni) t.y;
                     fy1.(ni) <- max fy1.(ni) t.y
                 | None -> ()))
-          pins;
-        net_bles.(ni) <- Array.of_list (List.sort_uniq compare !placed))
+          pins)
       nets;
-    let nets_of_ble = Array.map Array.of_list nets_of_ble in
+    for ni = 1 to n_nets do
+      net_off.(ni) <- net_off.(ni) + net_off.(ni - 1)
+    done;
+    for bi = 1 to placeable do
+      ble_off.(bi) <- ble_off.(bi) + ble_off.(bi - 1)
+    done;
+    let net_bles = Array.make net_off.(n_nets) 0 in
+    let ble_nets = Array.make ble_off.(placeable) 0 in
+    (* fill cursors: the next free entry of each row *)
+    let net_fill = Array.sub net_off 0 n_nets in
+    let ble_fill = Array.sub ble_off 0 placeable in
+    Array.fill last 0 placeable (-1);
+    Array.iteri
+      (fun ni pins ->
+        List.iter
+          (function
+            | `Ble bi when bi < placeable ->
+                ble_nets.(ble_fill.(bi)) <- ni;
+                ble_fill.(bi) <- ble_fill.(bi) + 1;
+                if last.(bi) <> ni then begin
+                  last.(bi) <- ni;
+                  net_bles.(net_fill.(ni)) <- bi;
+                  net_fill.(ni) <- net_fill.(ni) + 1
+                end
+            | `Ble _ | `Chain _ | `Fixed _ -> ())
+          pins)
+      nets;
+    (* every placed BLE's coordinates, kept in step with [slot_of_ble]
+       by [place] at every swap and undo, so reading a pin is one load
+       per axis *)
+    let ble_x = Array.init placeable (fun bi -> slot_x.(slot_of_ble.(bi))) in
+    let ble_y = Array.init placeable (fun bi -> slot_y.(slot_of_ble.(bi))) in
+    (* The reads below are unchecked. Each rests on one of these
+       invariants, named where it is used:
+       - (net) every net id in [ble_nets], and every [ni] passed to
+         [hpwl], is below [n_nets], the length of [fx0], [fx1], [fy0],
+         [fy1], [net_cost], [fresh] and [stamp], and [n_nets + 1] that
+         of [net_off];
+       - (ble) every BLE id in [net_bles], every [b1] drawn and every
+         [b2 >= 0] read from [ble_of_slot] is below [placeable], the
+         length of [slot_of_ble], [ble_x] and [ble_y], and
+         [placeable + 1] that of [ble_off]; [ble_of_slot] only ever
+         receives such ids and -1;
+       - (csr) offsets never decrease and the last one is the length of
+         its data array, so a row's entries are in bounds;
+       - (slot) every slot, drawn below [n_slots] or read from
+         [slot_of_ble], indexes [ble_of_slot], [slot_x] and [slot_y],
+         all of length [n_slots]. *)
+    let place bi s =
+      (* (ble), (slot) *)
+      Array.unsafe_set slot_of_ble bi s;
+      Array.unsafe_set ble_of_slot s bi;
+      Array.unsafe_set ble_x bi (Array.unsafe_get slot_x s);
+      Array.unsafe_set ble_y bi (Array.unsafe_get slot_y s)
+    in
     let hpwl ni =
-      let x0 = ref fx0.(ni) and x1 = ref fx1.(ni) in
-      let y0 = ref fy0.(ni) and y1 = ref fy1.(ni) in
-      let bl = net_bles.(ni) in
-      for k = 0 to Array.length bl - 1 do
-        let s = slot_of_ble.(bl.(k)) in
-        let x = slot_x.(s) and y = slot_y.(s) in
-        if x < !x0 then x0 := x;
-        if x > !x1 then x1 := x;
-        if y < !y0 then y0 := y;
-        if y > !y1 then y1 := y
+      (* (net) *)
+      let x0 = ref (Array.unsafe_get fx0 ni) in
+      let x1 = ref (Array.unsafe_get fx1 ni) in
+      let y0 = ref (Array.unsafe_get fy0 ni) in
+      let y1 = ref (Array.unsafe_get fy1 ni) in
+      (* (net) (csr) *)
+      let first = Array.unsafe_get net_off ni in
+      for k = first to Array.unsafe_get net_off (ni + 1) - 1 do
+        (* (csr), then (ble) *)
+        let bi = Array.unsafe_get net_bles k in
+        let x = Array.unsafe_get ble_x bi and y = Array.unsafe_get ble_y bi in
+        (* [d land (d asr 62)] is [min d 0]: the box grows without a
+           data-dependent branch *)
+        let d = x - !x0 in
+        x0 := !x0 + (d land (d asr 62));
+        let d = !x1 - x in
+        x1 := !x1 - (d land (d asr 62));
+        let d = y - !y0 in
+        y0 := !y0 + (d land (d asr 62));
+        let d = !y1 - y in
+        y1 := !y1 - (d land (d asr 62))
       done;
       if !x0 > !x1 then 0 else !x1 - !x0 + (!y1 - !y0)
     in
@@ -254,28 +332,34 @@ let run ?(seed = 7) ?(anneal_moves = 20_000) fabric nl =
        [stamp.(ni)], so a net is recomputed once per move *)
     let fresh = Array.make n_nets 0 and stamp = Array.make n_nets 0 in
     let cached bi =
-      let ns = nets_of_ble.(bi) and acc = ref 0 in
-      for k = 0 to Array.length ns - 1 do
-        acc := !acc + net_cost.(ns.(k))
+      let acc = ref 0 in
+      (* (ble) (csr), then (net) *)
+      let first = Array.unsafe_get ble_off bi in
+      for k = first to Array.unsafe_get ble_off (bi + 1) - 1 do
+        acc := !acc + Array.unsafe_get net_cost (Array.unsafe_get ble_nets k)
       done;
       !acc
     in
     let recompute move bi =
-      let ns = nets_of_ble.(bi) and acc = ref 0 in
-      for k = 0 to Array.length ns - 1 do
-        let ni = ns.(k) in
-        if stamp.(ni) <> move then begin
-          stamp.(ni) <- move;
-          fresh.(ni) <- hpwl ni
+      let acc = ref 0 in
+      (* (ble) (csr), then (net) *)
+      let first = Array.unsafe_get ble_off bi in
+      for k = first to Array.unsafe_get ble_off (bi + 1) - 1 do
+        let ni = Array.unsafe_get ble_nets k in
+        if Array.unsafe_get stamp ni <> move then begin
+          Array.unsafe_set stamp ni move;
+          Array.unsafe_set fresh ni (hpwl ni)
         end;
-        acc := !acc + fresh.(ni)
+        acc := !acc + Array.unsafe_get fresh ni
       done;
       !acc
     in
     let commit bi =
-      let ns = nets_of_ble.(bi) in
-      for k = 0 to Array.length ns - 1 do
-        net_cost.(ns.(k)) <- fresh.(ns.(k))
+      (* (ble) (csr), then (net) *)
+      let first = Array.unsafe_get ble_off bi in
+      for k = first to Array.unsafe_get ble_off (bi + 1) - 1 do
+        let ni = Array.unsafe_get ble_nets k in
+        Array.unsafe_set net_cost ni (Array.unsafe_get fresh ni)
       done
     in
     let temp =
@@ -287,26 +371,29 @@ let run ?(seed = 7) ?(anneal_moves = 20_000) fabric nl =
     for move = 1 to anneal_moves do
       let b1 = Rng.int rng placeable in
       let s2 = Rng.int rng n_slots in
-      let b2 = ble_of_slot.(s2) in
-      let s1 = slot_of_ble.(b1) in
+      (* (slot), (ble) *)
+      let b2 = Array.unsafe_get ble_of_slot s2 in
+      let s1 = Array.unsafe_get slot_of_ble b1 in
       if s1 <> s2 then begin
         (* [b2] is another BLE, or -1 for a free slot *)
         let before = cached b1 + if b2 >= 0 then cached b2 else 0 in
-        slot_of_ble.(b1) <- s2;
-        ble_of_slot.(s2) <- b1;
-        ble_of_slot.(s1) <- b2;
-        if b2 >= 0 then slot_of_ble.(b2) <- s1;
+        place b1 s2;
+        (* (slot) *)
+        Array.unsafe_set ble_of_slot s1 b2;
+        if b2 >= 0 then place b2 s1;
         let after =
           recompute move b1 + if b2 >= 0 then recompute move b2 else 0
         in
-        let delta = float_of_int (after - before) in
         (* [max !temp 1e-3] without the polymorphic [max], which boxes *)
         let t = if !temp >= 1e-3 then !temp else 1e-3 in
-        if delta > 0.0 && Rng.float rng 1.0 >= exp (-.delta /. t) then begin
-          slot_of_ble.(b1) <- s1;
-          ble_of_slot.(s1) <- b1;
-          ble_of_slot.(s2) <- b2;
-          if b2 >= 0 then slot_of_ble.(b2) <- s2
+        let delta = after - before in
+        if delta > 0
+           && Rng.float rng 1.0 >= exp (-.float_of_int delta /. t)
+        then begin
+          place b1 s1;
+          (* (slot) *)
+          Array.unsafe_set ble_of_slot s2 b2;
+          if b2 >= 0 then place b2 s2
         end
         else begin
           commit b1;

@@ -1,8 +1,16 @@
-type 'a t = { mutable data : 'a array; mutable len : int }
+(* [shared]: [data] has been handed out by [contents] (or is held by a
+   [copy] too), so it must never be written again. The next write
+   copies it first: [push] grows into a fresh array, [set] copies the
+   live elements. *)
+type 'a t = {
+  mutable data : 'a array;
+  mutable len : int;
+  mutable shared : bool;
+}
 
-let create () = { data = [||]; len = 0 }
+let create () = { data = [||]; len = 0; shared = false }
 
-let make n x = { data = Array.make (max n 1) x; len = n }
+let make n x = { data = Array.make (max n 1) x; len = n; shared = false }
 
 let length v = v.len
 
@@ -11,17 +19,24 @@ let check v i =
 
 let get v i = check v i; v.data.(i)
 
-let set v i x = check v i; v.data.(i) <- x
+let set v i x =
+  check v i;
+  if v.shared then begin
+    v.data <- Array.sub v.data 0 v.len;
+    v.shared <- false
+  end;
+  v.data.(i) <- x
 
 let grow v x =
   let cap = Array.length v.data in
   let cap' = if cap = 0 then 8 else 2 * cap in
   let data = Array.make cap' x in
   Array.blit v.data 0 data 0 v.len;
-  v.data <- data
+  v.data <- data;
+  v.shared <- false
 
 let push v x =
-  if v.len = Array.length v.data then grow v x;
+  if v.shared || v.len = Array.length v.data then grow v x;
   v.data.(v.len) <- x;
   v.len <- v.len + 1
 
@@ -47,9 +62,27 @@ let fold f acc v =
 
 let to_array v = Array.sub v.data 0 v.len
 
+(* Readers on several domains may race here. Each reads [data] once and
+   returns an array of exactly [len] elements: either [data] itself or
+   a trimmed copy, which at most one of them keeps as [data]. *)
+let contents v =
+  let d = v.data in
+  let d =
+    if Array.length d = v.len then d
+    else begin
+      let a = Array.sub d 0 v.len in
+      v.data <- a;
+      a
+    end
+  in
+  if not v.shared then v.shared <- true;
+  d
+
+let copy v = { data = contents v; len = v.len; shared = true }
+
 let to_list v = Array.to_list (to_array v)
 
-let of_array a = { data = Array.copy a; len = Array.length a }
+let of_array a = { data = Array.copy a; len = Array.length a; shared = false }
 
 let of_list l = of_array (Array.of_list l)
 

@@ -145,6 +145,22 @@ let test_run_jobs_independent () =
   Alcotest.(check string) "report byte-identical across jobs" (render a)
     (render b)
 
+(* Naming an oracle twice runs it once: [[o; o]] reports what [[o]]
+   does, in the campaign and in the self-test. *)
+let test_repeated_oracle_runs_once () =
+  let o = Option.get (Oracles.find "opt") in
+  let render r = Format.asprintf "%a" Runner.pp_report r in
+  let once = Runner.run ~jobs:1 ~oracles:[ o ] ~shrink:false ~seed:1 ~cases:10 () in
+  let twice =
+    Runner.run ~jobs:1 ~oracles:[ o; o ] ~shrink:false ~seed:1 ~cases:10 ()
+  in
+  Alcotest.(check string) "campaign report" (render once) (render twice);
+  Alcotest.(check int) "one row" 1 (List.length twice.Runner.stats);
+  let render_self stats = Format.asprintf "%a" Runner.pp_self_test stats in
+  Alcotest.(check string) "self-test report"
+    (render_self (Runner.self_test ~jobs:1 ~oracles:[ o ] ~seed:1 ~cases:10 ()))
+    (render_self (Runner.self_test ~jobs:1 ~oracles:[ o; o ] ~seed:1 ~cases:10 ()))
+
 (* an always-failing oracle drives the failure path: shrinking plus
    reproducer emission, which must itself reparse *)
 let bogus =
@@ -216,6 +232,7 @@ let suite =
     ("runner clean campaign", `Quick, test_clean_run);
     ("oracle streams distinct", `Quick, test_streams_distinct);
     ("runner jobs-independent", `Quick, test_run_jobs_independent);
+    ("runner repeated oracle runs once", `Quick, test_repeated_oracle_runs_once);
     ("runner failure path + reproducer", `Quick, test_failure_shrinks_and_writes_reproducer);
     ("self-test catches all fault classes", `Slow, test_self_test_every_oracle_catches);
     ("self-test jobs-independent", `Quick, test_self_test_jobs_independent);

@@ -270,27 +270,114 @@ let test_memo_cyclic () =
     (Failure "Netlist.topo_order: combinational cycle") (fun () ->
       ignore (N.topo_order nl))
 
+(* [cells] hands out the netlist's own array: a second call allocates
+   nothing and returns it again, and no later mutation, copy or map
+   changes an array already handed out. *)
+let test_cells_shared () =
+  let nl = fixture () in
+  let alloc f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let first = N.cells nl in
+  let again = alloc (fun () -> ignore (N.cells nl)) in
+  let nothing = alloc (fun () -> ()) in
+  Alcotest.(check (float 0.)) "a second call allocates nothing" nothing again;
+  Alcotest.(check bool) "and returns the same array" true (first == N.cells nl);
+  (* [kept a] checks that [a] still holds exactly what it held *)
+  let kept what a =
+    let snapshot = Array.copy a in
+    fun () ->
+      Alcotest.(check int) (what ^ ": length kept") (Array.length snapshot)
+        (Array.length a);
+      Array.iteri
+        (fun i c ->
+          Alcotest.(check bool) (Printf.sprintf "%s: cell %d kept" what i) true
+            (c == a.(i)))
+        snapshot
+  in
+  let check_first = kept "add_cell" first in
+  let x = (N.cell nl 0).Cell.out in
+  N.add_cell nl (Cell.make ~origin:"new" Cell.Buf [| x |] (N.new_net nl));
+  check_first ();
+  let fresh = N.cells nl in
+  Alcotest.(check int) "add_cell: a fresh call sees the cell"
+    (Array.length first + 1) (Array.length fresh);
+  Alcotest.(check string) "add_cell: the new cell last" "new"
+    fresh.(Array.length fresh - 1).Cell.origin;
+  let check_fresh = kept "set_origin" fresh in
+  N.set_origin nl 0 "retagged";
+  check_fresh ();
+  Alcotest.(check string) "set_origin: a fresh call sees the tag" "retagged"
+    (N.cells nl).(0).Cell.origin;
+  let before_copy = N.cells nl in
+  let check_before_copy = kept "copy" before_copy in
+  let c = N.copy nl in
+  N.set_origin c 1 "copy";
+  N.add_cell c (Cell.make Cell.Not [| x |] (N.new_net c));
+  check_before_copy ();
+  Alcotest.(check bool) "copy: the original's array stays its own" true
+    (before_copy == N.cells nl);
+  Alcotest.(check int) "copy: a fresh call on the copy sees its cell"
+    (Array.length before_copy + 1) (Array.length (N.cells c));
+  Alcotest.(check string) "copy: and its tag" "copy" (N.cells c).(1).Cell.origin;
+  let m = N.map_cells nl (fun _ c -> { c with Cell.origin = "mapped" }) in
+  check_before_copy ();
+  Alcotest.(check bool) "map_cells: the original's array stays its own" true
+    (before_copy == N.cells nl);
+  Array.iter
+    (fun c -> Alcotest.(check string) "map_cells: mapped" "mapped" c.Cell.origin)
+    (N.cells m)
+
+(* A raw [Cell.t] record can carry any inputs; [add_cell] and
+   [map_cells] refuse the counts [Cell.make] refuses, which is what
+   bounds a cell at six inputs. *)
+let test_arity_refused () =
+  let nl = fixture () in
+  let a = (N.cell nl 0).Cell.ins.(0) and cells = N.num_cells nl in
+  let raw kind ins = { Cell.kind; ins; out = N.new_net nl; origin = "" } in
+  Alcotest.check_raises "add_cell: one input to an and"
+    (Invalid_argument "Netlist.add_cell: 1 inputs where 2 expected") (fun () ->
+      N.add_cell nl (raw Cell.And [| a |]));
+  Alcotest.check_raises "add_cell: seven inputs to a mux4"
+    (Invalid_argument "Netlist.add_cell: 7 inputs where 6 expected") (fun () ->
+      N.add_cell nl (raw Cell.Mux4 (Array.make 7 a)));
+  let lut2 = Truthtab.create ~arity:2 ~bits:6L in
+  Alcotest.check_raises "add_cell: three inputs to a 2-LUT"
+    (Invalid_argument "Netlist.add_cell: 3 inputs where 2 expected") (fun () ->
+      N.add_cell nl (raw (Cell.Lut lut2) [| a; a; a |]));
+  Alcotest.(check int) "nothing was added" cells (N.num_cells nl);
+  Alcotest.check_raises "map_cells: an and with no inputs"
+    (Invalid_argument "Netlist.map_cells: 0 inputs where 2 expected") (fun () ->
+      ignore
+        (N.map_cells nl (fun _ c ->
+             if c.Cell.kind = Cell.And then { c with Cell.ins = [||] } else c)))
+
 (* One netlist nobody has queried, read by four pool tasks at once:
-   every task sees the answers a sequential reader of a copy gets. *)
+   every task sees the answers a sequential reader of a second build
+   gets, the cells the first [cells] call trims included. *)
 let test_memo_shared_across_domains () =
   let nl = random_nl 23 16 3000 in
   let answers nl =
     let n = N.num_nets nl in
     ( Array.init n (N.driver nl),
       Array.init n (N.fanout nl),
-      Array.copy (N.topo_order nl) )
+      Array.copy (N.topo_order nl),
+      Array.map (fun c -> c.Cell.out) (N.cells nl) )
   in
-  let want = answers (N.copy nl) in
+  let want = answers (random_nl 23 16 3000) in
   let got =
     Shell_util.Pool.map ~jobs:4 (fun _ -> answers nl) (Array.make 4 ())
   in
   Array.iteri
-    (fun i (d, f, o) ->
-      let wd, wf, wo = want in
+    (fun i (d, f, o, c) ->
+      let wd, wf, wo, wc = want in
       let name what = Printf.sprintf "task %d %s" i what in
       Alcotest.(check (array (option int))) (name "driver") wd d;
       Alcotest.(check (array (list int))) (name "fanout") wf f;
-      Alcotest.(check (array int)) (name "order") wo o)
+      Alcotest.(check (array int)) (name "order") wo o;
+      Alcotest.(check (array int)) (name "cells") wc c)
     got
 
 let test_sim_comb () =
@@ -1455,6 +1542,8 @@ let suite =
     ("memo: copy and comb_view fresh", `Quick, test_memo_fresh_on_copy);
     ("memo: cyclic answer", `Quick, test_memo_cyclic);
     ("memo: shared across domains", `Quick, test_memo_shared_across_domains);
+    ("cells: shared, never written", `Quick, test_cells_shared);
+    ("add_cell and map_cells check arity", `Quick, test_arity_refused);
     ("sim comb", `Quick, test_sim_comb);
     ("sim sequential", `Quick, test_sim_sequential);
     ("comb view ports", `Quick, test_comb_view_ports);

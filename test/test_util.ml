@@ -161,6 +161,32 @@ let test_vec_fold_iter () =
   Alcotest.(check (list int)) "to_list" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
     (Vec.to_list v)
 
+(* [contents] hands out the backing array; no later write through the
+   vector or its copy reaches it, a pop and push after it included. *)
+let test_vec_contents_shared () =
+  let v = Vec.of_list [ 1; 2; 3 ] in
+  Vec.push v 4;
+  let a = Vec.contents v in
+  Alcotest.(check (array int)) "trimmed to length" [| 1; 2; 3; 4 |] a;
+  Alcotest.(check bool) "the same array again" true (a == Vec.contents v);
+  Vec.set v 0 10;
+  Vec.push v 5;
+  Alcotest.(check (array int)) "set and push leave it" [| 1; 2; 3; 4 |] a;
+  let b = Vec.contents v in
+  Alcotest.(check (array int)) "a fresh call sees them" [| 10; 2; 3; 4; 5 |] b;
+  ignore (Vec.pop v);
+  Vec.push v 6;
+  Alcotest.(check (array int)) "pop then push leaves it" [| 10; 2; 3; 4; 5 |] b;
+  let c = Vec.copy v in
+  let d = Vec.contents v in
+  Vec.set c 1 20;
+  Vec.push v 7;
+  Alcotest.(check (array int)) "writes to either side leave it"
+    [| 10; 2; 3; 4; 6 |] d;
+  Alcotest.(check (list int)) "the copy" [ 10; 20; 3; 4; 6 ] (Vec.to_list c);
+  Alcotest.(check (list int)) "the original" [ 10; 2; 3; 4; 6; 7 ]
+    (Vec.to_list v)
+
 (* ---- Jsonw ---- *)
 
 let test_jsonw_escaping () =
@@ -374,6 +400,7 @@ let suite =
     ("vec pop", `Quick, test_vec_pop);
     ("vec bounds", `Quick, test_vec_bounds);
     ("vec fold/iter", `Quick, test_vec_fold_iter);
+    ("vec contents shared", `Quick, test_vec_contents_shared);
     ("jsonw escaping", `Quick, test_jsonw_escaping);
     ("jsonw document round-trip", `Quick, test_jsonw_roundtrip_doc);
     ("jsonw float specials", `Quick, test_jsonw_float_special);
